@@ -5,13 +5,16 @@ interval endpoints, step-function densities, measures, and values.  No floats
 enter any computation, so every comparison made by mechanisms, checkers, and
 counterexample chains downstream is an exact decision.
 
-Values are immutable after construction and all operations are pure, so they
-may be freely shared between threads.
+Values are immutable after construction and all operations are pure.  A
+valuation's memo of halving cuts (``node_cuts``) caches only pure results of
+its own fields and stays out of equality, hashing, ``repr`` and JSON, so
+values may still be shared between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -231,6 +234,12 @@ class PiecewiseConstantValuation:
     def uniform() -> "PiecewiseConstantValuation":
         return PiecewiseConstantValuation((ZERO, ONE), (ONE,))
 
+    @cached_property
+    def node_cuts(self) -> dict[tuple[Fraction, Fraction, int], Fraction]:
+        """Memo of halving cuts keyed ``(a, b, k)``, filled by
+        ``mechanisms._node_cut``.  Not a field: it holds only pure results."""
+        return {}
+
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior breakpoints only."""
@@ -361,10 +370,8 @@ class Allocation:
     @staticmethod
     def of(pieces: Sequence[Piece]) -> "Allocation":
         """Build with the discarded piece inferred as the uncovered remainder."""
-        covered = Piece.empty()
-        for p in pieces:
-            covered = covered.union(p)
-        return Allocation(tuple(pieces), Piece.whole().subtract(covered))
+        covered = Piece.of(iv for p in pieces for iv in p.intervals)
+        return Allocation(tuple(pieces), covered.complement())
 
     @property
     def n(self) -> int:

@@ -193,7 +193,7 @@ class _Conjugation:
                 pieces = [mirror_piece(p) for p in pieces]
             return Allocation.of(pieces)
 
-        return Mechanism(f"~{self.base.name}", run, self.base.declared, self.base.kind)
+        return Mechanism(f"~{self.base.name}", run, self.base.declared)
 
 
 def _identity_conjugation(base: Mechanism, n: int, swap01: bool = False,

@@ -118,7 +118,10 @@ def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
 
 def do_verify(obj: Any) -> tuple[dict, bool]:
     """Re-run the mechanism behind a witness/certificate and compare values
-    byte-for-byte with the stored ones."""
+    byte-for-byte with the stored ones.  A report envelope as printed by
+    ``chain`` is unwrapped to the witness in its ``output``."""
+    if isinstance(obj, dict) and "command" in obj and "output" in obj:
+        obj = obj["output"]
     if isinstance(obj, dict) and "chain" in obj:
         witness = witness_from_json(obj)
         mechanism = _resolve(witness.mechanism)
@@ -242,44 +245,57 @@ def _need_profile(profile: Optional[Profile]) -> Profile:
 
 def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
              base_path: str = ".") -> tuple[dict, int]:
-    def argument(name: str, default=None):
-        return args.get(name, default)
+    def argument(name: str, kind: type, default: Any, positive: bool = False,
+                 optional: bool = False) -> Any:
+        """The argument `name`, checked against `kind` (None allowed if optional)."""
+        value = args.get(name, default)
+        if value is None and optional:
+            return None
+        if kind is Fraction:
+            try:
+                value = as_rational(value, f"argument {name!r}")
+            except FormatError as exc:
+                raise CliError(str(exc)) from None
+        elif not isinstance(value, kind) or isinstance(value, bool):
+            raise CliError(f"argument {name!r}: expected {kind.__name__}, got {value!r}")
+        if positive and not value > 0:
+            raise CliError(f"argument {name!r}: must be positive, got {value}")
+        return value
 
     if command == "allocate":
-        mech = get_mechanism(str(argument("mechanism", "")))
+        mech = get_mechanism(argument("mechanism", str, ""))
         return do_allocate(mech, _need_profile(profile)), 0
     if command == "check":
-        mech = get_mechanism(str(argument("mechanism", "")))
+        mech = get_mechanism(argument("mechanism", str, ""))
         return do_check(mech, _need_profile(profile)), 0
     if command == "gain":
-        mech = get_mechanism(str(argument("mechanism", "")))
+        mech = get_mechanism(argument("mechanism", str, ""))
         cfg = SearchConfig(
-            mass_denominator=int(argument("mass_denominator", 4)),
-            max_breakpoints=int(argument("max_breakpoints", 2)),
-            offset_rounds=int(argument("rounds", 1)),
-            max_candidates=argument("max_candidates", 64),
+            mass_denominator=argument("mass_denominator", int, 4),
+            max_breakpoints=argument("max_breakpoints", int, 2),
+            offset_rounds=argument("rounds", int, 1),
+            max_candidates=argument("max_candidates", int, 64, optional=True),
             seed=seed)
-        return do_gain(mech, _need_profile(profile), int(argument("agent", 0)),
-                       str(argument("engine", "grid")), cfg), 0
+        return do_gain(mech, _need_profile(profile), argument("agent", int, 0),
+                       argument("engine", str, "grid"), cfg), 0
     if command == "learn":
-        return do_learn(_need_profile(profile), int(argument("agent", 0)),
-                        int(argument("k", 1)),
-                        as_rational(argument("eps", "1"), "eps")), 0
+        return do_learn(_need_profile(profile), argument("agent", int, 0),
+                        argument("k", int, 1, positive=True),
+                        argument("eps", Fraction, "1", positive=True)), 0
     if command == "chain":
-        name = str(argument("name", ""))
+        name = argument("name", str, "")
         if name not in CHAIN_NAMES:
             raise CliError(f"unknown chain {name!r}; known: {CHAIN_NAMES}")
-        mech = None
-        if argument("mechanism") is not None:
-            mech = get_mechanism(str(argument("mechanism")))
+        mech_name = argument("mechanism", str, None, optional=True)
+        mech = get_mechanism(mech_name) if mech_name is not None else None
         deltas = {k: as_rational(v, f"delta.{k}")
-                  for k, v in dict(argument("deltas", {})).items()}
-        out = do_chain(name, mech, int(argument("n", 2)),
-                       as_rational(argument("eps1", 0), "eps1"),
-                       as_rational(argument("eps2", 0), "eps2"), deltas)
+                  for k, v in argument("deltas", dict, {}).items()}
+        out = do_chain(name, mech, argument("n", int, 2),
+                       argument("eps1", Fraction, 0), argument("eps2", Fraction, 0),
+                       deltas)
         return out, 2
     if command == "verify":
-        target = argument("witness")
+        target = args.get("witness")
         if isinstance(target, str):
             target = load_json(os.path.join(os.path.dirname(base_path) or ".", target))
         out, ok = do_verify(target)

@@ -35,7 +35,6 @@ class Mechanism:
     name: str
     run: Callable[[Profile], Allocation]
     declared: frozenset[str] = field(default_factory=frozenset)
-    kind: str = "direct-revelation"
 
     def __call__(self, profile: Profile) -> Allocation:
         return self.run(profile)
@@ -44,9 +43,18 @@ class Mechanism:
 def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
               k: int) -> Fraction:
     """The reported cut on sub-cake [a, b]: leftmost point where the agent's
-    value reaches the floor(k/2)/k share of its value for [a, b]."""
-    target = Fraction(k // 2, k) * v.value_between(a, b)
-    return v.cut_point(a, target)
+    value reaches the floor(k/2)/k share of its value for [a, b].
+
+    The cut depends only on the valuation and (a, b, k), so it is memoised
+    on the valuation: repeated runs on profiles that share valuation objects
+    (every candidate of a manipulation search) compute each cut once.
+    """
+    memo = v.node_cuts
+    key = (a, b, k)
+    cut = memo.get(key)
+    if cut is None:
+        cut = memo[key] = v.cut_point(a, Fraction(k // 2, k) * v.value_between(a, b))
+    return cut
 
 
 def _split(profile: Profile, a: Fraction, b: Fraction,
@@ -158,7 +166,6 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
         name=f"{mechanism.name}-exchange",
         run=run,
         declared=mechanism.declared - {"contiguous"},
-        kind=mechanism.kind,
     )
 
 

@@ -33,7 +33,7 @@ from cakecut.cake import (
     Profile,
     ZERO,
 )
-from cakecut.mechanisms import MECHANISMS, Mechanism
+from cakecut.mechanisms import MECHANISMS, Mechanism, _node_cut
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +249,6 @@ class _Step:
     hi: Fraction              # node right endpoint
 
 
-def _others_cuts(profile: Profile, agent: int, a: Fraction, b: Fraction,
-                 agents: list[int]) -> list[tuple[Fraction, int]]:
-    k = len(agents)
-    out = []
-    for i in agents:
-        if i != agent:
-            target = Fraction(k // 2, k) * profile[i].value_between(a, b)
-            out.append((profile[i].cut_point(a, target), i))
-    return sorted(out)
-
-
 def _node_candidates(a: Fraction, b: Fraction, others: list[tuple[Fraction, int]],
                      own: PiecewiseConstantValuation,
                      own_cut: Fraction) -> list[Fraction]:
@@ -296,7 +285,7 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     k = len(agents)
     half = k // 2
     share = Fraction(half, k)
-    others = _others_cuts(profile, agent, a, b, agents)
+    others = sorted((_node_cut(profile[i], a, b, k), i) for i in agents if i != agent)
 
     best: Optional[tuple[Fraction, list[_Step], Interval]] = None
 
@@ -305,7 +294,7 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
         if best is None or value > best[0]:
             best = (value, steps, leaf)
 
-    own_cut = true_v.cut_point(a, share * true_v.value_between(a, b))
+    own_cut = _node_cut(true_v, a, b, k)
     for c in _node_candidates(a, b, others, true_v, own_cut):
         order = sorted(others + [(c, agent)])
         if order[half - 1] != (c, agent):
@@ -378,14 +367,18 @@ def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int
     engine's candidates (same config) are also evaluated, so the result
     never falls below best_response_gain on the same instance; pass a
     previously computed grid certificate for the same instance to skip the
-    duplicate search.
+    duplicate search; its truthful value is reused, so a certificate for
+    another mechanism, agent or profile is rejected.
     """
     if mechanism.name not in ("even-paz", "modified-ep"):
         raise ValueError(f"{mechanism.name!r} is not in the recursive-halving family")
     middles = mechanism.name == "modified-ep"
-    truthful_value = profile[agent].value(mechanism.run(profile).pieces[agent])
     if grid_certificate is None:
         grid_certificate = best_response_gain(mechanism, profile, agent, cfg)
+    elif (grid_certificate.mechanism != mechanism.name
+          or grid_certificate.agent != agent or grid_certificate.profile != profile):
+        raise ValueError("grid_certificate belongs to another mechanism, agent or profile")
+    truthful_value = grid_certificate.truthful_value
     certificates = [grid_certificate]
     planned, steps, leaf = _dp_best_path(
         profile, agent, ZERO, ONE, list(range(profile.n)), middles)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cakecut
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
 from cakecut.io import canonical_dumps, load_json
 
@@ -177,6 +181,52 @@ class TestChainAndVerify:
                                "--delta", "1/4")
         assert code == 2
         assert json.loads(out)["output"]["parameters"]["delta"] == "1/4"
+
+
+class TestReadmeRoundTrip:
+    def test_chain_then_verify_as_in_readme(self, tmp_path):
+        # cakecut chain --name thm1 --mechanism equal-split --n 3 > witness.json
+        # cakecut verify witness.json
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cakecut.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cli = [sys.executable, "-m", "cakecut.cli"]
+        with open(tmp_path / "witness.json", "wb") as out:
+            chain = subprocess.run(
+                cli + ["chain", "--name", "thm1", "--mechanism", "equal-split", "--n", "3"],
+                stdout=out, cwd=tmp_path, env=env)
+        assert chain.returncode == 2
+        verify = subprocess.run(cli + ["verify", "witness.json"], capture_output=True,
+                                cwd=tmp_path, env=env)
+        assert verify.returncode == 0, verify.stderr
+        assert json.loads(verify.stdout)["output"]["verified"] is True
+
+    def test_chain_verify_flag_accepts_envelope(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "chain", "--name", "discussion")
+        path = tmp_path / "w.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "chain", "--verify", str(path))
+        assert code == 0
+        assert json.loads(out)["output"]["verified"] is True
+
+
+class TestScenarioArgumentTypes:
+    @pytest.mark.parametrize("command, arguments, field", [
+        ("gain", {"mechanism": "even-paz", "agent": "x"}, "agent"),
+        ("gain", {"mechanism": "even-paz", "agent": 0, "max_candidates": "7"},
+         "max_candidates"),
+        ("learn", {"agent": 0, "k": 2, "eps": "0"}, "eps"),
+    ])
+    def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
+                                            arguments, field):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": command,
+                                    "arguments": arguments, "profile": EXCHANGE_PAIR}))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+        assert repr(field) in err
 
 
 class TestScenarios:

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cakecut import io
 from cakecut.cake import (
     Piece,
     PiecewiseConstantValuation as PCV,
@@ -10,6 +12,7 @@ from cakecut.cake import (
     validate_allocation,
 )
 from cakecut.mechanisms import (
+    _node_cut,
     EVEN_PAZ,
     MECHANISMS,
     MODIFIED_EP_EXCHANGE,
@@ -20,7 +23,7 @@ from cakecut.mechanisms import (
     modified_even_paz,
     with_zero_piece_exchange,
 )
-from cakecut.sampling import random_profile
+from cakecut.sampling import random_profile, random_valuation
 
 F = Fraction
 U = PCV.uniform()
@@ -191,3 +194,34 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown mechanism"):
             get_mechanism("nope")
+
+
+class TestNodeCutMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ends=st.tuples(st.integers(0, 24), st.integers(0, 24)),
+           k=st.integers(1, 9))
+    def test_memoised_cut_equals_direct_cut(self, seed, ends, k):
+        v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
+        a, b = F(min(ends), 24), F(max(ends), 24)
+        expected = v.cut_point(a, F(k // 2, k) * v.value_between(a, b))
+        assert _node_cut(v, a, b, k) == expected
+        assert (a, b, k) in v.node_cuts
+        assert _node_cut(v, a, b, k) == expected
+
+    def test_memo_is_invisible(self):
+        v = PCV.of(["1/3", "3/4"], [F(3, 4), F(3, 2), F(1, 2)])
+        twin = PCV.of(["1/3", "3/4"], [F(3, 4), F(3, 2), F(1, 2)])
+        before = (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v)))
+        even_paz(Profile.of([v, U, SPIKE]))
+        assert v.node_cuts and not twin.node_cuts
+        assert v == twin
+        assert (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v))) == before
+        assert (repr(twin), hash(twin)) == before[:2]
+
+    def test_runs_on_shared_valuations_reuse_cuts(self):
+        profile = random_profile(random.Random(5), 5)
+        first = modified_even_paz(profile)
+        filled = [dict(v.node_cuts) for v in profile]
+        assert modified_even_paz(profile) == first
+        assert [v.node_cuts for v in profile] == filled

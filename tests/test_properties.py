@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cakecut import io
 from cakecut.cake import (
     Allocation,
     Piece,
@@ -195,3 +196,49 @@ class TestCutPointEngine:
             agent = rng.randrange(n)
             cert = ep_cutpoint_best_response(EVEN_PAZ, profile, agent)
             assert cert.gain <= prop4_bound(n)
+
+
+class TestSharedNodeCuts:
+    @staticmethod
+    def fresh(profile):
+        return io.profile_from_json(io.profile_to_json(profile))
+
+    @staticmethod
+    def searches(profile, agent):
+        cfg = SearchConfig(mass_denominator=3, max_breakpoints=1, offset_rounds=0,
+                           max_candidates=24)
+        grid = best_response_gain(EVEN_PAZ, profile, agent, cfg)
+        certs = [grid,
+                 ep_cutpoint_best_response(EVEN_PAZ, profile, agent, cfg,
+                                           grid_certificate=grid),
+                 ep_cutpoint_best_response(MODIFIED_EVEN_PAZ, profile, agent, cfg)]
+        return [io.canonical_dumps(io.gain_certificate_to_json(c)) for c in certs]
+
+    def test_certificates_identical_on_warm_valuations(self):
+        rng = random.Random(68)
+        for _ in range(6):
+            n = rng.randrange(2, 6)
+            profile = random_profile(rng, n)
+            agent = rng.randrange(n)
+            cold = self.searches(self.fresh(profile), agent)
+            for other in range(n):      # warm every valuation with other searches
+                self.searches(profile, other)
+            assert all(v.node_cuts for v in profile)
+            assert self.searches(profile, agent) == cold
+
+    def test_grid_certificate_reused_for_truthful_value(self):
+        profile = Profile.of([SPIKE, U, D2])
+        grid = best_response_gain(EVEN_PAZ, profile, 0)
+        reused = ep_cutpoint_best_response(EVEN_PAZ, profile, 0, grid_certificate=grid)
+        assert reused == ep_cutpoint_best_response(EVEN_PAZ, profile, 0)
+        assert reused.truthful_value == grid.truthful_value
+
+    @pytest.mark.parametrize("mechanism, agent, profile", [
+        (MODIFIED_EVEN_PAZ, 0, Profile.of([SPIKE, U, D2])),
+        (EVEN_PAZ, 1, Profile.of([SPIKE, U, D2])),
+        (EVEN_PAZ, 0, Profile.of([SPIKE, U, D1])),
+    ])
+    def test_mismatched_grid_certificate_rejected(self, mechanism, agent, profile):
+        grid = best_response_gain(EVEN_PAZ, Profile.of([SPIKE, U, D2]), 0)
+        with pytest.raises(ValueError, match="grid_certificate"):
+            ep_cutpoint_best_response(mechanism, profile, agent, grid_certificate=grid)
