@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -142,10 +143,6 @@ class Piece:
         if cursor < ONE:
             out.append(Interval(cursor, ONE))
         return Piece.of(out)
-
-    def contains_measure_of(self, other: "Piece") -> bool:
-        """True iff `other` is contained in this piece up to measure zero."""
-        return other.subtract(self).measure == 0
 
     def __repr__(self) -> str:
         if not self.intervals:
@@ -352,13 +349,6 @@ class Profile:
         vals[i] = v
         return Profile(tuple(vals))
 
-    def grid(self, *extra: Fraction) -> list[Fraction]:
-        """Sorted union of all agents' bounds plus any extra points."""
-        pts = {ZERO, ONE, *extra}
-        for v in self.valuations:
-            pts.update(v.bounds)
-        return sorted(pts)
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -388,6 +378,35 @@ class Allocation:
         return sorted(pts)
 
 
+def cells(profile: Profile, allocation: Optional[Allocation] = None) -> Iterator[tuple]:
+    """Sweep the merged grid of every agent's bounds and, given an allocation,
+    its piece and discarded endpoints once, yielding for each cell
+    ``(lo, hi, holders, discarded, densities)``: the agents whose piece covers
+    it in ascending order (several only where pieces overlap), whether the
+    discarded piece covers it, and every agent's density, constant on the
+    cell.  Intervals and segments are laid onto the grid through an
+    endpoint-to-index map, so the sweep is linear in the cells covered.
+    """
+    parts = (*allocation.pieces, allocation.discarded) if allocation is not None else ()
+    grid = sorted({ZERO, ONE, *(x for v in profile for x in v.bounds),
+                   *(x for part in parts for x in part.boundaries())})
+    index = {x: k for k, x in enumerate(grid)}
+    owners: list[list[int]] = [[] for _ in grid[1:]]    # len(parts) - 1: discarded
+    densities: list[list[Fraction]] = [[] for _ in grid[1:]]
+    for i, part in enumerate(parts):
+        for iv in part.intervals:
+            for k in range(index[iv.lo], index[iv.hi]):
+                if not owners[k] or owners[k][-1] != i:
+                    owners[k].append(i)
+    for v in profile:
+        for a, b, d in v.segments():
+            for k in range(index[a], index[b]):
+                densities[k].append(d)
+    for lo, hi, held, dens in zip(grid, grid[1:], owners, densities):
+        discarded = bool(held) and held[-1] == len(parts) - 1
+        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, tuple(dens)
+
+
 def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     """Check allocation invariants against a profile; [] means valid.
 
@@ -397,19 +416,22 @@ def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     """
     if allocation.n != profile.n:
         raise ValueError(f"allocation has {allocation.n} pieces for {profile.n} agents")
-    problems = []
-    for i in range(allocation.n):
-        for j in range(i + 1, allocation.n):
-            overlap = allocation.pieces[i].intersect(allocation.pieces[j])
-            if overlap.measure > 0:
-                problems.append(f"overlap between agents {i} and {j} on {overlap}")
-    covered = Piece.of(
-        iv for p in (*allocation.pieces, allocation.discarded) for iv in p.intervals)
-    missing = Piece.whole().subtract(covered)
-    if missing.measure > 0:
-        problems.append(f"uncovered cake {missing}")
-    for i, v in enumerate(profile):
-        wanted = allocation.discarded.intersect(v.positive_support())
-        if wanted.measure > 0:
-            problems.append(f"free-disposal violation: agent {i} values discarded {wanted}")
+    overlaps: dict[tuple[int, int], list[Interval]] = {}
+    missing: list[Interval] = []
+    wanted: list[list[Interval]] = [[] for _ in range(profile.n)]
+    for lo, hi, holders, discarded, densities in cells(profile, allocation):
+        cell = Interval(lo, hi)
+        for pair in combinations(holders, 2):
+            overlaps.setdefault(pair, []).append(cell)
+        if not holders and not discarded:
+            missing.append(cell)
+        for i, d in enumerate(densities):
+            if discarded and d > 0:
+                wanted[i].append(cell)
+    problems = [f"overlap between agents {i} and {j} on {Piece.of(overlaps[i, j])}"
+                for i, j in sorted(overlaps)]
+    if missing:
+        problems.append(f"uncovered cake {Piece.of(missing)}")
+    problems.extend(f"free-disposal violation: agent {i} values discarded {Piece.of(w)}"
+                    for i, w in enumerate(wanted) if w)
     return problems

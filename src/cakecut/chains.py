@@ -30,6 +30,7 @@ from cakecut.cake import (
     Profile,
     RationalLike,
     ZERO,
+    cells,
     frac,
 )
 from cakecut.mechanisms import (
@@ -236,26 +237,16 @@ class _ChainRun:
         real_profile = self.conj.profile_to_real(profile_c)
         allocation = self.real.run(real_profile)
         report = report_for(real_profile, allocation)
-        desired = Piece.empty()
-        for v in real_profile:
-            desired = desired.union(v.positive_support())
-        disposed = allocation.discarded.intersect(desired).measure
-        if disposed > 0:
-            return self._witness(
-                "free-disposal", ZERO,
-                PropertyCertificate(self.real.name, real_profile, report))
+        certificate = PropertyCertificate(self.real.name, real_profile, report)
+        if any(discarded and any(d > 0 for d in densities)
+               for _, _, _, discarded, densities in cells(real_profile, allocation)):
+            return self._witness("free-disposal", ZERO, certificate)
         if full_waste and report.wasted_measure > 0:
-            return self._witness(
-                "non-wastefulness", ZERO,
-                PropertyCertificate(self.real.name, real_profile, report))
+            return self._witness("non-wastefulness", ZERO, certificate)
         if require_contiguous and not report.contiguous:
-            return self._witness(
-                "contiguity", ZERO,
-                PropertyCertificate(self.real.name, real_profile, report))
+            return self._witness("contiguity", ZERO, certificate)
         if report.proportionality_deficit > eps2:
-            return self._witness(
-                "proportionality", eps2,
-                PropertyCertificate(self.real.name, real_profile, report))
+            return self._witness("proportionality", eps2, certificate)
         return None
 
     def gain_violation(self, profile_c: Profile, agent_c: int,

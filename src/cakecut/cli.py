@@ -19,6 +19,7 @@ from typing import Any, Optional, Sequence
 
 from cakecut.cake import Profile
 from cakecut.chains import (
+    CHAINS,
     ChainError,
     ChainParameters,
     InfeasibleParameters,
@@ -44,7 +45,7 @@ from cakecut.io import (
     witness_from_json,
     witness_to_json,
 )
-from cakecut.mechanisms import MECHANISMS, Mechanism, get_mechanism
+from cakecut.mechanisms import MECHANISMS, Mechanism
 from cakecut.properties import (
     GainCertificate,
     SearchConfig,
@@ -55,7 +56,6 @@ from cakecut.properties import (
 )
 from cakecut.queries import RWOracle, approximate_valuation
 
-CHAIN_NAMES = ("thm1", "prop1", "thm2", "discussion")
 COMMANDS = ("allocate", "check", "gain", "learn", "chain", "verify")
 
 
@@ -123,24 +123,22 @@ def do_verify(obj: Any) -> tuple[dict, bool]:
     if isinstance(obj, dict) and "command" in obj and "output" in obj:
         obj = obj["output"]
     if isinstance(obj, dict) and "chain" in obj:
-        witness = witness_from_json(obj)
-        mechanism = _resolve(witness.mechanism)
-        stored, recomputed = _certificate_values(witness.certificate, mechanism)
-        verified = witness.verify(mechanism) and stored == recomputed
+        checked = witness_from_json(obj)
+        certificate = checked.certificate
     elif isinstance(obj, dict) and obj.get("kind") in ("gain", "report"):
-        certificate = certificate_from_json(obj, "certificate")
-        mechanism = _resolve(certificate.mechanism)
-        stored, recomputed = _certificate_values(certificate, mechanism)
-        verified = certificate.verify(mechanism) and stored == recomputed
+        checked = certificate = certificate_from_json(obj, "certificate")
     else:
         raise FormatError("expected a witness or certificate JSON object")
+    mechanism = _resolve(checked.mechanism)
+    stored, recomputed = _certificate_values(certificate, mechanism)
+    verified = checked.verify(mechanism) and stored == recomputed
     return ({"verified": verified, "stored": stored, "recomputed": recomputed},
             verified)
 
 
 def _resolve(name: str) -> Mechanism:
     if name not in MECHANISMS:
-        raise FormatError(f"unknown mechanism {name!r} in witness")
+        raise CliError(f"unknown mechanism {name!r}; known: {sorted(MECHANISMS)}")
     return MECHANISMS[name]
 
 
@@ -231,10 +229,7 @@ def run_scenario(path: str) -> tuple[dict, int]:
 
 
 def load_profile(path: str) -> Profile:
-    try:
-        return profile_from_json(load_json(path), "profile")
-    except FileNotFoundError:
-        raise CliError(f"profile file not found: {path}") from None
+    return profile_from_json(load_json(path), "profile")
 
 
 def _need_profile(profile: Optional[Profile]) -> Profile:
@@ -262,14 +257,15 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
             raise CliError(f"argument {name!r}: must be positive, got {value}")
         return value
 
+    def mechanism() -> Mechanism:
+        return _resolve(argument("mechanism", str, ""))
+
     if command == "allocate":
-        mech = get_mechanism(argument("mechanism", str, ""))
-        return do_allocate(mech, _need_profile(profile)), 0
+        return do_allocate(mechanism(), _need_profile(profile)), 0
     if command == "check":
-        mech = get_mechanism(argument("mechanism", str, ""))
-        return do_check(mech, _need_profile(profile)), 0
+        return do_check(mechanism(), _need_profile(profile)), 0
     if command == "gain":
-        mech = get_mechanism(argument("mechanism", str, ""))
+        mech = mechanism()
         cfg = SearchConfig(
             mass_denominator=argument("mass_denominator", int, 4),
             max_breakpoints=argument("max_breakpoints", int, 2),
@@ -284,10 +280,9 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
                         argument("eps", Fraction, "1", positive=True)), 0
     if command == "chain":
         name = argument("name", str, "")
-        if name not in CHAIN_NAMES:
-            raise CliError(f"unknown chain {name!r}; known: {CHAIN_NAMES}")
-        mech_name = argument("mechanism", str, None, optional=True)
-        mech = get_mechanism(mech_name) if mech_name is not None else None
+        if name not in CHAINS:
+            raise CliError(f"unknown chain {name!r}; known: {CHAINS}")
+        mech = mechanism() if args.get("mechanism") is not None else None
         deltas = {k: as_rational(v, f"delta.{k}")
                   for k, v in argument("deltas", dict, {}).items()}
         out = do_chain(name, mech, argument("n", int, 2),
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("chain", help="run a counterexample chain")
-    p.add_argument("--name", choices=CHAIN_NAMES)
+    p.add_argument("--name", choices=CHAINS)
     p.add_argument("--mechanism", choices=sorted(MECHANISMS))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--eps1", default="0")
@@ -396,8 +391,6 @@ def emit_report(report: dict, fmt: str = "json", elapsed_ms: float = 0.0) -> str
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
-        elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]} = {value}")
         else:
             lines.append(f"{prefix[:-1]} = {value}")
 
@@ -416,13 +409,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if ns.command == "run":
             report, code = run_scenario(ns.scenario)
-        elif ns.command == "verify":
-            out, ok = do_verify(load_json(ns.witness))
-            report, code = {"command": "verify", "inputs": {"witness": ns.witness},
-                            "output": out, "exact": True}, (0 if ok else 1)
-        elif ns.command == "chain" and ns.verify:
-            out, ok = do_verify(load_json(ns.verify))
-            report, code = {"command": "verify", "inputs": {"witness": ns.verify},
+        elif ns.command == "verify" or (ns.command == "chain" and ns.verify):
+            witness = ns.witness if ns.command == "verify" else ns.verify
+            out, ok = do_verify(load_json(witness))
+            report, code = {"command": "verify", "inputs": {"witness": witness},
                             "output": out, "exact": True}, (0 if ok else 1)
         else:
             profile = load_profile(ns.profile) if getattr(ns, "profile", None) else None
@@ -449,10 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       "output": output, "exact": True}
             if getattr(ns, "profile", None):
                 report["inputs"]["profile"] = ns.profile
-    except (CliError, FormatError, InfeasibleParameters, KeyError) as exc:
-        print(f"cakecut: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CliError, FormatError, InfeasibleParameters) as exc:
         print(f"cakecut: error: {exc}", file=sys.stderr)
         return 1
     except ChainError as exc:

@@ -11,6 +11,7 @@ across runs with the same inputs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, IO, Union
 
@@ -32,6 +33,25 @@ class FormatError(ValueError):
     """Malformed input file; the message names the offending field."""
 
 
+# Fraction("1e999999999") computes 10**999999999 before anything can check
+# its size, so decimal exponents beyond this bound are refused as input errors.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*$")
+
+
+def _exact(text: str, where: str = "JSON number") -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
+    match = _EXPONENT.search(text)
+    digits = match.group(1).replace("_", "") if match else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise FormatError(f"{where}: decimal exponent in {text!r} exceeds "
+                          f"{MAX_DECIMAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{where}: invalid rational {text!r} ({exc})") from None
+
+
 def rat_str(x: Fraction) -> str:
     return str(x)
 
@@ -44,10 +64,7 @@ def as_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"{where}: invalid rational {value!r} ({exc})") from None
+        return _exact(value, where)
     raise FormatError(f"{where}: expected an exact rational, got {type(value).__name__}")
 
 
@@ -62,9 +79,6 @@ def require_keys(obj: Any, required: set[str], optional: set[str], where: str) -
         raise FormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-_require_keys = require_keys
-
-
 # ---------------------------------------------------------------------------
 # valuations / profiles / pieces
 
@@ -77,7 +91,7 @@ def valuation_to_json(v: PiecewiseConstantValuation) -> dict:
 
 
 def valuation_from_json(obj: Any, where: str) -> PiecewiseConstantValuation:
-    _require_keys(obj, {"breakpoints", "densities"}, set(), where)
+    require_keys(obj, {"breakpoints", "densities"}, set(), where)
     if not isinstance(obj["breakpoints"], list) or not isinstance(obj["densities"], list):
         raise FormatError(f"{where}: breakpoints and densities must be arrays")
     points = [as_rational(b, f"{where}.breakpoints[{i}]")
@@ -95,7 +109,7 @@ def profile_to_json(profile: Profile) -> dict:
 
 
 def profile_from_json(obj: Any, where: str = "profile") -> Profile:
-    _require_keys(obj, {"agents"}, set(), where)
+    require_keys(obj, {"agents"}, set(), where)
     agents = obj["agents"]
     if not isinstance(agents, list) or len(agents) < 2:
         raise FormatError(f"{where}.agents: need an array of at least two agents")
@@ -130,8 +144,8 @@ def report_to_json(report: PropertyReport) -> dict:
 
 
 def report_from_json(obj: Any, where: str) -> PropertyReport:
-    _require_keys(obj, {"proportionality_deficit", "envy", "wasted_measure",
-                        "contiguous"}, set(), where)
+    require_keys(obj, {"proportionality_deficit", "envy", "wasted_measure",
+                       "contiguous"}, set(), where)
     return PropertyReport(
         as_rational(obj["proportionality_deficit"], f"{where}.proportionality_deficit"),
         as_rational(obj["envy"], f"{where}.envy"),
@@ -167,8 +181,8 @@ def certificate_from_json(obj: Any, where: str
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f"{where}: expected a certificate object with a kind")
     if obj["kind"] == "gain":
-        _require_keys(obj, {"kind", "mechanism", "profile", "agent", "misreport",
-                            "truthful_value", "deviated_value", "gain"}, set(), where)
+        require_keys(obj, {"kind", "mechanism", "profile", "agent", "misreport",
+                           "truthful_value", "deviated_value", "gain"}, set(), where)
         if not isinstance(obj["agent"], int):
             raise FormatError(f"{where}.agent: expected an integer")
         return GainCertificate(
@@ -181,7 +195,7 @@ def certificate_from_json(obj: Any, where: str
             as_rational(obj["gain"], f"{where}.gain"),
         )
     if obj["kind"] == "report":
-        _require_keys(obj, {"kind", "mechanism", "profile", "report"}, set(), where)
+        require_keys(obj, {"kind", "mechanism", "profile", "report"}, set(), where)
         return PropertyCertificate(
             obj["mechanism"],
             profile_from_json(obj["profile"], f"{where}.profile"),
@@ -207,8 +221,8 @@ def witness_to_json(witness: ViolationWitness) -> dict:
 
 
 def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
-    _require_keys(obj, {"chain", "mechanism", "violated", "epsilon",
-                        "certificate", "profiles", "parameters"}, set(), where)
+    require_keys(obj, {"chain", "mechanism", "violated", "epsilon",
+                       "certificate", "profiles", "parameters"}, set(), where)
     parameters = tuple(sorted(
         (k, as_rational(v, f"{where}.parameters.{k}"))
         for k, v in obj["parameters"].items()))
@@ -233,8 +247,19 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def load_json(stream_or_path: Union[str, IO[str]]) -> Any:
-    """Load JSON with floats parsed exactly (0.8 becomes 4/5)."""
-    if isinstance(stream_or_path, str):
-        with open(stream_or_path) as fh:
-            return json.load(fh, parse_float=Fraction)
-    return json.load(stream_or_path, parse_float=Fraction)
+    """Load JSON with floats parsed exactly (0.8 becomes 4/5); input that
+    cannot be read or is not UTF-8 JSON raises FormatError."""
+    name = stream_or_path if isinstance(stream_or_path, str) else "input"
+    try:
+        if isinstance(stream_or_path, str):
+            with open(stream_or_path, encoding="utf-8") as fh:
+                return json.load(fh, parse_float=_exact)
+        return json.load(stream_or_path, parse_float=_exact)
+    except FormatError as exc:     # a number refused by _exact
+        raise FormatError(f"{name}: {exc}") from None
+    except FileNotFoundError:
+        raise FormatError(f"file not found: {name}") from None
+    except OSError as exc:
+        raise FormatError(f"{name}: cannot read ({exc.strerror})") from None
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{name}: not valid JSON ({exc})") from None

@@ -25,6 +25,7 @@ from cakecut.cake import (
     Profile,
     ZERO,
     ONE,
+    cells,
 )
 
 
@@ -140,27 +141,15 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
     """
 
     def run(profile: Profile) -> Allocation:
-        base = mechanism.run(profile)
-        held = list(base.pieces)
-        grid_points: set[Fraction] = set(base.boundaries())
-        grid_points.update(base.discarded.boundaries())
-        grid_points.update(p for v in profile for p in v.bounds)
-        grid = sorted(grid_points)
-        moves: list[tuple[int, int, Interval]] = []
-        for p, q in zip(grid, grid[1:]):
-            mid = (p + q) / 2
-            holder = next((i for i, piece in enumerate(held)
-                           if any(iv.lo <= mid <= iv.hi for iv in piece.intervals)), None)
-            if holder is None or profile[holder].density_at(mid) > 0:
-                continue
-            taker = next((j for j, v in enumerate(profile) if v.density_at(mid) > 0), None)
-            if taker is not None and taker != holder:
-                moves.append((holder, taker, Interval(p, q)))
-        for holder, taker, cell in moves:
-            chunk = Piece.of([cell])
-            held[holder] = held[holder].subtract(chunk)
-            held[taker] = held[taker].union(chunk)
-        return Allocation.of(held)
+        held: list[list[Interval]] = [[] for _ in range(profile.n)]
+        for lo, hi, holders, _, densities in cells(profile, mechanism.run(profile)):
+            if holders and densities[holders[0]] == 0:
+                taker = next((j for j, d in enumerate(densities) if d > 0), None)
+                if taker is not None:
+                    holders = (taker, *holders[1:])
+            for i in holders:
+                held[i].append(Interval(lo, hi))
+        return Allocation.of([Piece.of(p) for p in held])
 
     return Mechanism(
         name=f"{mechanism.name}-exchange",
@@ -175,17 +164,15 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
     agent-index order).  Cells desired by nobody are discarded, so the
     output is non-wasteful by construction.
     """
-    pieces: dict[int, list[Interval]] = {i: [] for i in range(profile.n)}
-    grid = profile.grid()
-    for p, q in zip(grid, grid[1:]):
-        mid = (p + q) / 2
-        desirers = [i for i, v in enumerate(profile) if v.density_at(mid) > 0]
+    pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
+    for lo, hi, _, _, densities in cells(profile):
+        desirers = [i for i, d in enumerate(densities) if d > 0]
         if not desirers:
             continue
-        width = (q - p) / len(desirers)
+        width = (hi - lo) / len(desirers)
         for slot, i in enumerate(desirers):
-            pieces[i].append(Interval(p + slot * width, p + (slot + 1) * width))
-    return Allocation.of([Piece.of(pieces[i]) for i in range(profile.n)])
+            pieces[i].append(Interval(lo + slot * width, lo + (slot + 1) * width))
+    return Allocation.of([Piece.of(p) for p in pieces])
 
 
 EVEN_PAZ = Mechanism("even-paz", even_paz,

@@ -28,10 +28,10 @@ from cakecut.cake import (
     Allocation,
     Interval,
     ONE,
-    Piece,
     PiecewiseConstantValuation,
     Profile,
     ZERO,
+    cells,
 )
 from cakecut.mechanisms import MECHANISMS, Mechanism, _node_cut
 
@@ -57,31 +57,20 @@ class PropertyReport:
 
 def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
     n = profile.n
-    share = Fraction(1, n)
-    deficit = max(
-        [max(ZERO, share - v.value(allocation.pieces[i])) for i, v in enumerate(profile)])
-    envy = ZERO
-    for i, v in enumerate(profile):
-        own = v.value(allocation.pieces[i])
-        for j in range(n):
-            if j != i:
-                envy = max(envy, v.value(allocation.pieces[j]) - own)
-    envy = max(envy, ZERO)
-
-    points: set[Fraction] = set(allocation.boundaries())
-    points.update(allocation.discarded.boundaries())
-    for v in profile:
-        points.update(v.bounds)
+    values = [[ZERO] * allocation.n for _ in range(n)]   # agent i's value of piece j
     wasted = ZERO
-    grid = sorted(points)
-    for p, q in zip(grid, grid[1:]):
-        mid = (p + q) / 2
-        if not any(v.density_at(mid) > 0 for v in profile):
-            continue
-        holder = next((i for i, piece in enumerate(allocation.pieces)
-                       if any(iv.lo <= mid <= iv.hi for iv in piece.intervals)), None)
-        if holder is None or profile[holder].density_at(mid) == 0:
-            wasted += q - p
+    for lo, hi, holders, _, densities in cells(profile, allocation):
+        width = hi - lo
+        for j in holders:
+            for i, d in enumerate(densities):
+                if d:   # densities are non-negative: d > 0 without a Fraction comparison
+                    values[i][j] += d * width
+        if any(densities) and (not holders or not densities[holders[0]]):
+            wasted += width
+    share = Fraction(1, n)
+    deficit = max([max(ZERO, share - values[i][i]) for i in range(n)])
+    envy = max([values[i][j] - values[i][i]
+                for i in range(n) for j in range(n) if j != i] + [ZERO])
     return PropertyReport(deficit, envy, wasted, allocation.is_contiguous)
 
 

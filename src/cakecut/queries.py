@@ -168,10 +168,6 @@ class LiftedMechanism:
     def name(self) -> str:
         return f"{self.base.name}@rw(k={self.k},eps={self.epsilon})"
 
-    @property
-    def kind(self) -> str:
-        return "query-driven"
-
     def run_on_oracles(self, oracles: Sequence[RWOracle]) -> Allocation:
         learned = Profile.of(
             approximate_valuation(o, self.k, self.epsilon).valuation for o in oracles)

@@ -1,13 +1,16 @@
+import io as stdio
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import cakecut
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
-from cakecut.io import canonical_dumps, load_json
+from cakecut import io
+from cakecut.io import FormatError, as_rational, canonical_dumps, load_json
 
 UNIFORM_PAIR = {"agents": [
     {"breakpoints": [], "densities": ["1"]},
@@ -229,6 +232,65 @@ class TestScenarioArgumentTypes:
         assert repr(field) in err
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("content, argv", [
+        (b"{", ("check", "--mechanism", "even-paz", "--profile", "{path}")),
+        (None, ("check", "--mechanism", "even-paz", "--profile", "{dir}")),
+        (b"{", ("verify", "{path}")),
+        (b"\xff\xfe{}", ("allocate", "--mechanism", "even-paz", "--profile", "{path}")),
+        (b"[" * 100_000, ("run", "{path}")),
+    ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep"])
+    def test_one_line_error(self, capsys, tmp_path, content, argv):
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_bytes(content)
+        argv = [a.format(path=path, dir=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+
+
+class _RefuseHugePowers(Fraction):
+    """Stands in for Fraction inside cakecut.io: fails fast instead of
+    building 10**999999999 if the exponent check ever lets the text through."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, str) and "999999999" in numerator:
+            raise AssertionError(f"Fraction({numerator!r}) reached")
+        return Fraction(numerator, denominator)
+
+
+class TestDecimalExponents:
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        monkeypatch.setattr(io, "Fraction", _RefuseHugePowers)
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1E-999999999", "2.5e+0_999999999",
+                                      f"1e{io.MAX_DECIMAL_EXPONENT + 1}"])
+    def test_string_rejected(self, text):
+        with pytest.raises(FormatError, match="exponent"):
+            as_rational(text, "x")
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1.5E-999999999"])
+    def test_json_number_rejected(self, text):
+        with pytest.raises(FormatError, match="exponent"):
+            load_json(stdio.StringIO(f'{{"agents": [{text}]}}'))
+
+    def test_exponents_within_bound_exact(self):
+        bound = io.MAX_DECIMAL_EXPONENT
+        assert as_rational(f"1e-{bound}", "x") == Fraction(1, 10 ** bound)
+        assert load_json(stdio.StringIO("[2.5e-1]")) == [Fraction(1, 4)]
+
+    def test_profile_file_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"agents": [{"breakpoints": [], "densities": [1e999999999]}]}')
+        code, out, err = run_cli(capsys, "allocate", "--mechanism", "even-paz",
+                                 "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+
+
 class TestScenarios:
     def test_allocate_scenario(self, capsys, tmp_path):
         scenario = {"version": 1, "command": "allocate",
@@ -257,6 +319,16 @@ class TestScenarios:
         path.write_text(json.dumps(scenario))
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 0
+
+    def test_unknown_mechanism_message(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": "allocate",
+                                    "arguments": {"mechanism": "nope"},
+                                    "profile": UNIFORM_PAIR}))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("cakecut: error: unknown mechanism 'nope'; known: ['ep-exchange', "
+                       "'equal-split', 'even-paz', 'modified-ep', 'modified-ep-exchange']\n")
 
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cakecut import io
 from cakecut.cake import (
     Allocation,
+    Interval,
     Piece,
     PiecewiseConstantValuation as PCV,
     Profile,
+    ZERO,
+    validate_allocation,
 )
 from cakecut.mechanisms import (
     EQUAL_SPLIT,
     EVEN_PAZ,
+    EVEN_PAZ_EXCHANGE,
     MODIFIED_EP_EXCHANGE,
     MODIFIED_EVEN_PAZ,
     Mechanism,
@@ -242,3 +247,156 @@ class TestSharedNodeCuts:
         grid = best_response_gain(EVEN_PAZ, Profile.of([SPIKE, U, D2]), 0)
         with pytest.raises(ValueError, match="grid_certificate"):
             ep_cutpoint_best_response(mechanism, profile, agent, grid_certificate=grid)
+
+
+# ---------------------------------------------------------------------------
+# the cell sweep against the pairwise and midpoint formulas it replaced
+
+
+def reference_validate(allocation, profile):
+    problems = []
+    for i in range(allocation.n):
+        for j in range(i + 1, allocation.n):
+            overlap = allocation.pieces[i].intersect(allocation.pieces[j])
+            if overlap.measure > 0:
+                problems.append(f"overlap between agents {i} and {j} on {overlap}")
+    covered = Piece.of(
+        iv for p in (*allocation.pieces, allocation.discarded) for iv in p.intervals)
+    missing = Piece.whole().subtract(covered)
+    if missing.measure > 0:
+        problems.append(f"uncovered cake {missing}")
+    for i, v in enumerate(profile):
+        wanted = allocation.discarded.intersect(v.positive_support())
+        if wanted.measure > 0:
+            problems.append(f"free-disposal violation: agent {i} values discarded {wanted}")
+    return problems
+
+
+def reference_grid(profile, allocation=None):
+    points = {ZERO, F(1)}
+    for v in profile:
+        points.update(v.bounds)
+    if allocation is not None:
+        points.update(allocation.boundaries())
+        points.update(allocation.discarded.boundaries())
+    return sorted(points)
+
+
+def reference_holder(pieces, mid):
+    return next((i for i, piece in enumerate(pieces)
+                 if any(iv.lo <= mid <= iv.hi for iv in piece.intervals)), None)
+
+
+def reference_report(profile, allocation):
+    n = profile.n
+    share = F(1, n)
+    deficit = max(
+        [max(ZERO, share - v.value(allocation.pieces[i])) for i, v in enumerate(profile)])
+    envy = ZERO
+    for i, v in enumerate(profile):
+        own = v.value(allocation.pieces[i])
+        for j in range(n):
+            if j != i:
+                envy = max(envy, v.value(allocation.pieces[j]) - own)
+    wasted = ZERO
+    grid = reference_grid(profile, allocation)
+    for p, q in zip(grid, grid[1:]):
+        mid = (p + q) / 2
+        if not any(v.density_at(mid) > 0 for v in profile):
+            continue
+        holder = reference_holder(allocation.pieces, mid)
+        if holder is None or profile[holder].density_at(mid) == 0:
+            wasted += q - p
+    return (deficit, max(envy, ZERO), wasted, allocation.is_contiguous)
+
+
+def reference_exchange(base, profile):
+    held = list(base.pieces)
+    grid = reference_grid(profile, base)
+    moves = []
+    for p, q in zip(grid, grid[1:]):
+        mid = (p + q) / 2
+        holder = reference_holder(held, mid)
+        if holder is None or profile[holder].density_at(mid) > 0:
+            continue
+        taker = next((j for j, v in enumerate(profile) if v.density_at(mid) > 0), None)
+        if taker is not None and taker != holder:
+            moves.append((holder, taker, Interval(p, q)))
+    for holder, taker, cell in moves:
+        chunk = Piece.of([cell])
+        held[holder] = held[holder].subtract(chunk)
+        held[taker] = held[taker].union(chunk)
+    return Allocation.of(held)
+
+
+def reference_equal_split(profile):
+    pieces = {i: [] for i in range(profile.n)}
+    grid = reference_grid(profile)
+    for p, q in zip(grid, grid[1:]):
+        mid = (p + q) / 2
+        desirers = [i for i, v in enumerate(profile) if v.density_at(mid) > 0]
+        if not desirers:
+            continue
+        width = (q - p) / len(desirers)
+        for slot, i in enumerate(desirers):
+            pieces[i].append(Interval(p + slot * width, p + (slot + 1) * width))
+    return Allocation.of([Piece.of(pieces[i]) for i in range(profile.n)])
+
+
+DENOM = 24
+
+
+@st.composite
+def profiles_with_allocations(draw):
+    """A random profile and a random, often invalid, allocation: each cell of
+    a random partition goes to an agent, to the discarded piece or to nobody
+    (a gap), and up to three extra intervals are laid over the pieces."""
+    n = draw(st.integers(2, 5))
+    profile = random_profile(random.Random(draw(st.integers(0, 2**32 - 1))), n,
+                             max_breakpoints=3, denom=DENOM)
+    cuts = sorted(set(draw(st.lists(st.integers(1, DENOM - 1), max_size=8))))
+    ends = [0, *cuts, DENOM]
+    owners = draw(st.lists(st.integers(-2, n - 1), min_size=len(ends) - 1,
+                           max_size=len(ends) - 1))
+    parts = [[] for _ in range(n + 1)]          # index n is the discarded piece
+    for lo, hi, owner in zip(ends, ends[1:], owners):
+        if owner != -2:
+            parts[owner].append(Interval(F(lo, DENOM), F(hi, DENOM)))
+    for owner, x, y in draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, DENOM),
+                                               st.integers(0, DENOM)), max_size=3)):
+        parts[owner].append(Interval(F(min(x, y), DENOM), F(max(x, y), DENOM)))
+    pieces = [Piece.of(p) for p in parts]
+    return profile, Allocation(tuple(pieces[:n]), pieces[n])
+
+
+class TestCellSweepMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(profiles_with_allocations())
+    def test_checkers(self, case):
+        profile, allocation = case
+        assert validate_allocation(allocation, profile) == reference_validate(
+            allocation, profile)
+        report = report_for(profile, allocation)
+        assert (report.proportionality_deficit, report.envy, report.wasted_measure,
+                report.contiguous) == reference_report(profile, allocation)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+    def test_mechanisms(self, seed, n):
+        profile = random_profile(random.Random(seed), n, max_breakpoints=4, denom=DENOM)
+        assert EQUAL_SPLIT.run(profile) == reference_equal_split(profile)
+        for wrapped, base in ((EVEN_PAZ_EXCHANGE, EVEN_PAZ),
+                              (MODIFIED_EP_EXCHANGE, MODIFIED_EVEN_PAZ)):
+            assert wrapped.run(profile) == reference_exchange(base.run(profile), profile)
+
+    def test_sample_covers_every_problem_kind(self):
+        kinds = set()
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(profiles_with_allocations())
+        def collect(case):
+            for problem in validate_allocation(case[1], case[0]):
+                kinds.add(problem.split(" ")[0])
+
+        collect()
+        assert kinds == {"overlap", "uncovered", "free-disposal"}
