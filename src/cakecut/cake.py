@@ -3,7 +3,12 @@
 The cake is [0, 1].  Everything here is computed with ``fractions.Fraction``:
 interval endpoints, step-function densities, measures, and values.  No floats
 enter any computation, so every comparison made by mechanisms, checkers, and
-counterexample chains downstream is an exact decision.
+counterexample chains downstream is an exact decision.  The cell sweep
+(:func:`cell_grid`) places every endpoint at an exact integer numerator over one
+common denominator, the lcm of the endpoints' denominators, so it sorts,
+indexes and measures cells with plain ints and still decides exactly.
+Strings are parsed exactly too; a decimal exponent beyond
+``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
 Values are immutable after construction and all operations are pure.  A
 valuation's memo of halving cuts (``node_cuts``) caches only pure results of
@@ -13,10 +18,12 @@ values may still be shared between threads.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -29,12 +36,28 @@ class InfeasibleCutError(ValueError):
     """Raised when a cut query asks for more value than remains to the right."""
 
 
+# Fraction("1e999999999") computes 10**999999999 before anything can check
+# its size, so decimal exponents beyond this bound are refused as input errors.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*$")
+
+
+def check_decimal_exponent(text: str) -> None:
+    """Raise ValueError if text carries a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
+    match = _EXPONENT.search(text)
+    digits = match.group(1).replace("_", "") if match else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent in {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
+
+
 def frac(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or exact string ("3/4", "0.8") to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError(f"refusing inexact float {x!r}; pass a string or Fraction")
+    if isinstance(x, str):
+        check_decimal_exponent(x)
     return Fraction(x)
 
 
@@ -378,33 +401,71 @@ class Allocation:
         return sorted(pts)
 
 
+CellGrid = tuple[list[Fraction], list[int], int, list[list[int]],
+                 list[list[tuple[int, int, Fraction]]]]
+
+
+def cell_grid(profile: Profile, allocation: Optional[Allocation] = None) -> CellGrid:
+    """The merged breakpoint grid of a profile and, optionally, an allocation,
+    as ``(points, keys, scale, owners, segments)``.
+
+    ``points`` are the distinct endpoints of every agent's segments and of
+    every allocated and discarded interval, in increasing order; cell k is
+    [points[k], points[k+1]].  ``keys[k] == points[k] * scale`` is the exact
+    integer numerator of points[k] over ``scale``, the lcm of every
+    endpoint's denominator, so endpoints are sorted, deduplicated and
+    matched as ints, and cell k is ``keys[k+1] - keys[k]`` wide in units of
+    1/scale.  ``owners[k]`` lists the parts covering cell k in ascending
+    order, where parts are the allocation's pieces followed by its discarded
+    piece; ``segments[i]`` lists agent i's segments as ``(first cell, end
+    cell, density)``.
+    """
+    parts = (*allocation.pieces, allocation.discarded) if allocation is not None else ()
+    spans = [(i, iv) for i, part in enumerate(parts) for iv in part.intervals]
+    ends = [x for v in profile for x in v.bounds]
+    ends.extend(x for _, iv in spans for x in (iv.lo, iv.hi))
+    factor = dict.fromkeys({x.denominator for x in ends})
+    scale = math.lcm(*factor)
+    for q in factor:
+        factor[q] = scale // q
+    keyed = [x.numerator * factor[x.denominator] for x in ends]
+    point = dict(zip(keyed, ends))
+    keys = sorted(point)
+    index = {key: k for k, key in enumerate(keys)}
+    at = [index[key] for key in keyed]
+    segments = []
+    start = 0
+    for v in profile:
+        bounds = at[start:start + len(v.bounds)]
+        segments.append(list(zip(bounds, bounds[1:], v.densities)))
+        start += len(v.bounds)
+    owners: list[list[int]] = [[] for _ in keys[1:]]
+    for (i, _), lo, hi in zip(spans, at[start::2], at[start + 1::2]):
+        for k in range(lo, hi):
+            if not owners[k] or owners[k][-1] != i:
+                owners[k].append(i)
+    return [point[key] for key in keys], keys, scale, owners, segments
+
+
 def cells(profile: Profile, allocation: Optional[Allocation] = None) -> Iterator[tuple]:
     """Sweep the merged grid of every agent's bounds and, given an allocation,
     its piece and discarded endpoints once, yielding for each cell
     ``(lo, hi, holders, discarded, densities)``: the agents whose piece covers
     it in ascending order (several only where pieces overlap), whether the
     discarded piece covers it, and every agent's density, constant on the
-    cell.  Intervals and segments are laid onto the grid through an
-    endpoint-to-index map, so the sweep is linear in the cells covered.
+    cell.  The cells come from :func:`cell_grid`, which sorts and matches the
+    endpoints as exact integer numerators over the lcm of their
+    denominators, so no float enters and no ``Fraction`` is compared or
+    hashed; ``lo`` and ``hi`` are the original ``Fraction`` endpoints.  The
+    sweep is linear in the cells covered.
     """
-    parts = (*allocation.pieces, allocation.discarded) if allocation is not None else ()
-    grid = sorted({ZERO, ONE, *(x for v in profile for x in v.bounds),
-                   *(x for part in parts for x in part.boundaries())})
-    index = {x: k for k, x in enumerate(grid)}
-    owners: list[list[int]] = [[] for _ in grid[1:]]    # len(parts) - 1: discarded
-    densities: list[list[Fraction]] = [[] for _ in grid[1:]]
-    for i, part in enumerate(parts):
-        for iv in part.intervals:
-            for k in range(index[iv.lo], index[iv.hi]):
-                if not owners[k] or owners[k][-1] != i:
-                    owners[k].append(i)
-    for v in profile:
-        for a, b, d in v.segments():
-            for k in range(index[a], index[b]):
-                densities[k].append(d)
-    for lo, hi, held, dens in zip(grid, grid[1:], owners, densities):
-        discarded = bool(held) and held[-1] == len(parts) - 1
-        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, tuple(dens)
+    points, _, _, owners, segments = cell_grid(profile, allocation)
+    discard = allocation.n if allocation is not None else -1
+    columns = [list(chain.from_iterable(repeat(d, hi - lo) for lo, hi, d in agent))
+               for agent in segments]
+    for lo, hi, held, dens in zip(points, points[1:], owners, zip(*columns)):
+        discarded = bool(held) and held[-1] == discard
+        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, dens
 
 
 def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:

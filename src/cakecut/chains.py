@@ -194,7 +194,7 @@ class _Conjugation:
                 pieces = [mirror_piece(p) for p in pieces]
             return Allocation.of(pieces)
 
-        return Mechanism(f"~{self.base.name}", run, self.base.declared)
+        return Mechanism(f"~{self.base.name}", run)
 
 
 def _identity_conjugation(base: Mechanism, n: int, swap01: bool = False,

@@ -11,15 +11,16 @@ across runs with the same inputs.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any, IO, Union
 
-from cakecut.cake import (
+from cakecut.cake import (  # MAX_DECIMAL_EXPONENT is re-exported for callers of io
+    MAX_DECIMAL_EXPONENT,
     Allocation,
     Piece,
     PiecewiseConstantValuation,
     Profile,
+    check_decimal_exponent,
 )
 from cakecut.chains import (
     GainCertificate,
@@ -33,19 +34,12 @@ class FormatError(ValueError):
     """Malformed input file; the message names the offending field."""
 
 
-# Fraction("1e999999999") computes 10**999999999 before anything can check
-# its size, so decimal exponents beyond this bound are refused as input errors.
-MAX_DECIMAL_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*$")
-
-
 def _exact(text: str, where: str = "JSON number") -> Fraction:
     """Fraction(text), refusing a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
-    match = _EXPONENT.search(text)
-    digits = match.group(1).replace("_", "") if match else ""
-    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-        raise FormatError(f"{where}: decimal exponent in {text!r} exceeds "
-                          f"{MAX_DECIMAL_EXPONENT}")
+    try:
+        check_decimal_exponent(text)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

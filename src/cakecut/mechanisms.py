@@ -13,7 +13,7 @@ with the plain rule whenever cut points are distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,11 +31,10 @@ from cakecut.cake import (
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named deterministic mechanism with its declared property set."""
+    """A named deterministic mechanism."""
 
     name: str
     run: Callable[[Profile], Allocation]
-    declared: frozenset[str] = field(default_factory=frozenset)
 
     def __call__(self, profile: Profile) -> Allocation:
         return self.run(profile)
@@ -151,11 +150,7 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
                 held[i].append(Interval(lo, hi))
         return Allocation.of([Piece.of(p) for p in held])
 
-    return Mechanism(
-        name=f"{mechanism.name}-exchange",
-        run=run,
-        declared=mechanism.declared - {"contiguous"},
-    )
+    return Mechanism(f"{mechanism.name}-exchange", run)
 
 
 def equal_split_nonwasteful(profile: Profile) -> Allocation:
@@ -175,12 +170,9 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
     return Allocation.of([Piece.of(p) for p in pieces])
 
 
-EVEN_PAZ = Mechanism("even-paz", even_paz,
-                     frozenset({"contiguous", "proportional"}))
-MODIFIED_EVEN_PAZ = Mechanism("modified-ep", modified_even_paz,
-                              frozenset({"proportional"}))
-EQUAL_SPLIT = Mechanism("equal-split", equal_split_nonwasteful,
-                        frozenset({"non-wasteful"}))
+EVEN_PAZ = Mechanism("even-paz", even_paz)
+MODIFIED_EVEN_PAZ = Mechanism("modified-ep", modified_even_paz)
+EQUAL_SPLIT = Mechanism("equal-split", equal_split_nonwasteful)
 EVEN_PAZ_EXCHANGE = replace(with_zero_piece_exchange(EVEN_PAZ), name="ep-exchange")
 MODIFIED_EP_EXCHANGE = with_zero_piece_exchange(MODIFIED_EVEN_PAZ)
 

@@ -19,6 +19,7 @@ gain, ties broken by the lexicographically smallest misreport encoding).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -31,7 +32,7 @@ from cakecut.cake import (
     PiecewiseConstantValuation,
     Profile,
     ZERO,
-    cells,
+    cell_grid,
 )
 from cakecut.mechanisms import MECHANISMS, Mechanism, _node_cut
 
@@ -56,22 +57,40 @@ class PropertyReport:
 
 
 def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
+    """Measure an allocation exactly in one pass over its :func:`cell_grid`.
+
+    Cell widths are integer key differences over the grid's scale and each
+    agent's densities integer numerators over their lcm, so agent i values
+    every piece at an integer over one denominator: the sums run on ints,
+    and envy and deficit take one ``Fraction`` per agent, waste one in all.
+    """
     n = profile.n
-    values = [[ZERO] * allocation.n for _ in range(n)]   # agent i's value of piece j
-    wasted = ZERO
-    for lo, hi, holders, _, densities in cells(profile, allocation):
-        width = hi - lo
-        for j in holders:
-            for i, d in enumerate(densities):
-                if d:   # densities are non-negative: d > 0 without a Fraction comparison
-                    values[i][j] += d * width
-        if any(densities) and (not holders or not densities[holders[0]]):
-            wasted += width
+    if allocation.n != n:
+        raise ValueError(f"allocation has {allocation.n} pieces for {n} agents")
+    _, keys, scale, owners, segments = cell_grid(profile, allocation)
+    widths = [b - a for a, b in zip(keys, keys[1:])]
     share = Fraction(1, n)
-    deficit = max([max(ZERO, share - values[i][i]) for i in range(n)])
-    envy = max([values[i][j] - values[i][i]
-                for i in range(n) for j in range(n) if j != i] + [ZERO])
-    return PropertyReport(deficit, envy, wasted, allocation.is_contiguous)
+    deficit = envy = ZERO
+    desired = [False] * len(widths)
+    served = 0                      # desired width whose lowest holder desires it
+    for i, (v, agent) in enumerate(zip(profile, segments)):
+        denominator = math.lcm(*(d.denominator for d in v.densities))
+        values = [0] * (n + 1)      # of each part (index n: discarded), in 1/(denominator*scale)
+        for lo, hi, d in agent:
+            weight = d.numerator * (denominator // d.denominator)
+            if weight:
+                for k in range(lo, hi):
+                    desired[k] = True
+                    for j in owners[k]:
+                        values[j] += weight * widths[k]
+                    if owners[k] and owners[k][0] == i:
+                        served += widths[k]
+        unit = denominator * scale
+        own = values[i]
+        deficit = max(deficit, share - Fraction(own, unit))
+        envy = max(envy, Fraction(max(values[:i] + values[i + 1:n]) - own, unit))
+    wasted = sum(width for width, wanted in zip(widths, desired) if wanted) - served
+    return PropertyReport(deficit, envy, Fraction(wasted, scale), allocation.is_contiguous)
 
 
 def check_properties(mechanism: Mechanism, profile: Profile) -> PropertyReport:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from cakecut import cake
 from cakecut.cake import (
+    MAX_DECIMAL_EXPONENT,
     Allocation,
     InfeasibleCutError,
     Interval,
@@ -209,3 +211,40 @@ class TestInterval:
     def test_reversed_rejected(self):
         with pytest.raises(ValueError):
             ival("3/4", "1/4")
+
+
+class _RefuseHugePowers(Fraction):
+    """Stands in for Fraction inside cakecut.cake: fails fast instead of
+    building 10**100000 if the exponent check ever lets the text through."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, str) and "100000" in numerator:
+            raise AssertionError(f"Fraction({numerator!r}) reached")
+        return Fraction(numerator, denominator)
+
+
+class TestDecimalExponents:
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        monkeypatch.setattr(cake, "Fraction", _RefuseHugePowers)
+
+    @pytest.mark.parametrize("text", ["1e100000", "1E-100000", "2.5e+0_100000",
+                                      f"1e{MAX_DECIMAL_EXPONENT + 1}"])
+    def test_frac_rejects(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            frac(text)
+
+    def test_valuation_of_rejects(self):
+        with pytest.raises(ValueError, match="exponent"):
+            PCV.of(["1e-100000"], [1, 2])
+        with pytest.raises(ValueError, match="exponent"):
+            PCV.of([], ["1e100000"])
+
+    def test_ival_rejects(self):
+        with pytest.raises(ValueError, match="exponent"):
+            ival(0, "1e-100000")
+
+    def test_exponents_within_bound_exact(self):
+        assert frac(f"1e-{MAX_DECIMAL_EXPONENT}") == F(1, 10 ** MAX_DECIMAL_EXPONENT)
+        assert frac("2.5e-1") == F(1, 4)
+        assert PCV.of(["5e-1"], ["0.5e0", "15e-1"]) == PCV.of(["1/2"], ["1/2", "3/2"])

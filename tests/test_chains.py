@@ -32,14 +32,12 @@ U = PCV.uniform()
 WASTEFUL = Mechanism(
     "wasteful-halver",
     lambda p: Allocation.of(
-        [Piece.interval(F(i, 2 * p.n), F(i + 1, 2 * p.n)) for i in range(p.n)]),
-    frozenset())
+        [Piece.interval(F(i, 2 * p.n), F(i + 1, 2 * p.n)) for i in range(p.n)]))
 
 # contiguous, ignores reports, hands agent 0 the right piece
 RIGHT_DICTATOR = Mechanism(
     "right-dictator",
-    lambda p: Allocation.of([Piece.interval("1/3", 1), Piece.interval(0, "1/3")]),
-    frozenset({"contiguous"}))
+    lambda p: Allocation.of([Piece.interval("1/3", 1), Piece.interval(0, "1/3")]))
 
 
 class TestParameters:
@@ -130,8 +128,7 @@ class TestProp1Chain:
                 Piece.of([*Piece.interval(0, "1/4").intervals,
                           *Piece.interval("1/2", "3/4").intervals]),
                 Piece.of([*Piece.interval("1/4", "1/2").intervals,
-                          *Piece.interval("3/4", 1).intervals])]),
-            frozenset())
+                          *Piece.interval("3/4", 1).intervals])]))
         witness = prop1_chain(scatter, ChainParameters.of(2))
         assert witness.violated == "contiguity"
         assert witness.verify(scatter)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cakecut import io
+from cakecut import cake, io
 from cakecut.cake import (
     Allocation,
     Interval,
@@ -12,6 +12,7 @@ from cakecut.cake import (
     PiecewiseConstantValuation as PCV,
     Profile,
     ZERO,
+    normalized,
     validate_allocation,
 )
 from cakecut.mechanisms import (
@@ -42,14 +43,12 @@ D2 = PCV.of(["1/2", "4/5"], [1, 0, "5/2"])
 CONSTANT = Mechanism(
     "constant-halves",
     lambda p: Allocation.of(
-        [Piece.interval(F(i, p.n), F(i + 1, p.n)) for i in range(p.n)]),
-    frozenset({"contiguous"}))
+        [Piece.interval(F(i, p.n), F(i + 1, p.n)) for i in range(p.n)]))
 
 WASTEFUL = Mechanism(
     "wasteful-halver",
     lambda p: Allocation.of(
-        [Piece.interval(F(i, 2 * p.n), F(i + 1, 2 * p.n)) for i in range(p.n)]),
-    frozenset())
+        [Piece.interval(F(i, 2 * p.n), F(i + 1, 2 * p.n)) for i in range(p.n)]))
 
 
 def prop4_bound(n: int) -> F:
@@ -90,6 +89,13 @@ class TestCheckProperties:
         report = report_for(Profile.of([U, U]), alloc)
         assert report.envy == F(1, 2)
         assert report.proportionality_deficit == F(1, 4)
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_size_mismatch_raises(self, pieces):
+        alloc = Allocation.of([Piece.interval(F(i, pieces), F(i + 1, pieces))
+                               for i in range(pieces)])
+        with pytest.raises(ValueError, match="pieces for 2 agents"):
+            report_for(Profile.of([U, U]), alloc)
 
 
 class TestEvaluateMisreport:
@@ -400,3 +406,84 @@ class TestCellSweepMatchesReference:
 
         collect()
         assert kinds == {"overlap", "uncovered", "free-disposal"}
+
+
+# pairwise coprime, so the grid's common denominator is a real lcm
+MIXED = (7, 11, 13, 24)
+
+
+@st.composite
+def mixed_points(draw, max_size):
+    return sorted({F(draw(st.integers(1, q - 1)), q)
+                   for q in draw(st.lists(st.sampled_from(MIXED), max_size=max_size))})
+
+
+@st.composite
+def mixed_profiles_with_allocations(draw):
+    """As profiles_with_allocations, with every breakpoint, cut and overlaid
+    endpoint drawn from 1/7, 1/11, 1/13 and 1/24 grids mixed together."""
+    n = draw(st.integers(2, 5))
+    valuations = []
+    for _ in range(n):
+        points = draw(mixed_points(4))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(points) + 1,
+                                max_size=len(points) + 1).filter(any))
+        valuations.append(normalized(points, weights))
+    ends = [ZERO, *draw(mixed_points(8)), F(1)]
+    owners = draw(st.lists(st.integers(-2, n - 1), min_size=len(ends) - 1,
+                           max_size=len(ends) - 1))
+    parts = [[] for _ in range(n + 1)]          # index n is the discarded piece
+    for lo, hi, owner in zip(ends, ends[1:], owners):
+        if owner != -2:
+            parts[owner].append(Interval(lo, hi))
+    endpoint = st.one_of(st.sampled_from([ZERO, F(1)]), mixed_points(1).filter(len)
+                         .map(lambda p: p[0]))
+    for owner, x, y in draw(st.lists(st.tuples(st.integers(0, n), endpoint, endpoint),
+                                     max_size=3)):
+        parts[owner].append(Interval(min(x, y), max(x, y)))
+    pieces = [Piece.of(p) for p in parts]
+    return Profile.of(valuations), Allocation(tuple(pieces[:n]), pieces[n])
+
+
+def mixed_profile(rng, n, max_breakpoints):
+    valuations = []
+    for _ in range(n):
+        points = sorted({F(rng.randrange(1, q), q) for q in
+                         (rng.choice(MIXED) for _ in range(rng.randrange(max_breakpoints + 1)))})
+        weights = [rng.randrange(0, 5) for _ in range(len(points) + 1)]
+        weights[rng.randrange(len(weights))] += 1
+        valuations.append(normalized(points, weights))
+    return Profile.of(valuations)
+
+
+class TestGridOnMixedDenominators:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_profiles_with_allocations())
+    def test_checkers(self, case):
+        profile, allocation = case
+        points, keys, scale, _, _ = cake.cell_grid(profile, allocation)
+        assert [F(key, scale) for key in keys] == points
+        assert validate_allocation(allocation, profile) == reference_validate(
+            allocation, profile)
+        report = report_for(profile, allocation)
+        assert (report.proportionality_deficit, report.envy, report.wasted_measure,
+                report.contiguous) == reference_report(profile, allocation)
+
+    def test_equal_split_sixteen_agents(self):
+        profile = mixed_profile(random.Random(16), 16, max_breakpoints=6)
+        split = EQUAL_SPLIT.run(profile)
+        assert cake.cell_grid(profile, split)[2] % (7 * 11 * 13 * 24) == 0
+        assert validate_allocation(split, profile) == []
+        # the split itself, and its pieces handed one agent on, which envies
+        rotated = Allocation(split.pieces[1:] + split.pieces[:1], split.discarded)
+        for allocation in (split, rotated):
+            values = [[v.value(piece) for piece in allocation.pieces] for v in profile]
+            report = report_for(profile, allocation)
+            assert report.proportionality_deficit == max(
+                max(ZERO, F(1, 16) - values[i][i]) for i in range(16))
+            assert report.envy == max(values[i][j] - values[i][i]
+                                      for i in range(16) for j in range(16) if j != i)
+            assert report.wasted_measure == reference_report(profile, allocation)[2]
+        assert report_for(profile, split).wasted_measure == 0
+        assert report_for(profile, rotated).envy > 0
+        assert report_for(profile, rotated).wasted_measure > 0
