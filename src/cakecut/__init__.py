@@ -3,102 +3,42 @@
 Everything is computed over exact rationals: allocations, property reports,
 manipulation-gain certificates, and the violation witnesses produced by the
 counterexample chains all re-verify with zero tolerance.
+
+The names below are exported lazily (PEP 562): ``import cakecut`` loads no
+submodule, and ``cakecut.report_for`` imports ``cakecut.properties`` on
+first use, so a CLI command pays only for the modules it runs.
 """
 
-from cakecut.cake import (
-    Allocation,
-    InfeasibleCutError,
-    Interval,
-    Piece,
-    PiecewiseConstantValuation,
-    Profile,
-    frac,
-    ival,
-    normalized,
-    validate_allocation,
-)
-from cakecut.chains import (
-    ChainError,
-    ChainParameters,
-    InfeasibleParameters,
-    PropertyCertificate,
-    ViolationWitness,
-    discussion_example,
-    ep_worstcase_fixture,
-    prop1_chain,
-    thm1_chain,
-    thm2_chain,
-)
-from cakecut.mechanisms import (
-    MECHANISMS,
-    Mechanism,
-    equal_split_nonwasteful,
-    even_paz,
-    get_mechanism,
-    modified_even_paz,
-    with_zero_piece_exchange,
-)
-from cakecut.properties import (
-    GainCertificate,
-    PropertyReport,
-    SearchConfig,
-    best_response_gain,
-    check_properties,
-    ep_cutpoint_best_response,
-    evaluate_misreport,
-    report_for,
-)
-from cakecut.queries import (
-    LearnedValuation,
-    LiftedMechanism,
-    RWOracle,
-    StrategicOracle,
-    approximate_valuation,
-    lift_direct_to_rw,
-    query_budget,
-)
+from importlib import import_module
 
-__all__ = [
-    "Allocation",
-    "ChainError",
-    "ChainParameters",
-    "GainCertificate",
-    "InfeasibleCutError",
-    "InfeasibleParameters",
-    "Interval",
-    "LearnedValuation",
-    "LiftedMechanism",
-    "MECHANISMS",
-    "Mechanism",
-    "Piece",
-    "PiecewiseConstantValuation",
-    "Profile",
-    "PropertyCertificate",
-    "PropertyReport",
-    "RWOracle",
-    "SearchConfig",
-    "StrategicOracle",
-    "ViolationWitness",
-    "approximate_valuation",
-    "best_response_gain",
-    "check_properties",
-    "discussion_example",
-    "ep_cutpoint_best_response",
-    "ep_worstcase_fixture",
-    "equal_split_nonwasteful",
-    "evaluate_misreport",
-    "even_paz",
-    "frac",
-    "get_mechanism",
-    "ival",
-    "lift_direct_to_rw",
-    "modified_even_paz",
-    "normalized",
-    "prop1_chain",
-    "query_budget",
-    "report_for",
-    "thm1_chain",
-    "thm2_chain",
-    "validate_allocation",
-    "with_zero_piece_exchange",
-]
+_EXPORTS = {name: module for module, names in {
+    "cake": "Allocation InfeasibleCutError Interval Piece PiecewiseConstantValuation"
+            " Profile frac ival normalized validate_allocation",
+    "chains": "ChainError ChainParameters InfeasibleParameters PropertyCertificate"
+              " ViolationWitness discussion_example ep_worstcase_fixture prop1_chain"
+              " thm1_chain thm2_chain",
+    "mechanisms": "MECHANISMS Mechanism equal_split_nonwasteful even_paz get_mechanism"
+                  " modified_even_paz with_zero_piece_exchange",
+    "properties": "GainCertificate PropertyReport SearchConfig best_response_gain"
+                  " check_properties ep_cutpoint_best_response evaluate_misreport"
+                  " report_for",
+    "queries": "LearnedValuation LiftedMechanism RWOracle StrategicOracle"
+               " approximate_valuation lift_direct_to_rw query_budget",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _EXPORTS.values():  # a defining submodule, as in cakecut.chains.CHAINS
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,7 +4,8 @@ Reports are emitted as canonical JSON (sorted keys, exact "p/q" rationals),
 so identical inputs and seeds produce byte-identical output; --format text
 renders the same report for humans and adds elapsed time.  Exit codes:
 0 success, 1 input error, 2 violation-found (chains normally end this way;
-that exit code is their success path).
+that exit code is their success path).  Each handler imports the modules
+it runs when it is called, so a command loads only what it uses.
 """
 
 from __future__ import annotations
@@ -15,19 +16,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from cakecut.cake import Profile
-from cakecut.chains import (
-    CHAINS,
-    ChainError,
-    ChainParameters,
-    InfeasibleParameters,
-    discussion_example,
-    prop1_chain,
-    thm1_chain,
-    thm2_chain,
-)
 from cakecut.io import (
     FormatError,
     require_keys,
@@ -46,15 +37,9 @@ from cakecut.io import (
     witness_to_json,
 )
 from cakecut.mechanisms import MECHANISMS, Mechanism
-from cakecut.properties import (
-    GainCertificate,
-    SearchConfig,
-    best_response_gain,
-    ep_cutpoint_best_response,
-    evaluate_misreport,
-    report_for,
-)
-from cakecut.queries import RWOracle, approximate_valuation
+
+if TYPE_CHECKING:
+    from cakecut.properties import SearchConfig
 
 COMMANDS = ("allocate", "check", "gain", "learn", "chain", "verify")
 
@@ -74,12 +59,16 @@ def do_allocate(mechanism: Mechanism, profile: Profile) -> dict:
 
 
 def do_check(mechanism: Mechanism, profile: Profile) -> dict:
+    from cakecut.properties import report_for
+
     report = report_for(profile, mechanism.run(profile))
     return {"mechanism": mechanism.name, "report": report_to_json(report)}
 
 
 def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
             cfg: SearchConfig) -> dict:
+    from cakecut.properties import best_response_gain, ep_cutpoint_best_response
+
     if not 0 <= agent < profile.n:
         raise CliError(f"agent index {agent} out of range for {profile.n} agents")
     if engine == "grid":
@@ -92,6 +81,8 @@ def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
 
 
 def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
+    from cakecut.queries import RWOracle, approximate_valuation
+
     if not 0 <= agent < profile.n:
         raise CliError(f"agent index {agent} out of range for {profile.n} agents")
     learned = approximate_valuation(RWOracle(profile[agent]), k, eps)
@@ -106,14 +97,23 @@ def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
 
 def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
              eps2: Fraction, deltas: dict[str, Fraction]) -> dict:
+    from cakecut.chains import (ChainError, ChainParameters, InfeasibleParameters,
+                                discussion_example, prop1_chain, thm1_chain,
+                                thm2_chain)
+
     if name == "discussion":
         _, witness = discussion_example()
         return witness_to_json(witness)
     if mechanism is None:
         raise CliError("--mechanism is required for this chain")
-    params = ChainParameters.of(n, eps1, eps2, **deltas)
     runner = {"thm1": thm1_chain, "prop1": prop1_chain, "thm2": thm2_chain}[name]
-    return witness_to_json(runner(mechanism, params))
+    try:
+        witness = runner(mechanism, ChainParameters.of(n, eps1, eps2, **deltas))
+    except InfeasibleParameters as exc:
+        raise CliError(str(exc)) from None
+    except ChainError as exc:
+        raise CliError(f"chain found no violation (unexpected): {exc}") from None
+    return witness_to_json(witness)
 
 
 def do_verify(obj: Any) -> tuple[dict, bool]:
@@ -143,6 +143,8 @@ def _resolve(name: str) -> Mechanism:
 
 
 def _certificate_values(certificate, mechanism: Mechanism) -> tuple[dict, dict]:
+    from cakecut.properties import GainCertificate, evaluate_misreport, report_for
+
     if isinstance(certificate, GainCertificate):
         fresh = evaluate_misreport(mechanism, certificate.profile,
                                    certificate.agent, certificate.misreport)
@@ -265,6 +267,8 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
     if command == "check":
         return do_check(mechanism(), _need_profile(profile)), 0
     if command == "gain":
+        from cakecut.properties import SearchConfig
+
         mech = mechanism()
         cfg = SearchConfig(
             mass_denominator=argument("mass_denominator", int, 4),
@@ -279,6 +283,8 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
                         argument("k", int, 1, positive=True),
                         argument("eps", Fraction, "1", positive=True)), 0
     if command == "chain":
+        from cakecut.chains import CHAINS
+
         name = argument("name", str, "")
         if name not in CHAINS:
             raise CliError(f"unknown chain {name!r}; known: {CHAINS}")
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("chain", help="run a counterexample chain")
-    p.add_argument("--name", choices=CHAINS)
+    p.add_argument("--name")
     p.add_argument("--mechanism", choices=sorted(MECHANISMS))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--eps1", default="0")
@@ -439,11 +445,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       "output": output, "exact": True}
             if getattr(ns, "profile", None):
                 report["inputs"]["profile"] = ns.profile
-    except (CliError, FormatError, InfeasibleParameters) as exc:
+    except (CliError, FormatError) as exc:
         print(f"cakecut: error: {exc}", file=sys.stderr)
-        return 1
-    except ChainError as exc:
-        print(f"cakecut: chain found no violation (unexpected): {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter() - started) * 1000
     sys.stdout.write(emit_report(report, getattr(ns, "format", "json"), elapsed_ms))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, IO, Union
+from typing import TYPE_CHECKING, Any, IO, Union
 
 from cakecut.cake import (  # MAX_DECIMAL_EXPONENT is re-exported for callers of io
     MAX_DECIMAL_EXPONENT,
@@ -22,12 +22,10 @@ from cakecut.cake import (  # MAX_DECIMAL_EXPONENT is re-exported for callers of
     Profile,
     check_decimal_exponent,
 )
-from cakecut.chains import (
-    GainCertificate,
-    PropertyCertificate,
-    ViolationWitness,
-)
-from cakecut.properties import PropertyReport
+
+if TYPE_CHECKING:  # the readers below import these when they are called
+    from cakecut.chains import PropertyCertificate, ViolationWitness
+    from cakecut.properties import GainCertificate, PropertyReport
 
 
 class FormatError(ValueError):
@@ -138,6 +136,8 @@ def report_to_json(report: PropertyReport) -> dict:
 
 
 def report_from_json(obj: Any, where: str) -> PropertyReport:
+    from cakecut.properties import PropertyReport
+
     require_keys(obj, {"proportionality_deficit", "envy", "wasted_measure",
                        "contiguous"}, set(), where)
     return PropertyReport(
@@ -175,6 +175,8 @@ def certificate_from_json(obj: Any, where: str
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f"{where}: expected a certificate object with a kind")
     if obj["kind"] == "gain":
+        from cakecut.properties import GainCertificate
+
         require_keys(obj, {"kind", "mechanism", "profile", "agent", "misreport",
                            "truthful_value", "deviated_value", "gain"}, set(), where)
         if not isinstance(obj["agent"], int):
@@ -189,6 +191,8 @@ def certificate_from_json(obj: Any, where: str
             as_rational(obj["gain"], f"{where}.gain"),
         )
     if obj["kind"] == "report":
+        from cakecut.chains import PropertyCertificate
+
         require_keys(obj, {"kind", "mechanism", "profile", "report"}, set(), where)
         return PropertyCertificate(
             obj["mechanism"],
@@ -199,6 +203,8 @@ def certificate_from_json(obj: Any, where: str
 
 
 def witness_to_json(witness: ViolationWitness) -> dict:
+    from cakecut.properties import GainCertificate
+
     if isinstance(witness.certificate, GainCertificate):
         cert = gain_certificate_to_json(witness.certificate)
     else:
@@ -215,6 +221,8 @@ def witness_to_json(witness: ViolationWitness) -> dict:
 
 
 def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
+    from cakecut.chains import ViolationWitness
+
     require_keys(obj, {"chain", "mechanism", "violated", "epsilon",
                        "certificate", "profiles", "parameters"}, set(), where)
     parameters = tuple(sorted(

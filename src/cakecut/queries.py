@@ -168,18 +168,19 @@ class LiftedMechanism:
     def name(self) -> str:
         return f"{self.base.name}@rw(k={self.k},eps={self.epsilon})"
 
-    def run_on_oracles(self, oracles: Sequence[RWOracle]) -> Allocation:
-        learned = Profile.of(
+    def _learn(self, oracles: Sequence[RWOracle]) -> Profile:
+        return Profile.of(
             approximate_valuation(o, self.k, self.epsilon).valuation for o in oracles)
-        return self.base.run(learned)
+
+    def run_on_oracles(self, oracles: Sequence[RWOracle]) -> Allocation:
+        return self.base.run(self._learn(oracles))
 
     def run_profile(self, profile: Profile) -> LiftRun:
         """Convenience wrapper: make truthful oracles, learn, and run."""
         oracles = [RWOracle(v) for v in profile]
-        learned = Profile.of(
-            approximate_valuation(o, self.k, self.epsilon).valuation for o in oracles)
-        allocation = self.base.run(learned)
-        return LiftRun(allocation, learned, sum(o.query_count for o in oracles))
+        learned = self._learn(oracles)
+        return LiftRun(self.base.run(learned), learned,
+                       sum(o.query_count for o in oracles))
 
 
 def lift_direct_to_rw(mechanism: Mechanism, k: int,

@@ -213,6 +213,82 @@ class TestReadmeRoundTrip:
         assert json.loads(out)["output"]["verified"] is True
 
 
+class TestChainErrors:
+    def test_infeasible_flags_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--name", "thm1",
+                                 "--mechanism", "equal-split", "--n", "2",
+                                 "--eps1", "1/6")
+        assert (code, out) == (1, "")
+        assert err == "cakecut: error: need 3*eps1 + eps2 < 1/n\n"
+
+    def test_infeasible_scenario_one_line(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": "chain", "arguments": {
+            "name": "prop1", "mechanism": "even-paz", "n": 3}}))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert err == "cakecut: error: this construction is specific to n = 2\n"
+
+    def test_chain_error_one_line(self, capsys, monkeypatch):
+        from cakecut import chains
+
+        def exhausted(mechanism, params):
+            raise chains.ChainError("thm1 chain exhausted without a violation")
+
+        monkeypatch.setattr(chains, "thm1_chain", exhausted)
+        code, out, err = run_cli(capsys, "chain", "--name", "thm1",
+                                 "--mechanism", "equal-split", "--n", "3")
+        assert (code, out) == (1, "")
+        assert err == ("cakecut: error: chain found no violation (unexpected): "
+                       "thm1 chain exhausted without a violation\n")
+
+    def test_unknown_chain_name(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--name", "bogus")
+        assert (code, out) == (1, "")
+        assert err == ("cakecut: error: unknown chain 'bogus'; "
+                       "known: ('thm1', 'prop1', 'thm2', 'discussion')\n")
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cakecut.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+_LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+import cakecut.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cakecut.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cakecut"))]))
+"""
+
+
+class TestImportSets:
+    """Each command loads only the cakecut modules it runs."""
+
+    BASE = ["cakecut", "cakecut.cake", "cakecut.cli", "cakecut.io", "cakecut.mechanisms"]
+
+    @pytest.mark.parametrize("argv, code, extra", [
+        (["allocate", "--mechanism", "even-paz", "--profile", "{profile}"], 0, []),
+        (["check", "--mechanism", "modified-ep", "--profile", "{profile}"], 0,
+         ["cakecut.properties"]),
+        (["gain", "--mechanism", "even-paz", "--agent", "0", "--profile", "{profile}"],
+         0, ["cakecut.properties"]),
+        (["learn", "--agent", "1", "--k", "2", "--eps", "1/5", "--profile", "{profile}"],
+         0, ["cakecut.queries"]),
+        (["chain", "--name", "discussion"], 2, ["cakecut.chains", "cakecut.properties"]),
+    ], ids=["allocate", "check", "gain", "learn", "chain"])
+    def test_modules_loaded(self, tmp_path, exchange_profile, argv, code, extra):
+        argv = [a.format(profile=exchange_profile) for a in argv]
+        child = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+                               capture_output=True, text=True, cwd=tmp_path,
+                               env=_child_env())
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == [code, sorted(self.BASE + extra)]
+
+
 class TestScenarioArgumentTypes:
     @pytest.mark.parametrize("command, arguments, field", [
         ("gain", {"mechanism": "even-paz", "agent": "x"}, "agent"),
