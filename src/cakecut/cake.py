@@ -232,23 +232,31 @@ class PiecewiseConstantValuation:
         return PiecewiseConstantValuation.of(bounds[1:-1], dens)
 
     @staticmethod
-    def on_piece(piece: Piece) -> "PiecewiseConstantValuation":
-        """The uniform indicator valuation: density 1/|piece| on the piece."""
-        if piece.measure == 0:
-            raise ValueError("cannot spread unit mass over a null piece")
-        d = 1 / piece.measure
+    def from_chunks(chunks: Iterable[tuple[Fraction, Fraction, Fraction]]
+                    ) -> "PiecewiseConstantValuation":
+        """Build from disjoint ``(lo, hi, density)`` chunks in any order;
+        the density is zero wherever no chunk lies."""
         bounds: list[Fraction] = [ZERO]
         dens: list[Fraction] = []
-        for iv in piece.intervals:
-            if iv.lo > bounds[-1]:
-                bounds.append(iv.lo)
+        for lo, hi, d in sorted(chunks):
+            if lo > bounds[-1]:
+                bounds.append(lo)
                 dens.append(ZERO)
-            bounds.append(iv.hi)
+            bounds.append(hi)
             dens.append(d)
         if bounds[-1] < ONE:
             bounds.append(ONE)
             dens.append(ZERO)
         return PiecewiseConstantValuation.of(bounds[1:-1], dens)
+
+    @staticmethod
+    def on_piece(piece: Piece) -> "PiecewiseConstantValuation":
+        """The uniform indicator valuation: density 1/|piece| on the piece."""
+        if piece.measure == 0:
+            raise ValueError("cannot spread unit mass over a null piece")
+        d = 1 / piece.measure
+        return PiecewiseConstantValuation.from_chunks(
+            (iv.lo, iv.hi, d) for iv in piece.intervals)
 
     @staticmethod
     def uniform() -> "PiecewiseConstantValuation":

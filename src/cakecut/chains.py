@@ -134,28 +134,6 @@ class ViolationWitness:
 # shared construction helpers
 
 
-def _piece_mass_valuation(parts: Sequence[tuple[Piece, Fraction]]
-                          ) -> PiecewiseConstantValuation:
-    """A step function spreading each given mass uniformly over its piece."""
-    chunks: list[tuple[Fraction, Fraction, Fraction]] = []
-    for piece, mass in parts:
-        density = mass / piece.measure
-        chunks.extend((iv.lo, iv.hi, density) for iv in piece.intervals)
-    chunks.sort()
-    bounds: list[Fraction] = [ZERO]
-    densities: list[Fraction] = []
-    for lo, hi, density in chunks:
-        if lo > bounds[-1]:
-            bounds.append(lo)
-            densities.append(ZERO)
-        bounds.append(hi)
-        densities.append(density)
-    if bounds[-1] < ONE:
-        bounds.append(ONE)
-        densities.append(ZERO)
-    return PiecewiseConstantValuation.of(bounds[1:-1], densities)
-
-
 def mirror_valuation(v: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
     bounds = tuple(1 - b for b in reversed(v.bounds))
     return PiecewiseConstantValuation(bounds, tuple(reversed(v.densities)))
@@ -331,7 +309,11 @@ def thm1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
     if hit:
         return hit
 
-    w = _piece_mass_valuation([(piece_big, 1 - delta), (piece_small, delta)])
+    w = PiecewiseConstantValuation.from_chunks(
+        (iv.lo, iv.hi, density)
+        for piece, density in ((piece_big, (1 - delta) / piece_big.measure),
+                               (piece_small, delta / piece_small.measure))
+        for iv in piece.intervals)
     p3 = p2.replace(small, w)
     run.push(p3)
     hit = run.stage_violation(p3, eps2, require_contiguous=False, full_waste=True)

@@ -36,7 +36,7 @@ from cakecut.io import (
     witness_from_json,
     witness_to_json,
 )
-from cakecut.mechanisms import MECHANISMS, Mechanism
+from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism
 
 if TYPE_CHECKING:
     from cakecut.properties import SearchConfig
@@ -74,6 +74,9 @@ def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
     if engine == "grid":
         cert = best_response_gain(mechanism, profile, agent, cfg)
     elif engine == "ep-exact":
+        if mechanism.name not in SHARES_MIDDLE:
+            raise CliError(f"engine 'ep-exact' takes only the recursive-halving mechanisms "
+                           f"{sorted(SHARES_MIDDLE)}; got {mechanism.name!r}")
         cert = ep_cutpoint_best_response(mechanism, profile, agent, cfg)
     else:
         raise CliError(f"unknown engine {engine!r}")
@@ -85,6 +88,9 @@ def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
 
     if not 0 <= agent < profile.n:
         raise CliError(f"agent index {agent} out of range for {profile.n} agents")
+    if k < len(profile[agent].breakpoints):
+        raise CliError(f"argument 'k': {k} is below agent {agent}'s breakpoint count "
+                       f"{len(profile[agent].breakpoints)}")
     learned = approximate_valuation(RWOracle(profile[agent]), k, eps)
     return {
         "agent": agent,
@@ -270,12 +276,15 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
         from cakecut.properties import SearchConfig
 
         mech = mechanism()
+        max_candidates = argument("max_candidates", int, 64, optional=True)
+        if max_candidates is not None and max_candidates < 0:
+            raise CliError(f"argument 'max_candidates': must be non-negative, "
+                           f"got {max_candidates}")
         cfg = SearchConfig(
             mass_denominator=argument("mass_denominator", int, 4),
             max_breakpoints=argument("max_breakpoints", int, 2),
             offset_rounds=argument("rounds", int, 1),
-            max_candidates=argument("max_candidates", int, 64, optional=True),
-            seed=seed)
+            max_candidates=max_candidates, seed=seed)
         return do_gain(mech, _need_profile(profile), argument("agent", int, 0),
                        argument("engine", str, "grid"), cfg), 0
     if command == "learn":

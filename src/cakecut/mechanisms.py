@@ -4,18 +4,23 @@ All mechanisms map a profile of reported valuations to an allocation, are
 pure functions (identical inputs give structurally identical outputs), and
 produce allocations that pass :func:`cakecut.cake.validate_allocation`.
 
-Tie handling in the divide-and-conquer mechanisms: cut points are ordered
-with the agent index as a secondary key, and exactly the first floor(k/2)
-agents of that total order recurse left.  This keeps the left/right group
-sizes correct even when several agents report the same cut point, and agrees
-with the plain rule whenever cut points are distinct.
+Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
+``SHARES_MIDDLE`` table names this recursive-halving family and whether each
+member shares the cake between a node's two median cuts among all of the
+node's agents.  The cut-point gain engine and the CLI read the table.
+
+Tie handling in the halving recursion: cut points are ordered with the agent
+index as a secondary key, and exactly the first floor(k/2) agents of that
+total order recurse left.  This keeps the left/right group sizes correct
+even when several agents report the same cut point, and agrees with the
+plain rule whenever cut points are distinct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from cakecut.cake import (
     Allocation,
@@ -57,21 +62,32 @@ def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
     return cut
 
 
-def _split(profile: Profile, a: Fraction, b: Fraction,
-           agents: Sequence[int]) -> tuple[Fraction, Fraction, list[int], list[int]]:
-    """Sort reported cuts (index-tiebroken) and split the agent set in half.
-
-    Returns (d_lo, d_hi, left, right) where d_lo is the floor(k/2)-th
-    smallest cut, d_hi the next one, and left holds exactly floor(k/2) agents.
+def _halving(profile: Profile, share_middle: bool) -> Allocation:
+    """Recursive halving.  At a node [a, b] the first floor(k/2) agents
+    recurse on [a, d_lo], d_lo the floor(k/2)-th smallest cut, and the rest
+    on [d_lo, b].  With `share_middle` the rest recurse on [d_hi, b], d_hi
+    the next cut, and the middle [d_lo, d_hi] is halved among all k agents
+    without sharing.
     """
-    k = len(agents)
-    half = k // 2
-    cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
-    d_lo = cuts[half - 1][0]
-    d_hi = cuts[half][0]
-    left = [i for _, i in cuts[:half]]
-    right = [i for _, i in cuts[half:]]
-    return d_lo, d_hi, left, right
+    pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
+
+    def solve(a: Fraction, b: Fraction, agents: list[int], share_middle: bool) -> None:
+        if not agents:
+            raise AssertionError("recursed on an empty agent set")
+        k = len(agents)
+        if k == 1:
+            pieces[agents[0]].append(Interval(a, b))
+            return
+        half = k // 2
+        cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
+        d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
+        if share_middle and d_lo < d_hi:
+            solve(d_lo, d_hi, agents, False)
+        solve(a, d_lo, [i for _, i in cuts[:half]], share_middle)
+        solve(d_hi if share_middle else d_lo, b, [i for _, i in cuts[half:]], share_middle)
+
+    solve(ZERO, ONE, list(range(profile.n)), share_middle)
+    return Allocation.of([Piece.of(p) for p in pieces])
 
 
 def even_paz(profile: Profile) -> Allocation:
@@ -82,20 +98,7 @@ def even_paz(profile: Profile) -> Allocation:
     agents recurses on the cake left of the floor(k/2)-th cut, the upper
     half on the cake right of it.
     """
-    pieces: dict[int, list[Interval]] = {i: [] for i in range(profile.n)}
-
-    def solve(a: Fraction, b: Fraction, agents: list[int]) -> None:
-        if not agents:
-            raise AssertionError("recursed on an empty agent set")
-        if len(agents) == 1:
-            pieces[agents[0]].append(Interval(a, b))
-            return
-        d_lo, _, left, right = _split(profile, a, b, agents)
-        solve(a, d_lo, left)
-        solve(d_lo, b, right)
-
-    solve(ZERO, ONE, list(range(profile.n)))
-    return Allocation.of([Piece.of(pieces[i]) for i in range(profile.n)])
+    return _halving(profile, share_middle=False)
 
 
 def modified_even_paz(profile: Profile) -> Allocation:
@@ -106,28 +109,14 @@ def modified_even_paz(profile: Profile) -> Allocation:
     plain Even-Paz restricted to that piece) instead of going to the right
     group.  Exactly proportional; allocations need not be contiguous.
     """
-    pieces: dict[int, list[Interval]] = {i: [] for i in range(profile.n)}
+    return _halving(profile, share_middle=True)
 
-    def solve_plain(a: Fraction, b: Fraction, agents: list[int]) -> None:
-        if len(agents) == 1:
-            pieces[agents[0]].append(Interval(a, b))
-            return
-        d_lo, _, left, right = _split(profile, a, b, agents)
-        solve_plain(a, d_lo, left)
-        solve_plain(d_lo, b, right)
 
-    def solve(a: Fraction, b: Fraction, agents: list[int]) -> None:
-        if len(agents) == 1:
-            pieces[agents[0]].append(Interval(a, b))
-            return
-        d_lo, d_hi, left, right = _split(profile, a, b, agents)
-        if d_lo < d_hi:
-            solve_plain(d_lo, d_hi, agents)
-        solve(a, d_lo, left)
-        solve(d_hi, b, right)
+EVEN_PAZ = Mechanism("even-paz", even_paz)
+MODIFIED_EVEN_PAZ = Mechanism("modified-ep", modified_even_paz)
 
-    solve(ZERO, ONE, list(range(profile.n)))
-    return Allocation.of([Piece.of(pieces[i]) for i in range(profile.n)])
+# The recursive-halving mechanisms, by name, and whether each shares the middle.
+SHARES_MIDDLE: dict[str, bool] = {EVEN_PAZ.name: False, MODIFIED_EVEN_PAZ.name: True}
 
 
 def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
@@ -170,8 +159,6 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
     return Allocation.of([Piece.of(p) for p in pieces])
 
 
-EVEN_PAZ = Mechanism("even-paz", even_paz)
-MODIFIED_EVEN_PAZ = Mechanism("modified-ep", modified_even_paz)
 EQUAL_SPLIT = Mechanism("equal-split", equal_split_nonwasteful)
 EVEN_PAZ_EXCHANGE = replace(with_zero_piece_exchange(EVEN_PAZ), name="ep-exchange")
 MODIFIED_EP_EXCHANGE = with_zero_piece_exchange(MODIFIED_EVEN_PAZ)

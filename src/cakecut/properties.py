@@ -34,7 +34,7 @@ from cakecut.cake import (
     ZERO,
     cell_grid,
 )
-from cakecut.mechanisms import MECHANISMS, Mechanism, _node_cut
+from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, _node_cut
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +348,8 @@ def _realize_path(steps: list[_Step], leaf: Interval) -> PiecewiseConstantValuat
                 raise AssertionError("left step has nowhere to park the rest mass")
             chunks = [(lo, hi, m * step.share) for lo, hi, m in chunks]
             chunks.append((step.rest_lo, step.hi, 1 - step.share))
-    chunks.sort()
-    bounds: list[Fraction] = [ZERO]
-    densities: list[Fraction] = []
-    for lo, hi, mass in chunks:
-        if lo > bounds[-1]:
-            bounds.append(lo)
-            densities.append(ZERO)
-        bounds.append(hi)
-        densities.append(mass / (hi - lo))
-    if bounds[-1] < ONE:
-        bounds.append(ONE)
-        densities.append(ZERO)
-    return PiecewiseConstantValuation.of(bounds[1:-1], densities)
+    return PiecewiseConstantValuation.from_chunks(
+        (lo, hi, mass / (hi - lo)) for lo, hi, mass in chunks)
 
 
 def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int,
@@ -378,9 +367,9 @@ def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int
     duplicate search; its truthful value is reused, so a certificate for
     another mechanism, agent or profile is rejected.
     """
-    if mechanism.name not in ("even-paz", "modified-ep"):
+    if mechanism.name not in SHARES_MIDDLE:
         raise ValueError(f"{mechanism.name!r} is not in the recursive-halving family")
-    middles = mechanism.name == "modified-ep"
+    middles = SHARES_MIDDLE[mechanism.name]
     if grid_certificate is None:
         grid_certificate = best_response_gain(mechanism, profile, agent, cfg)
     elif (grid_certificate.mechanism != mechanism.name

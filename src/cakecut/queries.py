@@ -87,10 +87,8 @@ class RWOracle:
 class StrategicOracle(RWOracle):
     """An oracle answering every query per a fixed misreported valuation."""
 
-    def __init__(self, reported: PiecewiseConstantValuation,
-                 true_valuation: PiecewiseConstantValuation):
+    def __init__(self, reported: PiecewiseConstantValuation):
         super().__init__(reported)
-        self.true_valuation = true_valuation
 
     @property
     def reported(self) -> PiecewiseConstantValuation:

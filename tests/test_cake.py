@@ -128,6 +128,26 @@ class TestValuationConstruction:
         assert v.value(Piece.interval("1/4", "1/2")) == 0
 
 
+class TestFromChunks:
+    def test_unsorted_chunks(self):
+        v = PCV.from_chunks([(F(3, 4), F(1), F(2)), (F(0), F(1, 4), F(2))])
+        assert v == PCV.of(["1/4", "3/4"], [2, 0, 2])
+
+    def test_gaps_at_both_ends_are_zero(self):
+        v = PCV.from_chunks([(F(1, 4), F(3, 4), F(2))])
+        assert v.bounds == (0, F(1, 4), F(3, 4), 1)
+        assert v.densities == (0, 2, 0)
+
+    def test_adjacent_equal_densities_merge(self):
+        v = PCV.from_chunks([(F(1, 2), F(1), F(1)), (F(0), F(1, 2), F(1))])
+        assert v == UNIFORM and v.breakpoints == ()
+
+    def test_matches_on_piece(self):
+        piece = Piece.of([ival(0, "1/4"), ival("1/2", "3/4")])
+        assert PCV.from_chunks([(F(1, 2), F(3, 4), F(2)), (F(0), F(1, 4), F(2))]) \
+            == PCV.on_piece(piece)
+
+
 class TestHungry:
     def test_uniform_is_hungry(self):
         assert UNIFORM.is_hungry

@@ -295,6 +295,11 @@ class TestScenarioArgumentTypes:
         ("gain", {"mechanism": "even-paz", "agent": 0, "max_candidates": "7"},
          "max_candidates"),
         ("learn", {"agent": 0, "k": 2, "eps": "0"}, "eps"),
+        ("gain", {"mechanism": "equal-split", "agent": 0, "engine": "ep-exact"},
+         "ep-exact"),
+        ("gain", {"mechanism": "even-paz", "agent": 0, "max_candidates": -3},
+         "max_candidates"),
+        ("learn", {"agent": 1, "k": 1, "eps": "1/5"}, "k"),
     ])
     def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
                                             arguments, field):
@@ -306,6 +311,20 @@ class TestScenarioArgumentTypes:
         assert out == ""
         assert err.startswith("cakecut: error: ") and err.count("\n") == 1
         assert repr(field) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gain", "--mechanism", "ep-exchange", "--engine", "ep-exact", "--agent", "0"),
+        ("gain", "--mechanism", "even-paz", "--agent", "0", "--max-candidates", "-3"),
+        ("learn", "--agent", "1", "--k", "1", "--eps", "1/5"),
+    ], ids=["ep-exact-outside-family", "negative-max-candidates", "k-below-breakpoints"])
+    def test_bad_flag_is_one_line_error(self, exchange_profile, argv):
+        child = subprocess.run(
+            [sys.executable, "-m", "cakecut.cli", *argv, "--profile", exchange_profile],
+            capture_output=True, text=True, env=_child_env())
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert "Traceback" not in child.stderr
+        assert child.stderr.startswith("cakecut: error: ") and child.stderr.count("\n") == 1
 
 
 class TestUnreadableInput:

@@ -14,15 +14,18 @@ from cakecut.cake import (
 from cakecut.mechanisms import (
     _node_cut,
     EVEN_PAZ,
+    EVEN_PAZ_EXCHANGE,
     MECHANISMS,
     MODIFIED_EP_EXCHANGE,
     MODIFIED_EVEN_PAZ,
+    SHARES_MIDDLE,
     equal_split_nonwasteful,
     even_paz,
     get_mechanism,
     modified_even_paz,
     with_zero_piece_exchange,
 )
+from cakecut.properties import report_for
 from cakecut.sampling import random_profile, random_valuation
 
 F = Fraction
@@ -194,6 +197,22 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown mechanism"):
             get_mechanism("nope")
+
+
+class TestEveryMechanism:
+    PROPORTIONAL = {*SHARES_MIDDLE, EVEN_PAZ_EXCHANGE.name, MODIFIED_EP_EXCHANGE.name}
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(MECHANISMS)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 7))
+    def test_valid_deterministic_and_proportional(self, name, seed, n):
+        mechanism = MECHANISMS[name]
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3)
+        allocation = mechanism.run(profile)
+        assert validate_allocation(allocation, profile) == []
+        assert mechanism.run(profile) == allocation
+        if name in self.PROPORTIONAL:
+            assert report_for(profile, allocation).proportionality_deficit == 0
 
 
 class TestNodeCutMemo:

@@ -99,9 +99,9 @@ class TestOracle:
                 assert o.eval(x, cut) == r
 
     def test_strategic_oracle_answers_report(self):
-        o = StrategicOracle(reported=FRONT, true_valuation=U)
+        o = StrategicOracle(reported=FRONT)
         assert o.cut(0, "1/2") == F(1, 4)
-        assert o.true_valuation.value_between(0, o.cut(0, "1/2")) == F(1, 4)
+        assert U.value_between(0, o.cut(0, "1/2")) == F(1, 4)
 
 
 class TestLearner:
@@ -210,5 +210,5 @@ class TestLifting:
         lifted = lift_direct_to_rw(MODIFIED_EVEN_PAZ, k=2, epsilon="1/5")
         truthful = lifted.run_on_oracles([RWOracle(D) for D in (U, FRONT)])
         strategic = lifted.run_on_oracles(
-            [RWOracle(U), StrategicOracle(reported=U, true_valuation=FRONT)])
+            [RWOracle(U), StrategicOracle(reported=U)])
         assert truthful != strategic
