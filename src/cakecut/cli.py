@@ -249,8 +249,9 @@ def _need_profile(profile: Optional[Profile]) -> Profile:
 def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
              base_path: str = ".") -> tuple[dict, int]:
     def argument(name: str, kind: type, default: Any, positive: bool = False,
-                 optional: bool = False) -> Any:
-        """The argument `name`, checked against `kind` (None allowed if optional)."""
+                 optional: bool = False, least: Optional[int] = None) -> Any:
+        """The argument `name`, checked against `kind` (None allowed if optional)
+        and, if given, the lower bound `least`."""
         value = args.get(name, default)
         if value is None and optional:
             return None
@@ -263,6 +264,8 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
             raise CliError(f"argument {name!r}: expected {kind.__name__}, got {value!r}")
         if positive and not value > 0:
             raise CliError(f"argument {name!r}: must be positive, got {value}")
+        if least is not None and value < least:
+            raise CliError(f"argument {name!r}: must be at least {least}, got {value}")
         return value
 
     def mechanism() -> Mechanism:
@@ -276,15 +279,12 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
         from cakecut.properties import SearchConfig
 
         mech = mechanism()
-        max_candidates = argument("max_candidates", int, 64, optional=True)
-        if max_candidates is not None and max_candidates < 0:
-            raise CliError(f"argument 'max_candidates': must be non-negative, "
-                           f"got {max_candidates}")
         cfg = SearchConfig(
-            mass_denominator=argument("mass_denominator", int, 4),
-            max_breakpoints=argument("max_breakpoints", int, 2),
-            offset_rounds=argument("rounds", int, 1),
-            max_candidates=max_candidates, seed=seed)
+            mass_denominator=argument("mass_denominator", int, 4, least=1),
+            max_breakpoints=argument("max_breakpoints", int, 2, least=0),
+            offset_rounds=argument("rounds", int, 1, least=0),
+            max_candidates=argument("max_candidates", int, 64, optional=True, least=0),
+            seed=seed)
         return do_gain(mech, _need_profile(profile), argument("agent", int, 0),
                        argument("engine", str, "grid"), cfg), 0
     if command == "learn":

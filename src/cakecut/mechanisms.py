@@ -7,7 +7,10 @@ produce allocations that pass :func:`cakecut.cake.validate_allocation`.
 Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
 ``SHARES_MIDDLE`` table names this recursive-halving family and whether each
 member shares the cake between a node's two median cuts among all of the
-node's agents.  The cut-point gain engine and the CLI read the table.
+node's agents.  The gain engines and the CLI read the table.  With
+``follow=i``, :func:`_halving` walks only agent i's path (in modified
+Even-Paz, also the middles on it) and fills only i's intervals, which is all
+a gain search needs to score a misreport of agent i.
 
 Tie handling in the halving recursion: cut points are ordered with the agent
 index as a secondary key, and exactly the first floor(k/2) agents of that
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from cakecut.cake import (
     Allocation,
@@ -62,12 +65,15 @@ def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
     return cut
 
 
-def _halving(profile: Profile, share_middle: bool) -> Allocation:
-    """Recursive halving.  At a node [a, b] the first floor(k/2) agents
-    recurse on [a, d_lo], d_lo the floor(k/2)-th smallest cut, and the rest
-    on [d_lo, b].  With `share_middle` the rest recurse on [d_hi, b], d_hi
-    the next cut, and the middle [d_lo, d_hi] is halved among all k agents
-    without sharing.
+def _halving(profile: Profile, share_middle: bool,
+             follow: Optional[int] = None) -> list[list[Interval]]:
+    """Recursive halving; returns each agent's list of intervals.  At a node
+    [a, b] the first floor(k/2) agents recurse on [a, d_lo], d_lo the
+    floor(k/2)-th smallest cut, and the rest on [d_lo, b].  With
+    `share_middle` the rest recurse on [d_hi, b], d_hi the next cut, and the
+    middle [d_lo, d_hi] is halved among all k agents without sharing.  With
+    `follow` only the children holding that agent are descended (a middle
+    holds them all), so only its list is filled.
     """
     pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
 
@@ -81,13 +87,17 @@ def _halving(profile: Profile, share_middle: bool) -> Allocation:
         half = k // 2
         cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
         d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
+        left = [i for _, i in cuts[:half]]
         if share_middle and d_lo < d_hi:
             solve(d_lo, d_hi, agents, False)
-        solve(a, d_lo, [i for _, i in cuts[:half]], share_middle)
-        solve(d_hi if share_middle else d_lo, b, [i for _, i in cuts[half:]], share_middle)
+        if follow is None or follow in left:
+            solve(a, d_lo, left, share_middle)
+        if follow is None or follow not in left:
+            solve(d_hi if share_middle else d_lo, b, [i for _, i in cuts[half:]],
+                  share_middle)
 
     solve(ZERO, ONE, list(range(profile.n)), share_middle)
-    return Allocation.of([Piece.of(p) for p in pieces])
+    return pieces
 
 
 def even_paz(profile: Profile) -> Allocation:
@@ -98,7 +108,7 @@ def even_paz(profile: Profile) -> Allocation:
     agents recurses on the cake left of the floor(k/2)-th cut, the upper
     half on the cake right of it.
     """
-    return _halving(profile, share_middle=False)
+    return Allocation.of([Piece.of(p) for p in _halving(profile, share_middle=False)])
 
 
 def modified_even_paz(profile: Profile) -> Allocation:
@@ -109,7 +119,7 @@ def modified_even_paz(profile: Profile) -> Allocation:
     plain Even-Paz restricted to that piece) instead of going to the right
     group.  Exactly proportional; allocations need not be contiguous.
     """
-    return _halving(profile, share_middle=True)
+    return Allocation.of([Piece.of(p) for p in _halving(profile, share_middle=True)])
 
 
 EVEN_PAZ = Mechanism("even-paz", even_paz)

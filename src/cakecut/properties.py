@@ -2,9 +2,11 @@
 
 The checkers compute proportionality deficit, envy, wasted measure, and
 contiguity as exact rationals.  The gain engines search for profitable
-misreports and return self-verifying certificates: every certificate's
-values are recomputed by re-running the mechanism on the truthful and the
-deviated profile, so a certificate can never overstate a gain.
+misreports and return self-verifying certificates.  Halving-family
+candidates are scored by walking the manipulator's path through the
+recursion, but every certificate's values come from re-running the
+mechanism on the truthful and the deviated profile, so a certificate can
+never overstate a gain.
 
 Both engines produce LOWER bounds on the true supremum gain.  The grid
 engine enumerates misreports over a breakpoint/mass grid.  The cut-point
@@ -34,7 +36,7 @@ from cakecut.cake import (
     ZERO,
     cell_grid,
 )
-from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, _node_cut
+from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, _halving, _node_cut
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,15 @@ class SearchConfig:
     max_candidates: Optional[int] = 64
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # below these bounds a search tries no misreport but the truthful one
+        # (or fails midway), and its gain of 0 would read as "none found"
+        for name, least in (("mass_denominator", 1), ("max_breakpoints", 0),
+                            ("offset_rounds", 0), ("max_candidates", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"SearchConfig.{name} must be at least {least}, got {value}")
+
 
 def _candidate_points(profile: Profile, truthful: Allocation,
                       cfg: SearchConfig) -> list[Fraction]:
@@ -199,11 +210,13 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
     """Grid search for a profitable misreport by one agent.
 
     Enumerates candidate misreports (breakpoint subsets x mass simplex),
-    deterministically subsamples to the configured budget, evaluates each by
-    running the mechanism, and returns the best verified certificate.  The
-    truthful report is always among the candidates, so the result never has
-    negative gain.  This is a lower bound on the supremum gain, never an
-    upper-bound claim.
+    deterministically subsamples to the configured budget, scores each by
+    the manipulator's value (by the path walk for the ``SHARES_MIDDLE``
+    family, else by running the mechanism), and re-derives the winner by one
+    full run; a walk that disagrees raises AssertionError.  The truthful
+    report is always among the candidates, so the result never has negative
+    gain.  This is a lower bound on the supremum gain, never an upper-bound
+    claim.
     """
     true_v = profile[agent]
     truthful_alloc = mechanism.run(profile)
@@ -230,15 +243,28 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
         if key not in seen:
             seen.add(key)
             candidates.append(cand)
+    middle = SHARES_MIDDLE.get(mechanism.name)
+
+    def full_run(cand: PiecewiseConstantValuation) -> Fraction:
+        return true_v.value(mechanism.run(profile.replace(agent, cand)).pieces[agent])
+
+    def path_walk(cand: PiecewiseConstantValuation) -> Fraction:
+        walk = _halving(profile.replace(agent, cand), middle, follow=agent)
+        return sum((true_v.value_between(iv.lo, iv.hi) for iv in walk[agent]), ZERO)
+
+    score = full_run if middle is None else path_walk
     best: Optional[tuple[Fraction, tuple, PiecewiseConstantValuation, Fraction]] = None
     for cand in candidates:
-        deviated = true_v.value(
-            mechanism.run(profile.replace(agent, cand)).pieces[agent])
+        deviated = score(cand)
         key = (-(deviated - truthful_value), _encoding(cand))
         if best is None or key < best[:2]:
             best = (*key, cand, deviated)
     assert best is not None
-    _, _, winner, deviated = best
+    _, _, winner, scored = best
+    deviated = scored if middle is None else full_run(winner)
+    if deviated != scored:
+        raise AssertionError(
+            f"{mechanism.name}: path walk scored {scored}, full run gives {deviated}")
     return GainCertificate(mechanism.name, profile, agent, winner,
                            truthful_value, deviated, deviated - truthful_value)
 

@@ -300,6 +300,13 @@ class TestScenarioArgumentTypes:
         ("gain", {"mechanism": "even-paz", "agent": 0, "max_candidates": -3},
          "max_candidates"),
         ("learn", {"agent": 1, "k": 1, "eps": "1/5"}, "k"),
+        ("gain", {"mechanism": "even-paz", "agent": 0, "mass_denominator": 0},
+         "mass_denominator"),
+        ("gain", {"mechanism": "even-paz", "agent": 0, "mass_denominator": -2},
+         "mass_denominator"),
+        ("gain", {"mechanism": "even-paz", "agent": 0, "max_breakpoints": -1},
+         "max_breakpoints"),
+        ("gain", {"mechanism": "even-paz", "agent": 0, "rounds": -1}, "rounds"),
     ])
     def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
                                             arguments, field):
@@ -316,7 +323,13 @@ class TestScenarioArgumentTypes:
         ("gain", "--mechanism", "ep-exchange", "--engine", "ep-exact", "--agent", "0"),
         ("gain", "--mechanism", "even-paz", "--agent", "0", "--max-candidates", "-3"),
         ("learn", "--agent", "1", "--k", "1", "--eps", "1/5"),
-    ], ids=["ep-exact-outside-family", "negative-max-candidates", "k-below-breakpoints"])
+        ("gain", "--mechanism", "even-paz", "--agent", "0", "--mass-denominator", "0"),
+        ("gain", "--mechanism", "even-paz", "--agent", "0", "--mass-denominator", "-2"),
+        ("gain", "--mechanism", "even-paz", "--agent", "0", "--max-breakpoints", "-1"),
+        ("gain", "--mechanism", "even-paz", "--agent", "0", "--rounds", "-1"),
+    ], ids=["ep-exact-outside-family", "negative-max-candidates", "k-below-breakpoints",
+            "zero-mass-denominator", "negative-mass-denominator",
+            "negative-max-breakpoints", "negative-rounds"])
     def test_bad_flag_is_one_line_error(self, exchange_profile, argv):
         child = subprocess.run(
             [sys.executable, "-m", "cakecut.cli", *argv, "--profile", exchange_profile],

@@ -12,6 +12,7 @@ from cakecut.cake import (
     validate_allocation,
 )
 from cakecut.mechanisms import (
+    _halving,
     _node_cut,
     EVEN_PAZ,
     EVEN_PAZ_EXCHANGE,
@@ -213,6 +214,21 @@ class TestEveryMechanism:
         assert mechanism.run(profile) == allocation
         if name in self.PROPORTIONAL:
             assert report_for(profile, allocation).proportionality_deficit == 0
+
+
+class TestPathWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(SHARES_MIDDLE)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 8), denom=st.sampled_from([2, 3, 4, 12]))
+    def test_follow_gives_the_full_runs_piece(self, name, seed, n, denom):
+        # small denominators make agents share breakpoints and tie on cuts;
+        # random_valuation draws zero densities
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
+        full = MECHANISMS[name].run(profile)
+        for i in range(n):
+            walk = _halving(profile, SHARES_MIDDLE[name], follow=i)
+            assert Piece.of(walk[i]) == full.pieces[i]
+            assert not any(walk[j] for j in range(n) if j != i)
 
 
 class TestNodeCutMemo:

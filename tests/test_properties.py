@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cakecut import cake, io
+from cakecut import cake, io, properties
 from cakecut.cake import (
     Allocation,
     Interval,
@@ -19,8 +19,10 @@ from cakecut.mechanisms import (
     EQUAL_SPLIT,
     EVEN_PAZ,
     EVEN_PAZ_EXCHANGE,
+    MECHANISMS,
     MODIFIED_EP_EXCHANGE,
     MODIFIED_EVEN_PAZ,
+    SHARES_MIDDLE,
     Mechanism,
 )
 from cakecut.properties import (
@@ -151,6 +153,14 @@ class TestGridEngine:
             assert cert.gain >= 0
             assert cert.verify()
 
+    @pytest.mark.parametrize("budget", [
+        {"mass_denominator": 0}, {"mass_denominator": -2}, {"max_breakpoints": -1},
+        {"offset_rounds": -1}, {"max_candidates": -3},
+    ])
+    def test_budget_that_searches_nothing_rejected(self, budget):
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            SearchConfig(**budget)
+
     def test_deterministic_given_seed(self):
         rng = random.Random(64)
         profile = random_profile(rng, 3)
@@ -207,6 +217,33 @@ class TestCutPointEngine:
             agent = rng.randrange(n)
             cert = ep_cutpoint_best_response(EVEN_PAZ, profile, agent)
             assert cert.gain <= prop4_bound(n)
+
+
+class TestEveryCertificateVerifies:
+    CFG = SearchConfig(mass_denominator=2, max_breakpoints=1, offset_rounds=0,
+                       max_candidates=12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), data=st.data())
+    def test_gain_engines(self, seed, n, data):
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=4)
+        agent = data.draw(st.integers(0, n - 1))
+        certs = [best_response_gain(m, profile, agent, self.CFG) for m in MECHANISMS.values()]
+        certs += [ep_cutpoint_best_response(MECHANISMS[name], profile, agent, self.CFG)
+                  for name in SHARES_MIDDLE]
+        for cert in certs:
+            assert cert.gain >= 0
+            assert cert.verify()
+
+    def test_wrong_path_walk_is_caught(self, monkeypatch):
+        def whole_cake(profile, share_middle, follow=None):
+            pieces = [[] for _ in range(profile.n)]
+            pieces[follow].append(Interval(ZERO, F(1)))
+            return pieces
+
+        monkeypatch.setattr(properties, "_halving", whole_cake)
+        with pytest.raises(AssertionError, match="path walk"):
+            best_response_gain(EVEN_PAZ, Profile.of([SPIKE, U]), 0)
 
 
 class TestSharedNodeCuts:
