@@ -78,6 +78,13 @@ class ChainParameters:
             n, frac(eps1), frac(eps2),
             tuple(sorted((k, frac(v)) for k, v in deltas.items())))
 
+    def only_deltas(self, chain: str, names: tuple[str, ...]) -> None:
+        """Refuse overrides other than `names`, the deltas `chain` reads."""
+        unknown = sorted(k for k, _ in self.overrides if k not in names)
+        if unknown:
+            raise InfeasibleParameters(
+                f"{chain} reads only the deltas {list(names)}; got {unknown}")
+
     def override(self, name: str) -> Optional[Fraction]:
         for key, value in self.overrides:
             if key == name:
@@ -259,6 +266,7 @@ def thm1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
     other shift all but a delta of its mass onto that piece.  For any
     feasible (eps1, eps2, delta) some check below must fire.
     """
+    params.only_deltas("thm1", ("delta",))
     n, eps1, eps2 = params.n, params.eps1, params.eps2
     if n < 2:
         raise InfeasibleParameters("need n >= 2")
@@ -329,6 +337,9 @@ def thm1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
 # chain 2: two hungry agents, contiguous allocations
 
 
+PROP1_DELTAS = ("delta1", "delta2", "delta3", "delta4", "delta5")
+
+
 def prop1_default_deltas(c1: Fraction, eps1: Fraction, eps2: Fraction
                          ) -> dict[str, Fraction]:
     """Midpoint-style delta choices, exact for every feasible (c1, eps)."""
@@ -362,6 +373,7 @@ def prop1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitne
     confronts the mechanism with a spike-plus-plateau valuation and a
     two-spike valuation; some exact check fires for any feasible epsilons.
     """
+    params.only_deltas("prop1", PROP1_DELTAS)
     eps1, eps2 = params.eps1, params.eps2
     if params.n != 2:
         raise InfeasibleParameters("this construction is specific to n = 2")
@@ -389,14 +401,9 @@ def prop1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitne
         mechanism, 2, swap01=(left_getter == 1) != needs_mirror, mirror=needs_mirror)
     canon = conj.mechanism()
 
-    deltas = prop1_default_deltas(c1, eps1, eps2)
-    for name in list(deltas):
-        override = params.override(name)
-        if override is not None:
-            deltas[name] = override
+    deltas = {**prop1_default_deltas(c1, eps1, eps2), **dict(params.overrides)}
     _prop1_validate(c1, eps1, eps2, deltas)
-    d1, d2, d3, d4, d5 = (deltas[k] for k in
-                          ("delta1", "delta2", "delta3", "delta4", "delta5"))
+    d1, d2, d3, d4, d5 = (deltas[k] for k in PROP1_DELTAS)
 
     run = _ChainRun("prop1", mechanism, conj,
                     [("c1", c1), ("eps1", eps1), ("eps2", eps2)]
@@ -460,6 +467,7 @@ def thm2_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
     Deviation gains are measured against a zero tolerance (the construction
     targets exact strategyproofness); eps2 is the proportionality tolerance.
     """
+    params.only_deltas("thm2", ("delta",))
     n, eps = params.n, params.eps2
     if n < 3:
         raise InfeasibleParameters("need n >= 3 (the two-agent case has its own chain)")

@@ -14,9 +14,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from cakecut.cake import Profile
 from cakecut.io import (
@@ -41,11 +40,84 @@ from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism
 if TYPE_CHECKING:
     from cakecut.properties import SearchConfig
 
-COMMANDS = ("allocate", "check", "gain", "learn", "chain", "verify")
-
 
 class CliError(ValueError):
     """User input error; rendered as a diagnostic and exit code 1."""
+
+
+# ---------------------------------------------------------------------------
+# the arguments of each command, for flags and scenario files alike
+
+
+class Arg(NamedTuple):
+    """One command argument: scenario key `name`, flag `flag` (by default `--`
+    plus the name with `-` for `_`; no dashes: positional).  A scenario that
+    omits it, or an optional flag left out, gets `default`."""
+
+    name: str
+    kind: type = str         # int, str, Fraction (read exactly) or dict (deltas)
+    default: Any = None
+    bound: Optional[str] = None   # lower bound on the value: "> 0" or ">= 1"
+    required: bool = False        # the flag must be given
+    nullable: bool = False        # null passes through (max_candidates: no cap)
+    help: Optional[str] = None
+    flag: Optional[str] = None
+
+
+MECHANISM = Arg("mechanism", default="", required=True, help=", ".join(sorted(MECHANISMS)))
+AGENT = Arg("agent", int, 0, required=True, help="agent index")
+
+ARGUMENTS: dict[str, tuple[Arg, ...]] = {
+    "allocate": (MECHANISM,),
+    "check": (MECHANISM,),
+    "gain": (MECHANISM, AGENT,
+             Arg("engine", default="grid", help="grid or ep-exact"),
+             Arg("rounds", int, 1, ">= 0", help="offset refinement rounds"),
+             Arg("mass_denominator", int, 4, ">= 1"),
+             Arg("max_breakpoints", int, 2, ">= 0"),
+             Arg("max_candidates", int, 64, ">= 0", nullable=True)),
+    "learn": (AGENT,
+              Arg("k", int, 1, "> 0", required=True,
+                  help="upper bound on the agent's breakpoint count"),
+              Arg("eps", Fraction, "1", "> 0", required=True,
+                  help="approximation target, e.g. 1/5")),
+    "chain": (Arg("name", default="", help="thm1, prop1, thm2 or discussion"),
+              Arg("mechanism", nullable=True, help="the mechanism to drive"),
+              Arg("n", int, 2),
+              Arg("eps1", Fraction, "0"),
+              Arg("eps2", Fraction, "0"),
+              Arg("deltas", dict, {}, flag="--delta",
+                  help="override a delta (a bare value sets 'delta')")),
+    "verify": (Arg("witness", object, flag="witness", help="witness JSON file"),),
+}
+
+
+def _checked(command: str, args: dict) -> dict:
+    """Every argument of `command`: `args` checked against ARGUMENTS, with
+    defaults for the missing ones; Fraction arguments are read exactly."""
+    specs = ARGUMENTS[command]
+    unknown = sorted(args.keys() - {spec.name for spec in specs})
+    if unknown:
+        raise CliError(f"unknown argument(s) {unknown} for {command}; "
+                       f"known: {[spec.name for spec in specs]}")
+    checked = {}
+    for spec in specs:
+        value = checked[spec.name] = args.get(spec.name, spec.default)
+        where = f"argument {spec.name!r}"
+        if value is None and spec.nullable:
+            continue
+        if spec.kind is Fraction:
+            value = checked[spec.name] = as_rational(value, where)
+        elif not isinstance(value, spec.kind) or isinstance(value, bool):
+            raise CliError(f"{where}: expected {spec.kind.__name__}, got {value!r}")
+        elif spec.kind is dict:
+            checked[spec.name] = {k: as_rational(v, f"argument '{spec.name}.{k}'")
+                                  for k, v in value.items()}
+        if spec.bound:
+            op, least = spec.bound.split()
+            if not (value > int(least) if op == ">" else value >= int(least)):
+                raise CliError(f"{where}: must be {spec.bound}, got {value}")
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +141,6 @@ def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
             cfg: SearchConfig) -> dict:
     from cakecut.properties import best_response_gain, ep_cutpoint_best_response
 
-    if not 0 <= agent < profile.n:
-        raise CliError(f"agent index {agent} out of range for {profile.n} agents")
     if engine == "grid":
         cert = best_response_gain(mechanism, profile, agent, cfg)
     elif engine == "ep-exact":
@@ -86,8 +156,6 @@ def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
 def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
     from cakecut.queries import RWOracle, approximate_valuation
 
-    if not 0 <= agent < profile.n:
-        raise CliError(f"agent index {agent} out of range for {profile.n} agents")
     if k < len(profile[agent].breakpoints):
         raise CliError(f"argument 'k': {k} is below agent {agent}'s breakpoint count "
                        f"{len(profile[agent].breakpoints)}")
@@ -103,21 +171,22 @@ def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
 
 def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
              eps2: Fraction, deltas: dict[str, Fraction]) -> dict:
-    from cakecut.chains import (ChainError, ChainParameters, InfeasibleParameters,
-                                discussion_example, prop1_chain, thm1_chain,
-                                thm2_chain)
+    import cakecut.chains as chains
 
+    if name not in chains.CHAINS:
+        raise CliError(f"unknown chain {name!r}; known: {chains.CHAINS}")
     if name == "discussion":
-        _, witness = discussion_example()
-        return witness_to_json(witness)
+        return witness_to_json(chains.discussion_example()[1])
     if mechanism is None:
         raise CliError("--mechanism is required for this chain")
-    runner = {"thm1": thm1_chain, "prop1": prop1_chain, "thm2": thm2_chain}[name]
+    runner = {"thm1": chains.thm1_chain, "prop1": chains.prop1_chain,
+              "thm2": chains.thm2_chain}[name]
     try:
-        witness = runner(mechanism, ChainParameters.of(n, eps1, eps2, **deltas))
-    except InfeasibleParameters as exc:
+        witness = runner(mechanism, chains.ChainParameters(
+            n, eps1, eps2, tuple(sorted(deltas.items()))))
+    except chains.InfeasibleParameters as exc:
         raise CliError(str(exc)) from None
-    except ChainError as exc:
+    except chains.ChainError as exc:
         raise CliError(f"chain found no violation (unexpected): {exc}") from None
     return witness_to_json(witness)
 
@@ -154,26 +223,19 @@ def _certificate_values(certificate, mechanism: Mechanism) -> tuple[dict, dict]:
     if isinstance(certificate, GainCertificate):
         fresh = evaluate_misreport(mechanism, certificate.profile,
                                    certificate.agent, certificate.misreport)
-        stored = {"truthful_value": rat_str(certificate.truthful_value),
-                  "deviated_value": rat_str(certificate.deviated_value),
-                  "gain": rat_str(certificate.gain)}
-        recomputed = {"truthful_value": rat_str(fresh.truthful_value),
-                      "deviated_value": rat_str(fresh.deviated_value),
-                      "gain": rat_str(fresh.gain)}
-    else:
-        fresh = report_for(certificate.profile,
-                           mechanism.run(certificate.profile))
-        stored = report_to_json(certificate.report)
-        recomputed = report_to_json(fresh)
-    return stored, recomputed
+        fields = ("truthful_value", "deviated_value", "gain")
+        stored, recomputed = ({f: rat_str(getattr(c, f)) for f in fields}
+                              for c in (certificate, fresh))
+        return stored, recomputed
+    fresh = report_for(certificate.profile, mechanism.run(certificate.profile))
+    return report_to_json(certificate.report), report_to_json(fresh)
 
 
 # ---------------------------------------------------------------------------
 # scenario files
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     version: int
     command: str
     arguments: dict
@@ -186,7 +248,7 @@ def parse_scenario(obj: Any, base_dir: str = ".") -> Scenario:
                  "scenario")
     if obj["version"] != 1:
         raise FormatError(f"scenario.version: unsupported version {obj['version']!r}")
-    if obj["command"] not in COMMANDS:
+    if obj["command"] not in ARGUMENTS:
         raise FormatError(f"scenario.command: unknown command {obj['command']!r}")
     profile = None
     if "profile" in obj:
@@ -196,7 +258,7 @@ def parse_scenario(obj: Any, base_dir: str = ".") -> Scenario:
         else:
             profile = profile_from_json(spec, "scenario.profile")
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise FormatError("scenario.seed: expected an integer")
     arguments = obj.get("arguments", {})
     if not isinstance(arguments, dict):
@@ -215,22 +277,19 @@ def _normalize_json(value: Any) -> Any:
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    out: dict[str, Any] = {"version": scenario.version, "command": scenario.command}
-    if scenario.arguments:
-        out["arguments"] = scenario.arguments
+    out = {k: v for k, v in scenario._asdict().items() if v is not None and v != {}}
     if scenario.profile is not None:
         out["profile"] = profile_to_json(scenario.profile)
-    if scenario.seed is not None:
-        out["seed"] = scenario.seed
     return out
 
 
 def run_scenario(path: str) -> tuple[dict, int]:
     """Execute a scenario file; returns (report, exit_code)."""
-    scenario = parse_scenario(load_json(path), os.path.dirname(path) or ".")
-    args = scenario.arguments
+    base_dir = os.path.dirname(path) or "."
+    scenario = parse_scenario(load_json(path), base_dir)
     seed = scenario.seed if scenario.seed is not None else 0
-    output, code = _execute(scenario.command, args, scenario.profile, seed, path)
+    output, code = _execute(scenario.command, scenario.arguments, scenario.profile, seed,
+                            base_dir)
     report = {"command": scenario.command, "inputs": scenario_to_json(scenario),
               "output": output, "exact": True}
     return report, code
@@ -240,77 +299,43 @@ def load_profile(path: str) -> Profile:
     return profile_from_json(load_json(path), "profile")
 
 
-def _need_profile(profile: Optional[Profile]) -> Profile:
+def _need_profile(profile: Optional[Profile], agent: int = 0) -> Profile:
+    """The profile a command runs on, which must hold `agent`."""
     if profile is None:
         raise CliError("this command needs a profile (--profile or scenario field)")
+    if not 0 <= agent < profile.n:
+        raise CliError(f"agent index {agent} out of range for {profile.n} agents")
     return profile
 
 
 def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
-             base_path: str = ".") -> tuple[dict, int]:
-    def argument(name: str, kind: type, default: Any, positive: bool = False,
-                 optional: bool = False, least: Optional[int] = None) -> Any:
-        """The argument `name`, checked against `kind` (None allowed if optional)
-        and, if given, the lower bound `least`."""
-        value = args.get(name, default)
-        if value is None and optional:
-            return None
-        if kind is Fraction:
-            try:
-                value = as_rational(value, f"argument {name!r}")
-            except FormatError as exc:
-                raise CliError(str(exc)) from None
-        elif not isinstance(value, kind) or isinstance(value, bool):
-            raise CliError(f"argument {name!r}: expected {kind.__name__}, got {value!r}")
-        if positive and not value > 0:
-            raise CliError(f"argument {name!r}: must be positive, got {value}")
-        if least is not None and value < least:
-            raise CliError(f"argument {name!r}: must be at least {least}, got {value}")
-        return value
-
-    def mechanism() -> Mechanism:
-        return _resolve(argument("mechanism", str, ""))
-
+             base_dir: str = "") -> tuple[dict, int]:
+    """Run `command` on `args`, checked against ARGUMENTS; a witness path is
+    read relative to `base_dir`.  Returns (output, exit code)."""
+    a = _checked(command, args)
+    mechanism = _resolve(a["mechanism"]) if a.get("mechanism") is not None else None
     if command == "allocate":
-        return do_allocate(mechanism(), _need_profile(profile)), 0
+        return do_allocate(mechanism, _need_profile(profile)), 0
     if command == "check":
-        return do_check(mechanism(), _need_profile(profile)), 0
+        return do_check(mechanism, _need_profile(profile)), 0
     if command == "gain":
         from cakecut.properties import SearchConfig
 
-        mech = mechanism()
-        cfg = SearchConfig(
-            mass_denominator=argument("mass_denominator", int, 4, least=1),
-            max_breakpoints=argument("max_breakpoints", int, 2, least=0),
-            offset_rounds=argument("rounds", int, 1, least=0),
-            max_candidates=argument("max_candidates", int, 64, optional=True, least=0),
-            seed=seed)
-        return do_gain(mech, _need_profile(profile), argument("agent", int, 0),
-                       argument("engine", str, "grid"), cfg), 0
+        cfg = SearchConfig(mass_denominator=a["mass_denominator"],
+                           max_breakpoints=a["max_breakpoints"],
+                           offset_rounds=a["rounds"],
+                           max_candidates=a["max_candidates"], seed=seed)
+        return do_gain(mechanism, _need_profile(profile, a["agent"]), a["agent"],
+                       a["engine"], cfg), 0
     if command == "learn":
-        return do_learn(_need_profile(profile), argument("agent", int, 0),
-                        argument("k", int, 1, positive=True),
-                        argument("eps", Fraction, "1", positive=True)), 0
+        return do_learn(_need_profile(profile, a["agent"]), a["agent"], a["k"], a["eps"]), 0
     if command == "chain":
-        from cakecut.chains import CHAINS
-
-        name = argument("name", str, "")
-        if name not in CHAINS:
-            raise CliError(f"unknown chain {name!r}; known: {CHAINS}")
-        mech = mechanism() if args.get("mechanism") is not None else None
-        deltas = {k: as_rational(v, f"delta.{k}")
-                  for k, v in argument("deltas", dict, {}).items()}
-        out = do_chain(name, mech, argument("n", int, 2),
-                       argument("eps1", Fraction, 0), argument("eps2", Fraction, 0),
-                       deltas)
-        return out, 2
-    if command == "verify":
-        target = args.get("witness")
-        if isinstance(target, str):
-            target = load_json(os.path.join(os.path.dirname(base_path) or ".", target))
-        out, ok = do_verify(target)
-        return out, 0 if ok else 1
-    raise CliError(f"unknown command {command!r}")
+        return do_chain(a["name"], mechanism, a["n"], a["eps1"], a["eps2"], a["deltas"]), 2
+    target = a["witness"]  # verify
+    if isinstance(target, str):
+        target = load_json(os.path.join(base_dir, target))
+    output, ok = do_verify(target)
+    return output, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,71 +350,42 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cakecut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, profile_required=True):
-        p.add_argument("--profile", required=profile_required,
-                       help="profile JSON file")
+    for command, text in (("allocate", "run a mechanism on a profile"),
+                          ("check", "measure properties of a mechanism run"),
+                          ("gain", "search for a profitable misreport"),
+                          ("learn", "learn a valuation through cut queries"),
+                          ("chain", "run a counterexample chain"),
+                          ("verify", "re-verify a witness or certificate file")):
+        p = sub.add_parser(command, help=text)
+        for spec in ARGUMENTS[command]:
+            flag = spec.flag or "--" + spec.name.replace("_", "-")
+            options: dict[str, Any] = {"help": spec.help}
+            if flag.startswith("-"):
+                options.update(dest=spec.name, required=spec.required)
+            if spec.kind is dict:
+                options.update(action="append", type=_override, default=[], metavar="NAME=P/Q")
+            else:
+                options.update(type=int if spec.kind is int else None, default=spec.default)
+            p.add_argument(flag, **options)
+        if command == "chain":
+            p.add_argument("--verify", metavar="WITNESS",
+                           help="re-verify a previously emitted witness file")
+        if command != "verify":
+            p.add_argument("--profile", required=command != "chain",
+                           help="profile JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("allocate", help="run a mechanism on a profile")
-    p.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
-    common(p)
-
-    p = sub.add_parser("check", help="measure properties of a mechanism run")
-    p.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
-    common(p)
-
-    p = sub.add_parser("gain", help="search for a profitable misreport")
-    p.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
-    p.add_argument("--agent", type=int, required=True)
-    p.add_argument("--engine", choices=("grid", "ep-exact"), default="grid")
-    p.add_argument("--rounds", type=int, default=1, help="offset refinement rounds")
-    p.add_argument("--mass-denominator", type=int, default=4)
-    p.add_argument("--max-breakpoints", type=int, default=2)
-    p.add_argument("--max-candidates", type=int, default=64)
-    common(p)
-
-    p = sub.add_parser("learn", help="learn a valuation through cut queries")
-    p.add_argument("--agent", type=int, required=True)
-    p.add_argument("--k", type=int, required=True,
-                   help="upper bound on the agent's breakpoint count")
-    p.add_argument("--eps", required=True, help="approximation target, e.g. 1/5")
-    common(p)
-
-    p = sub.add_parser("chain", help="run a counterexample chain")
-    p.add_argument("--name")
-    p.add_argument("--mechanism", choices=sorted(MECHANISMS))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--eps1", default="0")
-    p.add_argument("--eps2", default="0")
-    p.add_argument("--delta", action="append", default=[], metavar="NAME=P/Q",
-                   help="override a delta (bare value sets 'delta')")
-    p.add_argument("--verify", metavar="WITNESS",
-                   help="re-verify a previously emitted witness file")
-    common(p, profile_required=False)
-
-    p = sub.add_parser("verify", help="re-verify a witness or certificate file")
-    p.add_argument("witness", help="witness JSON file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--format", choices=("json", "text"), default="json")
-
     return parser
 
 
-def _deltas_from_flags(pairs: Sequence[str]) -> dict[str, str]:
-    out = {}
-    for item in pairs:
-        if "=" in item:
-            key, _, value = item.partition("=")
-        else:
-            key, value = "delta", item
-        out[key] = value
-    return out
+def _override(text: str) -> tuple[str, str]:
+    """One `--delta`: NAME=P/Q, or a bare value for 'delta'."""
+    name, sep, value = text.partition("=")
+    return (name, value) if sep else ("delta", text)
 
 
 def emit_report(report: dict, fmt: str = "json", elapsed_ms: float = 0.0) -> str:
@@ -420,40 +416,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(ns, "verify", None):  # chain --verify WITNESS is verify WITNESS
+        ns = argparse.Namespace(command="verify", witness=ns.verify, seed=ns.seed,
+                                format=ns.format)
     started = time.perf_counter()
     try:
         if ns.command == "run":
             report, code = run_scenario(ns.scenario)
-        elif ns.command == "verify" or (ns.command == "chain" and ns.verify):
-            witness = ns.witness if ns.command == "verify" else ns.verify
-            out, ok = do_verify(load_json(witness))
-            report, code = {"command": "verify", "inputs": {"witness": witness},
-                            "output": out, "exact": True}, (0 if ok else 1)
         else:
+            args = {}
+            for spec in ARGUMENTS[ns.command]:
+                value = getattr(ns, spec.name)
+                if value is not None:
+                    args[spec.name] = dict(value) if spec.kind is dict else value
             profile = load_profile(ns.profile) if getattr(ns, "profile", None) else None
-            args: dict[str, Any] = {}
-            if ns.command in ("allocate", "check", "gain"):
-                args["mechanism"] = ns.mechanism
-            if ns.command == "gain":
-                args.update(agent=ns.agent, engine=ns.engine, rounds=ns.rounds,
-                            mass_denominator=ns.mass_denominator,
-                            max_breakpoints=ns.max_breakpoints,
-                            max_candidates=ns.max_candidates)
-            if ns.command == "learn":
-                args.update(agent=ns.agent, k=ns.k, eps=ns.eps)
-            if ns.command == "chain":
-                if not ns.name:
-                    raise CliError("chain requires --name (or --verify)")
-                args.update(name=ns.name, mechanism=ns.mechanism, n=ns.n,
-                            eps1=ns.eps1, eps2=ns.eps2,
-                            deltas=_deltas_from_flags(ns.delta))
-            inputs = {k: v for k, v in args.items() if v is not None}
-            seed = getattr(ns, "seed", 0)
-            output, code = _execute(ns.command, inputs, profile, seed)
-            report = {"command": ns.command, "inputs": _normalize_json(inputs),
-                      "output": output, "exact": True}
-            if getattr(ns, "profile", None):
-                report["inputs"]["profile"] = ns.profile
+            output, code = _execute(ns.command, args, profile, ns.seed)
+            inputs = args if profile is None else dict(args, profile=ns.profile)
+            report = {"command": ns.command, "inputs": inputs, "output": output,
+                      "exact": True}
     except (CliError, FormatError) as exc:
         print(f"cakecut: error: {exc}", file=sys.stderr)
         return 1

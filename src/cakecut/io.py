@@ -60,6 +60,13 @@ def as_rational(value: Any, where: str) -> Fraction:
     raise FormatError(f"{where}: expected an exact rational, got {type(value).__name__}")
 
 
+def _field(obj: dict, key: str, kind: type, where: str) -> Any:
+    """obj[key], which must be a `kind`."""
+    if not isinstance(obj[key], kind):
+        raise FormatError(f"{where}.{key}: expected {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def require_keys(obj: Any, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object")
@@ -144,7 +151,7 @@ def report_from_json(obj: Any, where: str) -> PropertyReport:
         as_rational(obj["proportionality_deficit"], f"{where}.proportionality_deficit"),
         as_rational(obj["envy"], f"{where}.envy"),
         as_rational(obj["wasted_measure"], f"{where}.wasted_measure"),
-        bool(obj["contiguous"]),
+        _field(obj, "contiguous", bool, where),
     )
 
 
@@ -179,12 +186,15 @@ def certificate_from_json(obj: Any, where: str
 
         require_keys(obj, {"kind", "mechanism", "profile", "agent", "misreport",
                            "truthful_value", "deviated_value", "gain"}, set(), where)
-        if not isinstance(obj["agent"], int):
-            raise FormatError(f"{where}.agent: expected an integer")
+        profile = profile_from_json(obj["profile"], f"{where}.profile")
+        agent = obj["agent"]
+        if type(agent) is not int or not 0 <= agent < profile.n:
+            raise FormatError(f"{where}.agent: expected an agent index below {profile.n}, "
+                              f"got {agent!r}")
         return GainCertificate(
-            obj["mechanism"],
-            profile_from_json(obj["profile"], f"{where}.profile"),
-            obj["agent"],
+            _field(obj, "mechanism", str, where),
+            profile,
+            agent,
             valuation_from_json(obj["misreport"], f"{where}.misreport"),
             as_rational(obj["truthful_value"], f"{where}.truthful_value"),
             as_rational(obj["deviated_value"], f"{where}.deviated_value"),
@@ -195,7 +205,7 @@ def certificate_from_json(obj: Any, where: str
 
         require_keys(obj, {"kind", "mechanism", "profile", "report"}, set(), where)
         return PropertyCertificate(
-            obj["mechanism"],
+            _field(obj, "mechanism", str, where),
             profile_from_json(obj["profile"], f"{where}.profile"),
             report_from_json(obj["report"], f"{where}.report"),
         )
@@ -227,15 +237,15 @@ def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
                        "certificate", "profiles", "parameters"}, set(), where)
     parameters = tuple(sorted(
         (k, as_rational(v, f"{where}.parameters.{k}"))
-        for k, v in obj["parameters"].items()))
+        for k, v in _field(obj, "parameters", dict, where).items()))
     return ViolationWitness(
-        obj["chain"],
-        obj["mechanism"],
-        obj["violated"],
+        _field(obj, "chain", str, where),
+        _field(obj, "mechanism", str, where),
+        _field(obj, "violated", str, where),
         as_rational(obj["epsilon"], f"{where}.epsilon"),
         certificate_from_json(obj["certificate"], f"{where}.certificate"),
         tuple(profile_from_json(p, f"{where}.profiles[{i}]")
-              for i, p in enumerate(obj["profiles"])),
+              for i, p in enumerate(_field(obj, "profiles", list, where))),
         parameters,
     )
 

@@ -44,9 +44,6 @@ class Mechanism:
     name: str
     run: Callable[[Profile], Allocation]
 
-    def __call__(self, profile: Profile) -> Allocation:
-        return self.run(profile)
-
 
 def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
               k: int) -> Fraction:

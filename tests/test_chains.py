@@ -55,6 +55,17 @@ class TestParameters:
         with pytest.raises(InfeasibleParameters):
             thm1_chain(EQUAL_SPLIT, ChainParameters.of(2, 0, 0, delta=1))
 
+    # RIGHT_DICTATOR: prop1 finds its violation before it reads any delta
+    @pytest.mark.parametrize("chain, n, mechanism, name", [
+        (thm1_chain, 2, EQUAL_SPLIT, "delta1"),
+        (thm2_chain, 3, EVEN_PAZ, "bogus"),
+        (prop1_chain, 2, EVEN_PAZ, "delta"),
+        (prop1_chain, 2, RIGHT_DICTATOR, "delta6"),
+    ], ids=["thm1", "thm2", "prop1", "prop1-early-violation"])
+    def test_unread_delta_rejected(self, chain, n, mechanism, name):
+        with pytest.raises(InfeasibleParameters, match=rf"got \['{name}'\]$"):
+            chain(mechanism, ChainParameters.of(n, **{name: "1/100"}))
+
     def test_prop1_default_deltas_match_hand_run(self):
         d = prop1_default_deltas(F(1, 2), F(2, 5), F(0))
         assert d["delta3"] == F(1, 40)

@@ -1,6 +1,8 @@
 import io as stdio
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -212,6 +214,69 @@ class TestReadmeRoundTrip:
         assert code == 0
         assert json.loads(out)["output"]["verified"] is True
 
+    def test_readme_command_line_block(self, tmp_path):
+        """Every line of the README's "Command line" sh block runs, on the
+        README's sample profile and scenario, with the documented exit code."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```(\w+)\n(.*?)```", section, re.S)
+        profile, scenario = (text for lang, text in blocks if lang == "json")
+        (commands,) = (text for lang, text in blocks if lang == "sh")
+        (tmp_path / "profile.json").write_text(profile)
+        (tmp_path / "scenario.json").write_text(scenario)
+        chain_scenario = json.loads(scenario)["command"] == "chain"
+        lines = commands.replace("\\\n", " ").splitlines()
+        assert len(lines) == 7
+        for line in lines:
+            command, _, redirect = line.partition(" > ")
+            argv = shlex.split(command)
+            assert argv[0] == "cakecut", line
+            with open(tmp_path / (redirect.strip() or ".stdout"), "wb") as out:
+                child = subprocess.run([sys.executable, "-m", "cakecut.cli", *argv[1:]],
+                                       stdout=out, stderr=subprocess.PIPE, cwd=tmp_path,
+                                       env=_child_env())
+            ends_in_chain = argv[1] == "chain" or (argv[1] == "run" and chain_scenario)
+            assert child.returncode == (2 if ends_in_chain else 0), (line, child.stderr)
+
+
+class TestFlagScenarioParity:
+    """A command given by flags and the same command in a scenario file print
+    the same output."""
+
+    @pytest.mark.parametrize("argv, arguments", [
+        (["allocate", "--mechanism", "even-paz"], {"mechanism": "even-paz"}),
+        (["check", "--mechanism", "modified-ep"], {"mechanism": "modified-ep"}),
+        (["gain", "--mechanism", "even-paz", "--agent", "1", "--rounds", "0",
+          "--max-candidates", "8"],
+         {"mechanism": "even-paz", "agent": 1, "rounds": 0, "max_candidates": 8}),
+        (["learn", "--agent", "1", "--k", "2", "--eps", "1/5"],
+         {"agent": 1, "k": 2, "eps": "1/5"}),
+        (["chain", "--name", "thm1", "--mechanism", "equal-split", "--n", "3",
+          "--delta", "1/8"],
+         {"name": "thm1", "mechanism": "equal-split", "n": 3, "deltas": {"delta": "1/8"}}),
+        (["verify", "{witness}"], {"witness": "{witness}"}),
+    ], ids=["allocate", "check", "gain", "learn", "chain-thm1", "verify"])
+    def test_same_output(self, capsys, tmp_path, exchange_profile, argv, arguments):
+        witness = tmp_path / "w.json"
+        witness.write_bytes(_discussion_witness())
+        command = argv[0]
+        argv = [a.format(witness=witness) for a in argv] + ["--seed", "7"]
+        scenario = {"version": 1, "command": command, "seed": 7, "arguments": {
+            k: v.format(witness=witness) if isinstance(v, str) else v
+            for k, v in arguments.items()}}
+        if command not in ("chain", "verify"):
+            argv += ["--profile", exchange_profile]
+            scenario["profile"] = {"file": exchange_profile}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, *argv)
+        assert err == ""
+        scenario_code, scenario_out, _ = run_cli(capsys, "run", str(path))
+        assert scenario_code == code
+        assert (canonical_dumps(json.loads(scenario_out)["output"])
+                == canonical_dumps(json.loads(out)["output"]))
+
 
 class TestChainErrors:
     def test_infeasible_flags_one_line(self, capsys):
@@ -241,6 +306,26 @@ class TestChainErrors:
         assert (code, out) == (1, "")
         assert err == ("cakecut: error: chain found no violation (unexpected): "
                        "thm1 chain exhausted without a violation\n")
+
+    @pytest.mark.parametrize("name, mechanism, n, deltas, reads", [
+        ("thm1", "equal-split", 2, {"bogus": "1/2"}, ["delta"]),
+        ("thm2", "even-paz", 3, {"delta1": "1/9"}, ["delta"]),
+        ("prop1", "even-paz", 2, {"delta": "1/5"},
+         ["delta1", "delta2", "delta3", "delta4", "delta5"]),
+    ], ids=["thm1", "thm2", "prop1"])
+    def test_delta_the_chain_does_not_read(self, capsys, tmp_path, name, mechanism, n,
+                                           deltas, reads):
+        argv = ["chain", "--name", name, "--mechanism", mechanism, "--n", str(n)]
+        for key, value in deltas.items():
+            argv += ["--delta", f"{key}={value}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"cakecut: error: {name} reads only the deltas {reads}; "
+                       f"got {sorted(deltas)}\n")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": "chain", "arguments": {
+            "name": name, "mechanism": mechanism, "n": n, "deltas": deltas}}))
+        assert run_cli(capsys, "run", str(path)) == (code, out, err)
 
     def test_unknown_chain_name(self, capsys):
         code, out, err = run_cli(capsys, "chain", "--name", "bogus")
@@ -279,9 +364,16 @@ class TestImportSets:
         (["learn", "--agent", "1", "--k", "2", "--eps", "1/5", "--profile", "{profile}"],
          0, ["cakecut.queries"]),
         (["chain", "--name", "discussion"], 2, ["cakecut.chains", "cakecut.properties"]),
-    ], ids=["allocate", "check", "gain", "learn", "chain"])
+        (["verify", "{witness}"], 0, ["cakecut.chains", "cakecut.properties"]),
+        (["run", "{scenario}"], 0, ["cakecut.properties"]),
+    ], ids=["allocate", "check", "gain", "learn", "chain", "verify", "run"])
     def test_modules_loaded(self, tmp_path, exchange_profile, argv, code, extra):
-        argv = [a.format(profile=exchange_profile) for a in argv]
+        witness, scenario = tmp_path / "w.json", tmp_path / "s.json"
+        witness.write_bytes(_discussion_witness())
+        scenario.write_text(json.dumps({"version": 1, "command": "check", "arguments": {
+            "mechanism": "modified-ep"}, "profile": {"file": exchange_profile}}))
+        argv = [a.format(profile=exchange_profile, witness=witness, scenario=scenario)
+                for a in argv]
         child = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
                                capture_output=True, text=True, cwd=tmp_path,
                                env=_child_env())
@@ -307,6 +399,10 @@ class TestScenarioArgumentTypes:
         ("gain", {"mechanism": "even-paz", "agent": 0, "max_breakpoints": -1},
          "max_breakpoints"),
         ("gain", {"mechanism": "even-paz", "agent": 0, "rounds": -1}, "rounds"),
+        ("gain", {"mechanism": "even-paz", "agent": 1, "engin": "ep-exact",
+                  "max_candidate": 7}, "max_candidate"),
+        ("chain", {"name": "thm1", "mechanism": "equal-split", "verify": "w.json"},
+         "verify"),
     ])
     def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
                                             arguments, field):
@@ -340,15 +436,40 @@ class TestScenarioArgumentTypes:
         assert child.stderr.startswith("cakecut: error: ") and child.stderr.count("\n") == 1
 
 
+def _discussion_witness(edit=lambda witness: None) -> bytes:
+    """The `chain --name discussion` witness as JSON, after `edit(witness)`."""
+    from cakecut.chains import discussion_example
+
+    witness = io.witness_to_json(discussion_example()[1])
+    edit(witness)
+    return json.dumps(witness).encode()
+
+
 class TestUnreadableInput:
-    @pytest.mark.parametrize("content, argv", [
-        (b"{", ("check", "--mechanism", "even-paz", "--profile", "{path}")),
-        (None, ("check", "--mechanism", "even-paz", "--profile", "{dir}")),
-        (b"{", ("verify", "{path}")),
-        (b"\xff\xfe{}", ("allocate", "--mechanism", "even-paz", "--profile", "{path}")),
-        (b"[" * 100_000, ("run", "{path}")),
-    ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep"])
-    def test_one_line_error(self, capsys, tmp_path, content, argv):
+    @pytest.mark.parametrize("content, argv, names", [
+        (b"{", ("check", "--mechanism", "even-paz", "--profile", "{path}"), "not valid JSON"),
+        (None, ("check", "--mechanism", "even-paz", "--profile", "{dir}"), "cannot read"),
+        (b"{", ("verify", "{path}"), "not valid JSON"),
+        (b"\xff\xfe{}", ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         "not valid JSON"),
+        (b"[" * 100_000, ("run", "{path}"), "not valid JSON"),
+        (_discussion_witness(lambda w: w.update(parameters=[])),
+         ("verify", "{path}"), "witness.parameters"),
+        (_discussion_witness(lambda w: w.update(mechanism=["x"])),
+         ("verify", "{path}"), "witness.mechanism"),
+        (_discussion_witness(lambda w: w["certificate"].update(agent=9)),
+         ("verify", "{path}"), "witness.certificate.agent"),
+        (_discussion_witness(lambda w: w["certificate"].update(agent=True)),
+         ("verify", "{path}"), "witness.certificate.agent"),
+        (json.dumps({"kind": "report", "mechanism": "even-paz", "profile": UNIFORM_PAIR,
+                     "report": {"proportionality_deficit": "0", "envy": "0",
+                                "wasted_measure": "0", "contiguous": "no"}}).encode(),
+         ("verify", "{path}"), "certificate.report.contiguous"),
+    ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
+            "witness-parameters-array", "witness-mechanism-array",
+            "certificate-agent-out-of-range", "certificate-agent-bool",
+            "report-contiguous-string"])
+    def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
             path.write_bytes(content)
@@ -357,6 +478,7 @@ class TestUnreadableInput:
         assert code == 1
         assert out == ""
         assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+        assert names in err
 
 
 class _RefuseHugePowers(Fraction):
@@ -445,6 +567,13 @@ class TestScenarios:
         code, _, err = run_cli(capsys, "run", str(path))
         assert code == 1
         assert "bogus" in err
+
+    def test_bool_seed_rejected(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": "chain",
+                                    "arguments": {"name": "discussion"}, "seed": True}))
+        assert run_cli(capsys, "run", str(path)) == (
+            1, "", "cakecut: error: scenario.seed: expected an integer\n")
 
     def test_roundtrip_identity(self, tmp_path):
         obj = {"version": 1, "command": "learn",
