@@ -10,6 +10,11 @@ indexes and measures cells with plain ints and still decides exactly.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
+Pieces are built in two ways: :meth:`Piece.of` sorts intervals given in any
+order, and :meth:`Piece.ordered` takes ``(lo, hi)`` spans already in
+increasing order (as the mechanisms and the cell sweep produce them), merges
+touching neighbours without sorting, and refuses input that is not.
+
 Values are immutable after construction and all operations are pure.  A
 valuation's memo of halving cuts (``node_cuts``) caches only pure results of
 its own fields and stays out of equality, hashing, ``repr`` and JSON, so
@@ -109,6 +114,27 @@ class Piece:
         return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
 
     @staticmethod
+    def ordered(spans: Iterable[tuple[Fraction, Fraction]]) -> "Piece":
+        """Build from exact ``(lo, hi)`` spans already in increasing order.
+
+        Only touching neighbours are merged and nothing is sorted, so this is
+        linear in the spans.  Raises ValueError on an empty span or on one
+        that starts before the previous one ends: the result is always
+        canonical.
+        """
+        merged: list[list[Fraction]] = []
+        for lo, hi in spans:
+            if not lo < hi:
+                raise ValueError(f"empty span [{lo}, {hi}]")
+            if merged and lo == merged[-1][1]:
+                merged[-1][1] = hi
+            elif merged and lo < merged[-1][1]:
+                raise ValueError(f"span [{lo}, {hi}] starts before {merged[-1][1]}")
+            else:
+                merged.append([lo, hi])
+        return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
+
+    @staticmethod
     def interval(lo: RationalLike, hi: RationalLike) -> "Piece":
         return Piece.of([ival(lo, hi)])
 
@@ -156,7 +182,8 @@ class Piece:
         return self.intersect(other.complement())
 
     def complement(self) -> "Piece":
-        """The closure of [0,1] minus this piece."""
+        """The closure of [0,1] minus this piece.  The gaps of a canonical
+        piece are canonical already, so they are not merged again."""
         out = []
         cursor = ZERO
         for iv in self.intervals:
@@ -165,7 +192,7 @@ class Piece:
             cursor = max(cursor, iv.hi)
         if cursor < ONE:
             out.append(Interval(cursor, ONE))
-        return Piece.of(out)
+        return Piece(tuple(out))
 
     def __repr__(self) -> str:
         if not self.intervals:
@@ -213,6 +240,10 @@ class PiecewiseConstantValuation:
         dens = [frac(d) for d in densities]
         if len(dens) != len(bounds) - 1:
             raise ValueError("need one density per segment")
+        # checked before merging, which would hide a repeated or
+        # out-of-order breakpoint between equal densities
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("bounds must be strictly increasing")
         merged_b = [bounds[0]]
         merged_d: list[Fraction] = []
         for b, d in zip(bounds[1:], dens):
@@ -485,22 +516,24 @@ def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     """
     if allocation.n != profile.n:
         raise ValueError(f"allocation has {allocation.n} pieces for {profile.n} agents")
-    overlaps: dict[tuple[int, int], list[Interval]] = {}
-    missing: list[Interval] = []
-    wanted: list[list[Interval]] = [[] for _ in range(profile.n)]
+    # cells arrive in order, so each reported set of cells is already a
+    # sorted span list; only the cells reported become intervals
+    overlaps: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
+    missing: list[tuple[Fraction, Fraction]] = []
+    wanted: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
     for lo, hi, holders, discarded, densities in cells(profile, allocation):
-        cell = Interval(lo, hi)
         for pair in combinations(holders, 2):
-            overlaps.setdefault(pair, []).append(cell)
-        if not holders and not discarded:
-            missing.append(cell)
-        for i, d in enumerate(densities):
-            if discarded and d > 0:
-                wanted[i].append(cell)
-    problems = [f"overlap between agents {i} and {j} on {Piece.of(overlaps[i, j])}"
+            overlaps.setdefault(pair, []).append((lo, hi))
+        if discarded:
+            for i, d in enumerate(densities):
+                if d > 0:
+                    wanted[i].append((lo, hi))
+        elif not holders:
+            missing.append((lo, hi))
+    problems = [f"overlap between agents {i} and {j} on {Piece.ordered(overlaps[i, j])}"
                 for i, j in sorted(overlaps)]
     if missing:
-        problems.append(f"uncovered cake {Piece.of(missing)}")
-    problems.extend(f"free-disposal violation: agent {i} values discarded {Piece.of(w)}"
+        problems.append(f"uncovered cake {Piece.ordered(missing)}")
+    problems.extend(f"free-disposal violation: agent {i} values discarded {Piece.ordered(w)}"
                     for i, w in enumerate(wanted) if w)
     return problems

@@ -12,6 +12,12 @@ node's agents.  The gain engines and the CLI read the table.  With
 Even-Paz, also the middles on it) and fills only i's intervals, which is all
 a gain search needs to score a misreport of agent i.
 
+Every mechanism builds its allocation from spans it already produces in
+increasing order (the recursion's left-middle-right leaves, the cell sweep
+of :func:`cakecut.cake.cells`), through :meth:`cakecut.cake.Piece.ordered`,
+which merges touching neighbours and never sorts; the discarded piece is
+collected the same way instead of being inferred by a complement.
+
 Tie handling in the halving recursion: cut points are ordered with the agent
 index as a secondary key, and exactly the first floor(k/2) agents of that
 total order recurse left.  This keeps the left/right group sizes correct
@@ -71,6 +77,10 @@ def _halving(profile: Profile, share_middle: bool,
     middle [d_lo, d_hi] is halved among all k agents without sharing.  With
     `follow` only the children holding that agent are descended (a middle
     holds them all), so only its list is filled.
+
+    Children are visited left, middle, right and a leaf appends only a
+    positive-length interval, so every list is strictly increasing and
+    feeds :meth:`Piece.ordered` directly.  The leaves partition the cake.
     """
     pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
 
@@ -79,22 +89,30 @@ def _halving(profile: Profile, share_middle: bool,
             raise AssertionError("recursed on an empty agent set")
         k = len(agents)
         if k == 1:
-            pieces[agents[0]].append(Interval(a, b))
+            if a < b:
+                pieces[agents[0]].append(Interval(a, b))
             return
         half = k // 2
         cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
         d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
         left = [i for _, i in cuts[:half]]
-        if share_middle and d_lo < d_hi:
-            solve(d_lo, d_hi, agents, False)
         if follow is None or follow in left:
             solve(a, d_lo, left, share_middle)
+        if share_middle and d_lo < d_hi:
+            solve(d_lo, d_hi, agents, False)
         if follow is None or follow not in left:
             solve(d_hi if share_middle else d_lo, b, [i for _, i in cuts[half:]],
                   share_middle)
 
     solve(ZERO, ONE, list(range(profile.n)), share_middle)
     return pieces
+
+
+def _halving_allocation(profile: Profile, share_middle: bool) -> Allocation:
+    """The full run's allocation: the leaves cover the cake, so nothing is
+    discarded."""
+    return Allocation(tuple(Piece.ordered((iv.lo, iv.hi) for iv in p)
+                            for p in _halving(profile, share_middle)), Piece.empty())
 
 
 def even_paz(profile: Profile) -> Allocation:
@@ -105,7 +123,7 @@ def even_paz(profile: Profile) -> Allocation:
     agents recurses on the cake left of the floor(k/2)-th cut, the upper
     half on the cake right of it.
     """
-    return Allocation.of([Piece.of(p) for p in _halving(profile, share_middle=False)])
+    return _halving_allocation(profile, share_middle=False)
 
 
 def modified_even_paz(profile: Profile) -> Allocation:
@@ -116,7 +134,7 @@ def modified_even_paz(profile: Profile) -> Allocation:
     plain Even-Paz restricted to that piece) instead of going to the right
     group.  Exactly proportional; allocations need not be contiguous.
     """
-    return Allocation.of([Piece.of(p) for p in _halving(profile, share_middle=True)])
+    return _halving_allocation(profile, share_middle=True)
 
 
 EVEN_PAZ = Mechanism("even-paz", even_paz)
@@ -136,15 +154,19 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
     """
 
     def run(profile: Profile) -> Allocation:
-        held: list[list[Interval]] = [[] for _ in range(profile.n)]
+        held: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
+        free: list[tuple[Fraction, Fraction]] = []
         for lo, hi, holders, _, densities in cells(profile, mechanism.run(profile)):
-            if holders and densities[holders[0]] == 0:
+            if not holders:
+                free.append((lo, hi))
+                continue
+            if densities[holders[0]] == 0:
                 taker = next((j for j, d in enumerate(densities) if d > 0), None)
                 if taker is not None:
                     holders = (taker, *holders[1:])
             for i in holders:
-                held[i].append(Interval(lo, hi))
-        return Allocation.of([Piece.of(p) for p in held])
+                held[i].append((lo, hi))
+        return Allocation(tuple(Piece.ordered(p) for p in held), Piece.ordered(free))
 
     return Mechanism(f"{mechanism.name}-exchange", run)
 
@@ -155,15 +177,21 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
     agent-index order).  Cells desired by nobody are discarded, so the
     output is non-wasteful by construction.
     """
-    pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
+    held: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
+    free: list[tuple[Fraction, Fraction]] = []
     for lo, hi, _, _, densities in cells(profile):
         desirers = [i for i, d in enumerate(densities) if d > 0]
         if not desirers:
+            free.append((lo, hi))
             continue
         width = (hi - lo) / len(desirers)
-        for slot, i in enumerate(desirers):
-            pieces[i].append(Interval(lo + slot * width, lo + (slot + 1) * width))
-    return Allocation.of([Piece.of(p) for p in pieces])
+        start = lo
+        for i in desirers[:-1]:
+            end = start + width
+            held[i].append((start, end))
+            start = end
+        held[desirers[-1]].append((start, hi))
+    return Allocation(tuple(Piece.ordered(p) for p in held), Piece.ordered(free))
 
 
 EQUAL_SPLIT = Mechanism("equal-split", equal_split_nonwasteful)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cakecut import cake
 from cakecut.cake import (
@@ -97,6 +98,49 @@ class TestPieceAlgebra:
     def test_zero_length_intervals_dropped(self):
         assert Piece.of([ival("1/3", "1/3")]).is_empty
 
+    def test_complement_of_canonical_piece(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            p = rand_piece(rng)
+            gaps = p.complement()
+            assert Piece.of(gaps.intervals) == gaps
+            assert gaps.union(p) == Piece.whole()
+            assert gaps.intersect(p).is_empty
+
+
+class TestPieceOrdered:
+    def test_merges_touching_spans(self):
+        p = Piece.ordered([(F(0), F(1, 4)), (F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)),
+                           (F(7, 8), F(1))])
+        assert p.intervals == (ival(0, "1/2"), ival("3/4", 1))
+
+    def test_no_spans_is_empty(self):
+        assert Piece.ordered([]) == Piece.empty()
+
+    @pytest.mark.parametrize("spans, message", [
+        ([(F(1, 3), F(1, 3))], "empty span"),
+        ([(F(1, 2), F(1, 3))], "empty span"),
+        ([(F(0), F(1, 2)), (F(1, 4), F(3, 4))], "starts before 1/2"),
+        ([(F(1, 2), F(1)), (F(0), F(1, 4))], "starts before 1"),
+    ], ids=["zero-length", "reversed", "overlapping", "out-of-order"])
+    def test_rejects_non_canonical_input(self, spans, message):
+        with pytest.raises(ValueError, match=message):
+            Piece.ordered(spans)
+
+    def test_rejects_span_outside_the_cake(self):
+        with pytest.raises(ValueError, match="not within"):
+            Piece.ordered([(F(1, 2), F(3, 2))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ends=st.lists(st.integers(0, 24), unique=True, max_size=12),
+           keep=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_matches_sorting_constructor(self, ends, keep):
+        # consecutive grid points; dropping some spans leaves gaps, keeping
+        # neighbours leaves touching spans to merge
+        points = sorted(F(e, 24) for e in ends)
+        spans = [(lo, hi) for (lo, hi), k in zip(zip(points, points[1:]), keep) if k]
+        assert Piece.ordered(spans) == Piece.of(Interval(lo, hi) for lo, hi in spans)
+
 
 class TestValuationConstruction:
     def test_rejects_non_normalized(self):
@@ -110,6 +154,19 @@ class TestValuationConstruction:
     def test_equal_densities_merge(self):
         v = PCV.of(["1/4", "1/2"], [2, 2, 0])
         assert v.breakpoints == (F(1, 2),)
+
+    @pytest.mark.parametrize("breakpoints, densities", [
+        (["3/2"], [1, 1]),
+        (["-1/2"], [1, 1]),
+        (["1/2", "1/4"], [1, 1, 1]),
+        (["1/2", "1/2"], [1, 1, 1]),
+        (["0"], [1, 1]),
+    ], ids=["beyond-one", "below-zero", "decreasing", "repeated", "at-zero"])
+    def test_rejects_unordered_breakpoints_between_equal_densities(
+            self, breakpoints, densities):
+        # merging the equal densities would hide these breakpoints
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PCV.of(breakpoints, densities)
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError, match="non-negative"):

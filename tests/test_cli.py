@@ -1,6 +1,7 @@
 import io as stdio
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -8,8 +9,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cakecut
+from cakecut.chains import (
+    ChainParameters, discussion_example, prop1_chain, thm1_chain, thm2_chain)
+from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE
+from cakecut.properties import SearchConfig, best_response_gain, ep_cutpoint_best_response
+from cakecut.sampling import random_profile
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
 from cakecut import io
 from cakecut.io import FormatError, as_rational, canonical_dumps, load_json
@@ -465,10 +472,14 @@ class TestUnreadableInput:
                      "report": {"proportionality_deficit": "0", "envy": "0",
                                 "wasted_measure": "0", "contiguous": "no"}}).encode(),
          ("verify", "{path}"), "certificate.report.contiguous"),
+        (json.dumps({"agents": [{"breakpoints": ["3/2"], "densities": ["1", "1"]},
+                                {"breakpoints": [], "densities": ["1"]}]}).encode(),
+         ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         "profile.agents[0]: bounds must be strictly increasing"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
-            "report-contiguous-string"])
+            "report-contiguous-string", "breakpoint-beyond-cake"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -479,6 +490,47 @@ class TestUnreadableInput:
         assert out == ""
         assert err.startswith("cakecut: error: ") and err.count("\n") == 1
         assert names in err
+
+
+class TestJsonRoundTrip:
+    """Writing, reading and writing again gives the first bytes exactly."""
+
+    CFG = SearchConfig(mass_denominator=2, max_breakpoints=1, offset_rounds=0,
+                       max_candidates=8)
+    CHAINS = {"thm1": (thm1_chain, range(2, 6)), "prop1": (prop1_chain, range(2, 3)),
+              "thm2": (thm2_chain, range(3, 6))}
+
+    @staticmethod
+    def assert_round_trip(obj, to_json, from_json):
+        first = canonical_dumps(to_json(obj))
+        again = from_json(load_json(stdio.StringIO(first)))
+        assert canonical_dumps(to_json(again)) == first
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           denom=st.sampled_from([3, 4, 12, 96]), data=st.data())
+    def test_profiles_and_gain_certificates(self, seed, n, denom, data):
+        profile = random_profile(random.Random(seed), n, max_breakpoints=4, denom=denom)
+        self.assert_round_trip(profile, io.profile_to_json, io.profile_from_json)
+        agent = data.draw(st.integers(0, n - 1))
+        name = data.draw(st.sampled_from(sorted(SHARES_MIDDLE)))
+        for cert in (best_response_gain(MECHANISMS[name], profile, agent, self.CFG),
+                     ep_cutpoint_best_response(MECHANISMS[name], profile, agent, self.CFG)):
+            self.assert_round_trip(cert, io.gain_certificate_to_json,
+                                   lambda obj: io.certificate_from_json(obj, "certificate"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain=st.sampled_from(sorted(CHAINS)),
+           mechanism=st.sampled_from(sorted(MECHANISMS)), data=st.data())
+    def test_chain_witnesses(self, chain, mechanism, data):
+        run, sizes = self.CHAINS[chain]
+        n = data.draw(st.sampled_from(sizes))
+        witness = run(MECHANISMS[mechanism], ChainParameters.of(n))
+        self.assert_round_trip(witness, io.witness_to_json, io.witness_from_json)
+
+    def test_discussion_witness(self):
+        _, witness = discussion_example()
+        self.assert_round_trip(witness, io.witness_to_json, io.witness_from_json)
 
 
 class _RefuseHugePowers(Fraction):

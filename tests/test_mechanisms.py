@@ -153,16 +153,19 @@ class TestZeroPieceExchange:
             profile = random_profile(rng, 3, hungry=True)
             assert wrapped.run(profile) == EVEN_PAZ.run(profile)
 
-    def test_weakly_improves_reported_values(self):
-        rng = random.Random(46)
-        wrapped = MODIFIED_EP_EXCHANGE
-        for _ in range(120):
-            profile = random_profile(rng, rng.randrange(2, 5))
-            base = MODIFIED_EVEN_PAZ.run(profile)
-            after = wrapped.run(profile)
-            assert validate_allocation(after, profile) == []
-            for i, v in enumerate(profile):
-                assert v.value(after.pieces[i]) >= v.value(base.pieces[i])
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.sampled_from([(EVEN_PAZ, EVEN_PAZ_EXCHANGE),
+                                 (MODIFIED_EVEN_PAZ, MODIFIED_EP_EXCHANGE)]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           denom=st.sampled_from([2, 3, 4, 12]))
+    def test_weakly_improves_reported_values(self, pair, seed, n, denom):
+        base_mechanism, wrapped = pair
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
+        base = base_mechanism.run(profile)
+        after = wrapped.run(profile)
+        assert validate_allocation(after, profile) == []
+        for i, v in enumerate(profile):
+            assert v.value(after.pieces[i]) >= v.value(base.pieces[i])
 
 
 class TestEqualSplit:
@@ -229,6 +232,18 @@ class TestPathWalk:
             walk = _halving(profile, SHARES_MIDDLE[name], follow=i)
             assert Piece.of(walk[i]) == full.pieces[i]
             assert not any(walk[j] for j in range(n) if j != i)
+
+
+class TestHalvingOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(SHARES_MIDDLE)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 8), denom=st.sampled_from([2, 3, 4, 12]))
+    def test_every_list_strictly_increasing(self, name, seed, n, denom):
+        # ties and zero densities give zero-length leaves, which are skipped
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
+        for intervals in _halving(profile, SHARES_MIDDLE[name]):
+            assert all(iv.lo < iv.hi for iv in intervals)
+            assert all(a.hi <= b.lo for a, b in zip(intervals, intervals[1:]))
 
 
 class TestNodeCutMemo:
