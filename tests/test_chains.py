@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -23,7 +26,8 @@ from cakecut.chains import (
     thm2_b_point,
     thm2_chain,
 )
-from cakecut.mechanisms import EQUAL_SPLIT, EVEN_PAZ, Mechanism
+from cakecut.io import canonical_dumps, witness_to_json
+from cakecut.mechanisms import EQUAL_SPLIT, EVEN_PAZ, MECHANISMS, Mechanism
 from cakecut.properties import evaluate_misreport
 
 F = Fraction
@@ -38,6 +42,38 @@ WASTEFUL = Mechanism(
 RIGHT_DICTATOR = Mechanism(
     "right-dictator",
     lambda p: Allocation.of([Piece.interval("1/3", 1), Piece.interval(0, "1/3")]))
+
+# two agents, each holding two separated quarters
+SCATTER = Mechanism(
+    "scatter",
+    lambda p: Allocation.of([
+        Piece.of([*Piece.interval(0, "1/4").intervals,
+                  *Piece.interval("1/2", "3/4").intervals]),
+        Piece.of([*Piece.interval("1/4", "1/2").intervals,
+                  *Piece.interval("3/4", 1).intervals])]))
+
+
+def relabelled(base: Mechanism) -> Mechanism:
+    """`base` with agents 0 and 1 trading places: agent 1 wins its ties."""
+    def run(p):
+        swapped = list(p)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        pieces = list(base.run(Profile.of(swapped)).pieces)
+        pieces[0], pieces[1] = pieces[1], pieces[0]
+        return Allocation.of(pieces)
+    return Mechanism(f"relabelled-{base.name}", run)
+
+
+def lean_left(tie_to: int) -> Mechanism:
+    """Two agents; the lower of their 2/5-cuts takes [0, cut], agent `tie_to`
+    on a tie, so the uniform profile is cut left of 1/2."""
+    def run(p):
+        cuts = [v.cut_point(0, F(2, 5)) for v in p]
+        left = tie_to if cuts[tie_to] <= cuts[1 - tie_to] else 1 - tie_to
+        pieces = [Piece.interval(cuts[left], 1)] * 2
+        pieces[left] = Piece.interval(0, cuts[left])
+        return Allocation.of(pieces)
+    return Mechanism(f"lean-left-ties-to-{tie_to}", run)
 
 
 class TestParameters:
@@ -133,16 +169,9 @@ class TestProp1Chain:
             prop1_chain(EVEN_PAZ, ChainParameters.of(3))
 
     def test_noncontiguous_mechanism_reported(self):
-        scatter = Mechanism(
-            "scatter",
-            lambda p: Allocation.of([
-                Piece.of([*Piece.interval(0, "1/4").intervals,
-                          *Piece.interval("1/2", "3/4").intervals]),
-                Piece.of([*Piece.interval("1/4", "1/2").intervals,
-                          *Piece.interval("3/4", 1).intervals])]))
-        witness = prop1_chain(scatter, ChainParameters.of(2))
+        witness = prop1_chain(SCATTER, ChainParameters.of(2))
         assert witness.violated == "contiguity"
-        assert witness.verify(scatter)
+        assert witness.verify(SCATTER)
 
 
 class TestThm2Chain:
@@ -211,3 +240,43 @@ class TestMirrorHelpers:
     def test_mirror_preserves_values(self):
         v = PCV.of(["1/4"], [2, F(2, 3)])
         assert mirror_valuation(v).value_between("3/4", 1) == v.value_between(0, "1/4")
+
+
+# every chain x mechanism x n = 2..5 x two (eps1, eps2) pairs per chain: the
+# sha256 of the canonical witness JSON (which must verify), or the name of
+# the exception raised.
+# The relabelled and lean-left mechanisms drive prop1 and thm2 through the
+# agent swap and the cake mirror.
+DIGEST_CHAINS = {
+    "thm1": (thm1_chain, ((0, 0), ("1/50", "1/50"))),
+    "prop1": (prop1_chain, ((0, 0), ("1/5", "1/10"))),
+    "thm2": (thm2_chain, ((0, 0), (0, "1/20"))),
+}
+DIGEST_CASES = [
+    (f"{name}-{mechanism.name}-n{n}-{eps1}-{eps2}", chain, mechanism,
+     ChainParameters.of(n, eps1, eps2))
+    for name, (chain, pairs) in DIGEST_CHAINS.items()
+    for mechanism in (*MECHANISMS.values(), WASTEFUL, RIGHT_DICTATOR, SCATTER,
+                      relabelled(EVEN_PAZ), lean_left(0), lean_left(1))
+    for n in range(2, 6)
+    for eps1, eps2 in pairs]
+WITNESS_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "witness_digests.json").read_text())
+
+
+def witness_digest(chain, mechanism, params) -> str:
+    try:
+        witness = chain(mechanism, params)
+    except Exception as exc:
+        return type(exc).__name__
+    assert witness.verify(mechanism)
+    return hashlib.sha256(canonical_dumps(witness_to_json(witness)).encode()).hexdigest()
+
+
+class TestWitnessDigests:
+    """Witness bytes, including the relabel/mirror and early-stage paths."""
+
+    @pytest.mark.parametrize("key, chain, mechanism, params", DIGEST_CASES,
+                             ids=[case[0] for case in DIGEST_CASES])
+    def test_witness_bytes_unchanged(self, key, chain, mechanism, params):
+        assert witness_digest(chain, mechanism, params) == WITNESS_DIGESTS[key]
