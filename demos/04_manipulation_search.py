@@ -32,7 +32,10 @@ print(f"grid engine:      gain {grid.gain} via misreport "
 exact = ep_cutpoint_best_response(EVEN_PAZ, profile, 0)
 print(f"cut-point engine: gain {exact.gain} via misreport "
       f"{list(exact.misreport.segments())}")
-print(f"certificate re-verifies: {exact.verify()}\n")
+verified = exact.verify()
+print(f"certificate re-verifies: {verified}\n")
+if not verified:
+    raise SystemExit("the cut-point certificate does not re-verify")
 
 # the reallocation wrapper is manipulable to exactly 1/2
 bottom_blind = PiecewiseConstantValuation.of(["1/2"], ["0", "2"])

@@ -24,7 +24,10 @@ def show(witness):
     if witness.violated == "strategyproofness":
         print(f"  agent {cert.agent} gains {cert.gain} "
               f"({cert.truthful_value} -> {cert.deviated_value})")
-    print(f"  witness re-verifies: {witness.verify()}\n")
+    verified = witness.verify()
+    print(f"  witness re-verifies: {verified}\n")
+    if not verified:
+        raise SystemExit(f"the {witness.chain} witness does not re-verify")
 
 
 print("chain vs the non-wasteful equal splitter (n=2, exact targets):")
@@ -44,4 +47,7 @@ print("near-worst-case manipulation of recursive halving (n=2, gap=1/50):")
 profile, agent, lie, bound = ep_worstcase_fixture(2, "1/50")
 cert = evaluate_misreport(EVEN_PAZ, profile, agent, lie)
 print(f"  guaranteed lower bound {bound}; realized gain {cert.gain}")
-print(f"  certificate re-verifies: {cert.verify(EVEN_PAZ)}")
+verified = cert.verify(EVEN_PAZ)
+print(f"  certificate re-verifies: {verified}")
+if not verified:
+    raise SystemExit("the near-worst-case certificate does not re-verify")

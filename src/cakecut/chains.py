@@ -1,15 +1,17 @@
 """Executable counterexample chains against concrete mechanisms.
 
 Each chain runs a mechanism through a short sequence of adversarial profiles
-and returns the first verified property violation it finds: wasted desired
-cake, a missing piece of hungry-agent cake, a non-contiguous allocation where
-contiguity was claimed, a proportionality deficit, or a profitable deviation
-between consecutive profiles.  The constructions make the usual
-"without loss of generality" steps concrete: when the observed run has the
-opposite labeling or orientation, the chain conjugates the mechanism by an
-agent swap and/or the cake mirror x -> 1-x, and translates the final witness
-back into the real mechanism's coordinates, so every emitted certificate
-re-verifies against the mechanism as-is.
+and returns the first verified property violation it finds: discarded cake
+that someone values, desired cake held by an agent who does not want it, a
+non-contiguous allocation where contiguity was claimed, a proportionality
+deficit, or a profitable deviation from one of its profiles to another, so
+the mechanism runs once per profile.  ``VIOLATIONS`` defines each violation
+for the chains' checks, ``ViolationWitness.verify`` and the witness reader.
+The "without loss of generality" steps are concrete: no agent swap or cake
+mirror x -> 1-x a chain may make changes its first profile, so after that
+run the chain picks the labeling and orientation it assumes and translates
+every later profile back into the real mechanism's coordinates; every
+emitted certificate re-verifies against the mechanism as-is.
 
 Chains are sequential state machines (each profile depends on the previous
 output); distinct chains can run concurrently.
@@ -17,9 +19,10 @@ output); distinct chains can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from cakecut.cake import (
     Allocation,
@@ -30,20 +33,10 @@ from cakecut.cake import (
     Profile,
     RationalLike,
     ZERO,
-    cells,
     frac,
 )
-from cakecut.mechanisms import (
-    MECHANISMS,
-    MODIFIED_EP_EXCHANGE,
-    Mechanism,
-)
-from cakecut.properties import (
-    GainCertificate,
-    PropertyReport,
-    evaluate_misreport,
-    report_for,
-)
+from cakecut.mechanisms import MECHANISMS, MODIFIED_EP_EXCHANGE, Mechanism
+from cakecut.properties import GainCertificate, PropertyReport, evaluate_misreport, report_for
 
 UNIFORM = PiecewiseConstantValuation.uniform()
 
@@ -102,10 +95,44 @@ class PropertyCertificate:
 
     def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
         mech = mechanism if mechanism is not None else MECHANISMS[self.mechanism]
-        return report_for(self.profile, mech.run(self.profile)) == self.report
+        return recompute(self, mech)[0] == self
 
 
 Certificate = Union[GainCertificate, PropertyCertificate]
+
+
+class Violation(NamedTuple):
+    """The certificate kind (as in JSON) a witness of one violation needs and
+    ``holds(certificate, allocation, epsilon)``, its predicate; `allocation`
+    is what a report certificate measures (None for a gain certificate)."""
+
+    kind: str
+    holds: Callable[[Any, Optional[Allocation], Fraction], bool]
+
+
+# every violation a witness can name, in the order a chain stage checks them
+VIOLATIONS: dict[str, Violation] = {
+    "free-disposal": Violation(     # discarded cake that some agent values
+        "report", lambda c, a, eps: any(v.value(a.discarded) > 0 for v in c.profile)),
+    "non-wastefulness": Violation("report", lambda c, a, eps: c.report.wasted_measure > 0),
+    "contiguity": Violation("report", lambda c, a, eps: not c.report.contiguous),
+    "proportionality": Violation(
+        "report", lambda c, a, eps: c.report.proportionality_deficit > eps),
+    "strategyproofness": Violation("gain", lambda c, a, eps: c.gain > eps),
+}
+
+
+def recompute(certificate: Certificate, mechanism: Mechanism
+              ) -> tuple[Certificate, Optional[Allocation]]:
+    """`certificate` with its values recomputed by running `mechanism` once
+    on each profile it names, and the allocation a report certificate
+    measures (None for a gain certificate)."""
+    if isinstance(certificate, GainCertificate):
+        fresh = evaluate_misreport(mechanism, certificate.profile, certificate.agent,
+                                   certificate.misreport)
+        return replace(fresh, mechanism=certificate.mechanism), None
+    allocation = mechanism.run(certificate.profile)
+    return replace(certificate, report=report_for(certificate.profile, allocation)), allocation
 
 
 @dataclass(frozen=True)
@@ -114,27 +141,24 @@ class ViolationWitness:
 
     chain: str
     mechanism: str
-    violated: str          # strategyproofness | proportionality |
-    #                        non-wastefulness | free-disposal | contiguity
+    violated: str          # a VIOLATIONS name
     epsilon: Fraction      # the threshold the certificate exceeds
     certificate: Certificate
     profiles: tuple[Profile, ...]
     parameters: tuple[tuple[str, Fraction], ...]
 
     def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
-        if not self.certificate.verify(mechanism):
-            return False
-        if self.violated == "strategyproofness":
-            return isinstance(self.certificate, GainCertificate) and \
-                self.certificate.gain > self.epsilon
-        report = self.certificate.report
-        if self.violated == "proportionality":
-            return report.proportionality_deficit > self.epsilon
-        if self.violated in ("non-wastefulness", "free-disposal"):
-            return report.wasted_measure > 0
-        if self.violated == "contiguity":
-            return not report.contiguous
-        return False
+        mech = mechanism if mechanism is not None else MECHANISMS[self.certificate.mechanism]
+        fresh, allocation = recompute(self.certificate, mech)
+        return fresh == self.certificate and self.holds(fresh, allocation)
+
+    def holds(self, certificate: Certificate, allocation: Optional[Allocation]) -> bool:
+        """Whether `certificate` (measuring `allocation`, if a report) shows
+        the violation this witness names."""
+        violation = VIOLATIONS.get(self.violated)
+        return (violation is not None
+                and isinstance(certificate, GainCertificate) == (violation.kind == "gain")
+                and violation.holds(certificate, allocation, self.epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -150,102 +174,79 @@ def mirror_piece(piece: Piece) -> Piece:
     return Piece.of(Interval(1 - iv.hi, 1 - iv.lo) for iv in piece.intervals)
 
 
-@dataclass(frozen=True)
-class _Conjugation:
-    """Conjugate a mechanism by an agent transposition and/or cake mirror."""
-
-    base: Mechanism
-    swap: tuple[int, ...]      # permutation applied to agent indices
-    mirror: bool
-
-    def profile_to_real(self, profile: Profile) -> Profile:
-        vals = [profile[self.swap.index(i)] for i in range(len(self.swap))]
-        if self.mirror:
-            vals = [mirror_valuation(v) for v in vals]
-        return Profile.of(vals)
-
-    def valuation_to_real(self, v: PiecewiseConstantValuation
-                          ) -> PiecewiseConstantValuation:
-        return mirror_valuation(v) if self.mirror else v
-
-    def agent_to_real(self, i: int) -> int:
-        return self.swap[i]
-
-    def mechanism(self) -> Mechanism:
-        def run(profile: Profile) -> Allocation:
-            alloc = self.base.run(self.profile_to_real(profile))
-            pieces = [alloc.pieces[self.swap[i]] for i in range(len(self.swap))]
-            if self.mirror:
-                pieces = [mirror_piece(p) for p in pieces]
-            return Allocation.of(pieces)
-
-        return Mechanism(f"~{self.base.name}", run)
-
-
-def _identity_conjugation(base: Mechanism, n: int, swap01: bool = False,
-                          mirror: bool = False) -> _Conjugation:
-    perm = list(range(n))
-    if swap01:
-        perm[0], perm[1] = perm[1], perm[0]
-    return _Conjugation(base, tuple(perm), mirror)
+class _Found(Exception):
+    """Carries the witness of the violation that ends a chain."""
 
 
 class _ChainRun:
-    """Collects profiles as a chain advances and builds real-coordinate
-    witnesses from findings made in canonical coordinates."""
+    """One chain's profiles, checks and frame, as ``with _ChainRun(...) as
+    run:``.  A violation leaves the block with ``run.witness`` set; a block
+    that ends without one raises ChainError.  The chain's frame swaps agents
+    0 and 1 (`swap01`) and/or mirrors the cake (`mirror`); both are set, if
+    at all, after the first stage.  Witnesses are in real coordinates.
+    """
 
-    def __init__(self, chain: str, mechanism: Mechanism, conj: _Conjugation,
+    def __init__(self, chain: str, mechanism: Mechanism, shape: str, eps2: Fraction,
                  parameters: Sequence[tuple[str, Fraction]]):
         self.chain = chain
-        self.real = mechanism
-        self.conj = conj
+        self.mechanism = Mechanism(mechanism.name, functools.cache(mechanism.run))
+        # each stage checks free disposal, `shape` (non-wastefulness or
+        # contiguity) and then proportionality
+        self.checks = {"free-disposal": ZERO, shape: ZERO, "proportionality": eps2}
         self.parameters = tuple(parameters)
+        self.swap01 = self.mirror = False
         self.profiles: list[Profile] = []
+        self.witness: Optional[ViolationWitness] = None
 
-    def push(self, profile_c: Profile) -> None:
-        self.profiles.append(self.conj.profile_to_real(profile_c))
+    def __enter__(self) -> "_ChainRun":
+        return self
 
-    def _witness(self, violated: str, epsilon: Fraction,
-                 certificate: Certificate) -> ViolationWitness:
-        return ViolationWitness(self.chain, self.real.name, violated, epsilon,
-                                certificate, tuple(self.profiles), self.parameters)
+    def __exit__(self, kind, error, traceback) -> bool:
+        if kind is None:
+            raise ChainError(f"{self.chain} chain exhausted without a violation")
+        if kind is not _Found:
+            return False
+        self.witness = error.args[0]
+        return True
 
-    def stage_violation(self, profile_c: Profile, eps2: Fraction,
-                        require_contiguous: bool,
-                        full_waste: bool = False) -> Optional[ViolationWitness]:
-        """Waste, contiguity, and proportionality checks on one profile.
+    def agent(self, i: int) -> int:
+        return 1 - i if self.swap01 and i < 2 else i
 
-        With full_waste the stronger non-wastefulness notion is enforced
-        (desired cake must go to someone desiring it); otherwise only the
-        standing rule that desired cake is never discarded.
-        """
-        real_profile = self.conj.profile_to_real(profile_c)
-        allocation = self.real.run(real_profile)
-        report = report_for(real_profile, allocation)
-        certificate = PropertyCertificate(self.real.name, real_profile, report)
-        if any(discarded and any(d > 0 for d in densities)
-               for _, _, _, discarded, densities in cells(real_profile, allocation)):
-            return self._witness("free-disposal", ZERO, certificate)
-        if full_waste and report.wasted_measure > 0:
-            return self._witness("non-wastefulness", ZERO, certificate)
-        if require_contiguous and not report.contiguous:
-            return self._witness("contiguity", ZERO, certificate)
-        if report.proportionality_deficit > eps2:
-            return self._witness("proportionality", eps2, certificate)
-        return None
+    def valuation(self, v: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
+        return mirror_valuation(v) if self.mirror else v
 
-    def gain_violation(self, profile_c: Profile, agent_c: int,
-                       misreport_c: PiecewiseConstantValuation,
-                       eps1: Fraction) -> Optional[ViolationWitness]:
-        """Check one deviation; a gain above eps1 yields a witness."""
-        cert = evaluate_misreport(
-            self.real,
-            self.conj.profile_to_real(profile_c),
-            self.conj.agent_to_real(agent_c),
-            self.conj.valuation_to_real(misreport_c))
-        if cert.gain > eps1:
-            return self._witness("strategyproofness", eps1, cert)
-        return None
+    def real(self, profile_c: Profile) -> Profile:
+        return Profile.of(self.valuation(profile_c[self.agent(i)])
+                          for i in range(profile_c.n))
+
+    def _check(self, violated: str, epsilon: Fraction, certificate: Certificate,
+               allocation: Optional[Allocation] = None) -> None:
+        if VIOLATIONS[violated].holds(certificate, allocation, epsilon):
+            raise _Found(ViolationWitness(
+                self.chain, self.mechanism.name, violated, epsilon, certificate,
+                tuple(self.profiles), self.parameters))
+
+    def stage(self, profile_c: Profile) -> tuple[Piece, ...]:
+        """Record and run the next profile and make the stage checks on it;
+        returns its pieces in the chain's frame."""
+        profile = self.real(profile_c)
+        self.profiles.append(profile)
+        allocation = self.mechanism.run(profile)
+        certificate = PropertyCertificate(
+            self.mechanism.name, profile, report_for(profile, allocation))
+        for violated, epsilon in self.checks.items():
+            self._check(violated, epsilon, certificate, allocation)
+        pieces = [allocation.pieces[self.agent(i)] for i in range(profile.n)]
+        return tuple(mirror_piece(p) if self.mirror else p for p in pieces)
+
+    def deviation(self, profile_c: Profile, agent_c: int,
+                  misreport_c: PiecewiseConstantValuation, eps1: Fraction) -> None:
+        """Check whether agent_c gains more than eps1 by reporting
+        misreport_c at profile_c.  Every deviation a chain checks leads from
+        one staged profile to another, so the cached runs answer it."""
+        certificate = evaluate_misreport(self.mechanism, self.real(profile_c),
+                                         self.agent(agent_c), self.valuation(misreport_c))
+        self._check("strategyproofness", eps1, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -291,46 +292,30 @@ def thm1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
         chain_profile = [u, u] + [y] * (n - 2)
     p1 = Profile.of(chain_profile)
 
-    run = _ChainRun("thm1", mechanism, _identity_conjugation(mechanism, n),
-                    [("delta", delta), ("eps1", eps1), ("eps2", eps2)])
-    run.push(p1)
-    hit = run.stage_violation(p1, eps2, require_contiguous=False, full_waste=True)
-    if hit:
-        return hit
+    with _ChainRun("thm1", mechanism, "non-wastefulness", eps2,
+                   [("delta", delta), ("eps1", eps1), ("eps2", eps2)]) as run:
+        pieces1 = run.stage(p1)
+        big, small = (0, 1) if pieces1[0].measure >= pieces1[1].measure else (1, 0)
+        piece_big, piece_small = pieces1[big], pieces1[small]
+        if piece_big.measure + piece_small.measure != Fraction(2, n):
+            raise ChainError(
+                "front cake not split between the two front agents despite passing "
+                "the waste check")
 
-    alloc1 = mechanism.run(p1)
-    big, small = (0, 1) if alloc1.pieces[0].measure >= alloc1.pieces[1].measure \
-        else (1, 0)
-    piece_big, piece_small = alloc1.pieces[big], alloc1.pieces[small]
-    if piece_big.measure + piece_small.measure != Fraction(2, n):
-        raise ChainError(
-            "front cake not split between the two front agents despite passing "
-            "the waste check")
+        v = PiecewiseConstantValuation.on_piece(piece_big)
+        p2 = p1.replace(big, v)
+        run.stage(p2)
+        run.deviation(p2, big, u, eps1)
 
-    v = PiecewiseConstantValuation.on_piece(piece_big)
-    p2 = p1.replace(big, v)
-    run.push(p2)
-    hit = run.stage_violation(p2, eps2, require_contiguous=False, full_waste=True)
-    if hit:
-        return hit
-    hit = run.gain_violation(p2, big, u, eps1)
-    if hit:
-        return hit
-
-    w = PiecewiseConstantValuation.from_chunks(
-        (iv.lo, iv.hi, density)
-        for piece, density in ((piece_big, (1 - delta) / piece_big.measure),
-                               (piece_small, delta / piece_small.measure))
-        for iv in piece.intervals)
-    p3 = p2.replace(small, w)
-    run.push(p3)
-    hit = run.stage_violation(p3, eps2, require_contiguous=False, full_waste=True)
-    if hit:
-        return hit
-    hit = run.gain_violation(p2, small, w, eps1)
-    if hit:
-        return hit
-    raise ChainError("thm1 chain exhausted without a violation")
+        w = PiecewiseConstantValuation.from_chunks(
+            (iv.lo, iv.hi, density)
+            for piece, density in ((piece_big, (1 - delta) / piece_big.measure),
+                                   (piece_small, delta / piece_small.measure))
+            for iv in piece.intervals)
+        p3 = p2.replace(small, w)
+        run.stage(p3)
+        run.deviation(p2, small, w, eps1)
+    return run.witness
 
 
 # ---------------------------------------------------------------------------
@@ -383,68 +368,47 @@ def prop1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitne
         raise InfeasibleParameters("need eps1 + eps2 < 1/2")
 
     p1 = Profile.of([UNIFORM, UNIFORM])
-    probe = _ChainRun("prop1", mechanism, _identity_conjugation(mechanism, 2),
-                      [("eps1", eps1), ("eps2", eps2)])
-    probe.push(p1)
-    hit = probe.stage_violation(p1, eps2, require_contiguous=True)
-    if hit:
-        return hit
+    with _ChainRun("prop1", mechanism, "contiguity", eps2,
+                   [("eps1", eps1), ("eps2", eps2)]) as run:
+        pieces1 = run.stage(p1)
+        left_getter = 0 if ZERO in [iv.lo for iv in pieces1[0].intervals] else 1
+        c1 = pieces1[left_getter].intervals[0].hi
+        # p1 is symmetric in both agents and under the mirror; mirroring
+        # alone also flips who holds the left piece, hence the xor
+        run.mirror = c1 < Fraction(1, 2)
+        run.swap01 = (left_getter == 1) != run.mirror
+        if run.mirror:
+            c1 = 1 - c1
 
-    alloc1 = mechanism.run(p1)
-    left_getter = 0 if ZERO in [iv.lo for iv in alloc1.pieces[0].intervals] else 1
-    c1 = alloc1.pieces[left_getter].intervals[0].hi
-    needs_mirror = c1 < Fraction(1, 2)
-    if needs_mirror:
-        c1 = 1 - c1
-    # mirroring alone also flips who holds the left piece, hence the xor
-    conj = _identity_conjugation(
-        mechanism, 2, swap01=(left_getter == 1) != needs_mirror, mirror=needs_mirror)
-    canon = conj.mechanism()
+        deltas = {**prop1_default_deltas(c1, eps1, eps2), **dict(params.overrides)}
+        _prop1_validate(c1, eps1, eps2, deltas)
+        d1, d2, d3, d4, d5 = (deltas[k] for k in PROP1_DELTAS)
+        run.parameters = (("c1", c1), ("eps1", eps1), ("eps2", eps2),
+                          *sorted(deltas.items()))
 
-    deltas = {**prop1_default_deltas(c1, eps1, eps2), **dict(params.overrides)}
-    _prop1_validate(c1, eps1, eps2, deltas)
-    d1, d2, d3, d4, d5 = (deltas[k] for k in PROP1_DELTAS)
+        v = PiecewiseConstantValuation.from_masses(
+            [d1, c1 - d3, c1],
+            [Fraction(1, 2) + eps2,
+             Fraction(1, 2) - eps1 - eps2 - d2,
+             eps1,
+             d2])
+        p2 = Profile.of([v, UNIFORM])
+        pieces2 = run.stage(p2)
+        run.deviation(p2, 0, UNIFORM, eps1)
+        if ZERO not in [iv.lo for iv in pieces2[0].intervals]:
+            raise ChainError("right-left allocation at profile 2 despite passing "
+                             "the deficit and deviation checks")
 
-    run = _ChainRun("prop1", mechanism, conj,
-                    [("c1", c1), ("eps1", eps1), ("eps2", eps2)]
-                    + sorted(deltas.items()))
-    run.push(p1)
-
-    v = PiecewiseConstantValuation.from_masses(
-        [d1, c1 - d3, c1],
-        [Fraction(1, 2) + eps2,
-         Fraction(1, 2) - eps1 - eps2 - d2,
-         eps1,
-         d2])
-    p2 = Profile.of([v, UNIFORM])
-    run.push(p2)
-    hit = run.stage_violation(p2, eps2, require_contiguous=True)
-    if hit:
-        return hit
-    hit = run.gain_violation(p2, 0, UNIFORM, eps1)
-    if hit:
-        return hit
-
-    alloc2 = canon.run(p2)
-    if ZERO not in [iv.lo for iv in alloc2.pieces[0].intervals]:
-        raise ChainError("right-left allocation at profile 2 despite passing "
-                         "the deficit and deviation checks")
-
-    w = PiecewiseConstantValuation.from_masses(
-        [d4, d5, c1 - d3],
-        [Fraction(1, 2) - eps2,
-         2 * eps2,
-         d4,
-         Fraction(1, 2) - eps2 - d4])
-    p3 = Profile.of([v, w])
-    run.push(p3)
-    hit = run.stage_violation(p3, eps2, require_contiguous=True)
-    if hit:
-        return hit
-    hit = run.gain_violation(p2, 1, w, eps1)
-    if hit:
-        return hit
-    raise ChainError("prop1 chain exhausted without a violation")
+        w = PiecewiseConstantValuation.from_masses(
+            [d4, d5, c1 - d3],
+            [Fraction(1, 2) - eps2,
+             2 * eps2,
+             d4,
+             Fraction(1, 2) - eps2 - d4])
+        p3 = Profile.of([v, w])
+        run.stage(p3)
+        run.deviation(p2, 1, w, eps1)
+    return run.witness
 
 
 # ---------------------------------------------------------------------------
@@ -485,65 +449,40 @@ def thm2_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
     r = PiecewiseConstantValuation.on_piece(Piece.interval(t * t, t * t + t))
     p1 = Profile.of([UNIFORM, UNIFORM] + [r] * (n - 2))
 
-    probe = _ChainRun("thm2", mechanism, _identity_conjugation(mechanism, n),
-                      [("eps", eps), ("delta", delta)])
-    probe.push(p1)
-    hit = probe.stage_violation(p1, eps, require_contiguous=True)
-    if hit:
-        return hit
+    with _ChainRun("thm2", mechanism, "contiguity", eps,
+                   [("eps", eps), ("delta", delta)]) as run:
+        pieces1 = run.stage(p1)
+        right_end = next((i for i, piece in enumerate(pieces1)
+                          if piece.intervals and piece.intervals[-1].hi == ONE), None)
+        if right_end not in (0, 1):
+            raise ChainError("an interior-band agent holds the right end despite "
+                             "passing the proportionality check")
+        run.swap01 = right_end == 0     # p1 is symmetric in agents 0 and 1
 
-    alloc1 = mechanism.run(p1)
-    right_end = next((i for i, piece in enumerate(alloc1.pieces)
-                      if piece.intervals and piece.intervals[-1].hi == ONE), None)
-    if right_end not in (0, 1):
-        raise ChainError("an interior-band agent holds the right end despite "
-                         "passing the proportionality check")
-    conj = _identity_conjugation(mechanism, n, swap01=(right_end == 0))
-    canon = conj.mechanism()
+        v = PiecewiseConstantValuation.on_piece(pieces1[1 - right_end])
+        p2 = p1.replace(0, v)
+        pieces2 = run.stage(p2)
+        run.deviation(p2, 0, UNIFORM, ZERO)
+        run.deviation(p1, 0, v, ZERO)
 
-    run = _ChainRun("thm2", mechanism, conj,
-                    [("eps", eps), ("delta", delta)])
-    run.push(p1)
-    alloc1c = canon.run(p1)
-    a1 = alloc1c.pieces[0]
+        piece1 = pieces2[0]
+        if not piece1.is_contiguous or piece1.is_empty:
+            raise ChainError("agent 0 lost its indicator piece without a deviation gain")
+        c1, c2 = piece1.intervals[0].lo, piece1.intervals[0].hi
+        rightc = pieces2[1]
+        if not (rightc.intervals and rightc.intervals[-1].hi == ONE):
+            raise ChainError("agent 1 lost the right end despite passing every check")
+        b = thm2_b_point(c1, c2, n, eps)
+        if not b < c2:
+            raise ChainError(f"degenerate plateau [{b}, {c2}] for the third profile")
 
-    v = PiecewiseConstantValuation.on_piece(a1)
-    p2 = p1.replace(0, v)
-    run.push(p2)
-    hit = run.stage_violation(p2, eps, require_contiguous=True)
-    if hit:
-        return hit
-    hit = run.gain_violation(p2, 0, UNIFORM, ZERO)
-    if hit:
-        return hit
-    hit = run.gain_violation(p1, 0, v, ZERO)
-    if hit:
-        return hit
-
-    alloc2 = canon.run(p2)
-    piece1 = alloc2.pieces[0]
-    if not piece1.is_contiguous or piece1.is_empty:
-        raise ChainError("agent 0 lost its indicator piece without a deviation gain")
-    c1, c2 = piece1.intervals[0].lo, piece1.intervals[0].hi
-    rightc = alloc2.pieces[1]
-    if not (rightc.intervals and rightc.intervals[-1].hi == ONE):
-        raise ChainError("agent 1 lost the right end despite passing every check")
-    b = thm2_b_point(c1, c2, n, eps)
-    if not b < c2:
-        raise ChainError(f"degenerate plateau [{b}, {c2}] for the third profile")
-
-    w = PiecewiseConstantValuation.from_masses(
-        [b, c2],
-        [ZERO, 1 - Fraction(1, n) + eps + delta, Fraction(1, n) - eps - delta])
-    p3 = p2.replace(1, w)
-    run.push(p3)
-    hit = run.stage_violation(p3, eps, require_contiguous=True)
-    if hit:
-        return hit
-    hit = run.gain_violation(p2, 1, w, ZERO)
-    if hit:
-        return hit
-    raise ChainError("thm2 chain exhausted without a violation")
+        w = PiecewiseConstantValuation.from_masses(
+            [b, c2],
+            [ZERO, 1 - Fraction(1, n) + eps + delta, Fraction(1, n) - eps - delta])
+        p3 = p2.replace(1, w)
+        run.stage(p3)
+        run.deviation(p2, 1, w, ZERO)
+    return run.witness
 
 
 # ---------------------------------------------------------------------------

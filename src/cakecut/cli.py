@@ -192,9 +192,12 @@ def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
 
 
 def do_verify(obj: Any) -> tuple[dict, bool]:
-    """Re-run the mechanism behind a witness/certificate and compare values
-    byte-for-byte with the stored ones.  A report envelope as printed by
-    ``chain`` is unwrapped to the witness in its ``output``."""
+    """Re-run the mechanism behind a witness/certificate, once on each profile
+    the certificate names, and compare values byte-for-byte with the stored
+    ones; a witness must also still show its violation.  A report envelope as
+    printed by ``chain`` is unwrapped to the witness in its ``output``."""
+    from cakecut.chains import recompute
+
     if isinstance(obj, dict) and "command" in obj and "output" in obj:
         obj = obj["output"]
     if isinstance(obj, dict) and "chain" in obj:
@@ -204,9 +207,10 @@ def do_verify(obj: Any) -> tuple[dict, bool]:
         checked = certificate = certificate_from_json(obj, "certificate")
     else:
         raise FormatError("expected a witness or certificate JSON object")
-    mechanism = _resolve(checked.mechanism)
-    stored, recomputed = _certificate_values(certificate, mechanism)
-    verified = checked.verify(mechanism) and stored == recomputed
+    fresh, allocation = recompute(certificate, _resolve(checked.mechanism))
+    stored, recomputed = _certificate_values(certificate), _certificate_values(fresh)
+    verified = stored == recomputed and (checked is certificate
+                                         or checked.holds(fresh, allocation))
     return ({"verified": verified, "stored": stored, "recomputed": recomputed},
             verified)
 
@@ -217,18 +221,13 @@ def _resolve(name: str) -> Mechanism:
     return MECHANISMS[name]
 
 
-def _certificate_values(certificate, mechanism: Mechanism) -> tuple[dict, dict]:
-    from cakecut.properties import GainCertificate, evaluate_misreport, report_for
+def _certificate_values(certificate) -> dict:
+    from cakecut.properties import GainCertificate
 
     if isinstance(certificate, GainCertificate):
-        fresh = evaluate_misreport(mechanism, certificate.profile,
-                                   certificate.agent, certificate.misreport)
-        fields = ("truthful_value", "deviated_value", "gain")
-        stored, recomputed = ({f: rat_str(getattr(c, f)) for f in fields}
-                              for c in (certificate, fresh))
-        return stored, recomputed
-    fresh = report_for(certificate.profile, mechanism.run(certificate.profile))
-    return report_to_json(certificate.report), report_to_json(fresh)
+        return {f: rat_str(getattr(certificate, f))
+                for f in ("truthful_value", "deviated_value", "gain")}
+    return report_to_json(certificate.report)
 
 
 # ---------------------------------------------------------------------------

@@ -231,19 +231,29 @@ def witness_to_json(witness: ViolationWitness) -> dict:
 
 
 def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
-    from cakecut.chains import ViolationWitness
+    """Read a witness whose `violated` names a ``chains.VIOLATIONS`` entry and
+    whose certificate is of the kind that entry needs."""
+    from cakecut.chains import VIOLATIONS, ViolationWitness
 
     require_keys(obj, {"chain", "mechanism", "violated", "epsilon",
                        "certificate", "profiles", "parameters"}, set(), where)
     parameters = tuple(sorted(
         (k, as_rational(v, f"{where}.parameters.{k}"))
         for k, v in _field(obj, "parameters", dict, where).items()))
+    chain = _field(obj, "chain", str, where)
+    mechanism = _field(obj, "mechanism", str, where)
+    violated = _field(obj, "violated", str, where)
+    if violated not in VIOLATIONS:
+        raise FormatError(f"{where}.violated: unknown violation {violated!r}; "
+                          f"known: {sorted(VIOLATIONS)}")
+    epsilon = as_rational(obj["epsilon"], f"{where}.epsilon")
+    certificate = certificate_from_json(obj["certificate"], f"{where}.certificate")
+    kind = VIOLATIONS[violated].kind
+    if obj["certificate"]["kind"] != kind:
+        raise FormatError(f"{where}.violated: {violated!r} needs a {kind!r} certificate, "
+                          f"got {obj['certificate']['kind']!r}")
     return ViolationWitness(
-        _field(obj, "chain", str, where),
-        _field(obj, "mechanism", str, where),
-        _field(obj, "violated", str, where),
-        as_rational(obj["epsilon"], f"{where}.epsilon"),
-        certificate_from_json(obj["certificate"], f"{where}.certificate"),
+        chain, mechanism, violated, epsilon, certificate,
         tuple(profile_from_json(p, f"{where}.profiles[{i}]")
               for i, p in enumerate(_field(obj, "profiles", list, where))),
         parameters,

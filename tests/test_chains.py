@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -143,6 +144,14 @@ class TestThm1Chain:
         assert witness.violated in ("free-disposal", "non-wastefulness")
         assert len(witness.profiles) == 1
         assert witness.verify(WASTEFUL)
+
+    def test_free_disposal_needs_discarded_cake(self):
+        # even-paz discards nothing, so its waste is cake held by an agent
+        # who does not want it: a witness of the one is no witness of the other
+        witness = thm1_chain(EVEN_PAZ, ChainParameters.of(3))
+        assert witness.violated == "non-wastefulness"
+        assert witness.verify(EVEN_PAZ)
+        assert not dataclasses.replace(witness, violated="free-disposal").verify(EVEN_PAZ)
 
     def test_profiles_recorded(self):
         witness = thm1_chain(EQUAL_SPLIT, ChainParameters.of(3))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cakecut
 from cakecut.chains import (
     ChainParameters, discussion_example, prop1_chain, thm1_chain, thm2_chain)
-from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE
+from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism
 from cakecut.properties import SearchConfig, best_response_gain, ep_cutpoint_best_response
 from cakecut.sampling import random_profile
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
@@ -180,6 +180,27 @@ class TestChainAndVerify:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert json.loads(out)["output"]["verified"] is False
+
+    @pytest.mark.parametrize("witness, runs", [
+        (discussion_example()[1], 2),
+        (thm1_chain(MECHANISMS["even-paz"], ChainParameters.of(3)), 1),
+    ], ids=["gain", "report"])
+    def test_verify_runs_each_profile_once(self, capsys, tmp_path, monkeypatch,
+                                           witness, runs):
+        name = witness.mechanism
+        profiles = []
+
+        def counted(profile):
+            profiles.append(profile)
+            return mechanism.run(profile)
+
+        mechanism = MECHANISMS[name]
+        monkeypatch.setitem(MECHANISMS, name, Mechanism(name, counted))
+        path = tmp_path / "w.json"
+        path.write_text(canonical_dumps(io.witness_to_json(witness)))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["output"]["verified"] is True
+        assert len(profiles) == runs
 
     def test_infeasible_parameters_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "chain", "--name", "thm1",
@@ -476,10 +497,18 @@ class TestUnreadableInput:
                                 {"breakpoints": [], "densities": ["1"]}]}).encode(),
          ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
          "profile.agents[0]: bounds must be strictly increasing"),
+        (_discussion_witness(lambda w: w.update(violated="bogus")),
+         ("verify", "{path}"), "witness.violated: unknown violation 'bogus'"),
+        (_discussion_witness(lambda w: w.update(violated="proportionality")),
+         ("verify", "{path}"), "witness.violated: 'proportionality' needs a 'report'"),
+        (_discussion_witness(lambda w: w.update(violated="contiguity")),
+         ("verify", "{path}"), "witness.violated: 'contiguity' needs a 'report'"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
-            "report-contiguous-string", "breakpoint-beyond-cake"])
+            "report-contiguous-string", "breakpoint-beyond-cake",
+            "witness-violated-unknown", "gain-witness-as-proportionality",
+            "gain-witness-as-contiguity"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
