@@ -22,8 +22,8 @@ _EXPORTS = {name: module for module, names in {
     "properties": "GainCertificate PropertyReport SearchConfig best_response_gain"
                   " check_properties ep_cutpoint_best_response evaluate_misreport"
                   " report_for",
-    "queries": "LearnedValuation LiftedMechanism RWOracle StrategicOracle"
-               " approximate_valuation lift_direct_to_rw query_budget",
+    "queries": "LearnedValuation LiftedMechanism RWOracle approximate_valuation"
+               " lift_direct_to_rw query_budget",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

@@ -359,13 +359,6 @@ class PiecewiseConstantValuation:
             acc += mass
         raise InfeasibleCutError(f"requested value {r} exceeds remaining {acc}")
 
-    def positive_support(self) -> Piece:
-        """The piece on which the density is strictly positive."""
-        return Piece.of(Interval(a, b) for a, b, d in self.segments() if d > 0)
-
-    def zero_support(self) -> Piece:
-        return Piece.of(Interval(a, b) for a, b, d in self.segments() if d == 0)
-
 
 def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
                ) -> PiecewiseConstantValuation:

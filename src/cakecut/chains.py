@@ -20,9 +20,9 @@ output); distinct chains can run concurrently.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from cakecut.cake import (
     Allocation,
@@ -36,7 +36,8 @@ from cakecut.cake import (
     frac,
 )
 from cakecut.mechanisms import MECHANISMS, MODIFIED_EP_EXCHANGE, Mechanism
-from cakecut.properties import GainCertificate, PropertyReport, evaluate_misreport, report_for
+from cakecut.properties import (
+    Certificate, GainCertificate, PropertyReport, evaluate_misreport, recompute, report_for)
 
 UNIFORM = PiecewiseConstantValuation.uniform()
 
@@ -98,9 +99,6 @@ class PropertyCertificate:
         return recompute(self, mech)[0] == self
 
 
-Certificate = Union[GainCertificate, PropertyCertificate]
-
-
 class Violation(NamedTuple):
     """The certificate kind (as in JSON) a witness of one violation needs and
     ``holds(certificate, allocation, epsilon)``, its predicate; `allocation`
@@ -120,19 +118,6 @@ VIOLATIONS: dict[str, Violation] = {
         "report", lambda c, a, eps: c.report.proportionality_deficit > eps),
     "strategyproofness": Violation("gain", lambda c, a, eps: c.gain > eps),
 }
-
-
-def recompute(certificate: Certificate, mechanism: Mechanism
-              ) -> tuple[Certificate, Optional[Allocation]]:
-    """`certificate` with its values recomputed by running `mechanism` once
-    on each profile it names, and the allocation a report certificate
-    measures (None for a gain certificate)."""
-    if isinstance(certificate, GainCertificate):
-        fresh = evaluate_misreport(mechanism, certificate.profile, certificate.agent,
-                                   certificate.misreport)
-        return replace(fresh, mechanism=certificate.mechanism), None
-    allocation = mechanism.run(certificate.profile)
-    return replace(certificate, report=report_for(certificate.profile, allocation)), allocation
 
 
 @dataclass(frozen=True)

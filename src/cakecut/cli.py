@@ -196,7 +196,7 @@ def do_verify(obj: Any) -> tuple[dict, bool]:
     the certificate names, and compare values byte-for-byte with the stored
     ones; a witness must also still show its violation.  A report envelope as
     printed by ``chain`` is unwrapped to the witness in its ``output``."""
-    from cakecut.chains import recompute
+    from cakecut.properties import recompute
 
     if isinstance(obj, dict) and "command" in obj and "output" in obj:
         obj = obj["output"]
@@ -207,7 +207,7 @@ def do_verify(obj: Any) -> tuple[dict, bool]:
         checked = certificate = certificate_from_json(obj, "certificate")
     else:
         raise FormatError("expected a witness or certificate JSON object")
-    fresh, allocation = recompute(certificate, _resolve(checked.mechanism))
+    fresh, allocation = recompute(certificate, _resolve(certificate.mechanism))
     stored, recomputed = _certificate_values(certificate), _certificate_values(fresh)
     verified = stored == recomputed and (checked is certificate
                                          or checked.holds(fresh, allocation))

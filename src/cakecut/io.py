@@ -14,8 +14,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, IO, Union
 
-from cakecut.cake import (  # MAX_DECIMAL_EXPONENT is re-exported for callers of io
-    MAX_DECIMAL_EXPONENT,
+from cakecut.cake import (
     Allocation,
     Piece,
     PiecewiseConstantValuation,
@@ -45,7 +44,12 @@ def _exact(text: str, where: str = "JSON number") -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    return str(x)
+    """str(x); a result beyond the int-to-string digit limit raises FormatError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise FormatError("a result has more digits than the int-to-string limit "
+                          "lets Python print") from None
 
 
 def as_rational(value: Any, where: str) -> Fraction:
@@ -231,8 +235,9 @@ def witness_to_json(witness: ViolationWitness) -> dict:
 
 
 def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
-    """Read a witness whose `violated` names a ``chains.VIOLATIONS`` entry and
-    whose certificate is of the kind that entry needs."""
+    """Read a witness whose `violated` names a ``chains.VIOLATIONS`` entry,
+    whose certificate is of the kind that entry needs and whose mechanism is
+    its certificate's."""
     from cakecut.chains import VIOLATIONS, ViolationWitness
 
     require_keys(obj, {"chain", "mechanism", "violated", "epsilon",
@@ -248,6 +253,9 @@ def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
                           f"known: {sorted(VIOLATIONS)}")
     epsilon = as_rational(obj["epsilon"], f"{where}.epsilon")
     certificate = certificate_from_json(obj["certificate"], f"{where}.certificate")
+    if mechanism != certificate.mechanism:
+        raise FormatError(f"{where}.mechanism: {mechanism!r} differs from the "
+                          f"certificate's mechanism {certificate.mechanism!r}")
     kind = VIOLATIONS[violated].kind
     if obj["certificate"]["kind"] != kind:
         raise FormatError(f"{where}.violated: {violated!r} needs a {kind!r} certificate, "

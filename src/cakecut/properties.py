@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from cakecut.cake import (
     Allocation,
@@ -37,6 +37,9 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, _halving, _node_cut
+
+if TYPE_CHECKING:
+    from cakecut.chains import PropertyCertificate
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +125,10 @@ class GainCertificate:
 
     def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
         mech = mechanism if mechanism is not None else MECHANISMS[self.mechanism]
-        fresh = evaluate_misreport(mech, self.profile, self.agent, self.misreport)
-        return (fresh.truthful_value == self.truthful_value
-                and fresh.deviated_value == self.deviated_value
-                and fresh.gain == self.gain)
+        return recompute(self, mech)[0] == self
+
+
+Certificate = Union[GainCertificate, "PropertyCertificate"]
 
 
 def evaluate_misreport(mechanism: Mechanism, profile: Profile, agent: int,
@@ -138,12 +141,21 @@ def evaluate_misreport(mechanism: Mechanism, profile: Profile, agent: int,
                            truthful, deviated, deviated - truthful)
 
 
+def recompute(certificate: Certificate, mechanism: Mechanism
+              ) -> tuple[Certificate, Optional[Allocation]]:
+    """`certificate` with its values recomputed by running `mechanism` once
+    on each profile it names, and the allocation a report certificate
+    measures (None for a gain certificate)."""
+    if isinstance(certificate, GainCertificate):
+        fresh = evaluate_misreport(mechanism, certificate.profile, certificate.agent,
+                                   certificate.misreport)
+        return replace(fresh, mechanism=certificate.mechanism), None
+    allocation = mechanism.run(certificate.profile)
+    return replace(certificate, report=report_for(certificate.profile, allocation)), allocation
+
+
 def _encoding(v: PiecewiseConstantValuation) -> tuple:
     return (v.bounds, v.densities)
-
-
-def _best_certificate(certs: Iterable[GainCertificate]) -> GainCertificate:
-    return min(certs, key=lambda c: (-c.gain, _encoding(c.misreport)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +265,8 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
         return sum((true_v.value_between(iv.lo, iv.hi) for iv in walk[agent]), ZERO)
 
     score = full_run if middle is None else path_walk
-    best: Optional[tuple[Fraction, tuple, PiecewiseConstantValuation, Fraction]] = None
-    for cand in candidates:
-        deviated = score(cand)
-        key = (-(deviated - truthful_value), _encoding(cand))
-        if best is None or key < best[:2]:
-            best = (*key, cand, deviated)
-    assert best is not None
-    _, _, winner, scored = best
+    scored, winner = min(((score(cand), cand) for cand in candidates),
+                         key=lambda pair: (-pair[0], _encoding(pair[1])))
     deviated = scored if middle is None else full_run(winner)
     if deviated != scored:
         raise AssertionError(
@@ -271,16 +277,6 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
 
 # ---------------------------------------------------------------------------
 # cut-point best response for the recursive-halving family
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One recursion node along the manipulator's planned path."""
-
-    side: str                 # "left" or "right"
-    share: Fraction           # floor(k/2)/k at this node
-    rest_lo: Fraction         # left branches: where the non-recursing mass starts
-    hi: Fraction              # node right endpoint
 
 
 def _node_candidates(a: Fraction, b: Fraction, others: list[tuple[Fraction, int]],
@@ -302,13 +298,14 @@ def _node_candidates(a: Fraction, b: Fraction, others: list[tuple[Fraction, int]
 
 def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
                   agents: list[int], middles: bool
-                  ) -> tuple[Fraction, list[_Step], Interval]:
-    """Best true value the manipulator can steer its recursion piece to.
+                  ) -> tuple[Fraction, list[tuple[Fraction, Fraction, Fraction]], Interval]:
+    """(value, steps, leaf): the best true value the manipulator can steer
+    its recursion piece to, its left steps as (share, rest_lo, hi), the leaf.
 
     At each node the manipulator either pins the left boundary to a candidate
     cut of its own (left branch; realizable exactly) or joins the right
-    group (right branch; its realized cut may drift inside the right piece
-    without changing the split).  With `middles` (the middle-sharing
+    group (right branch; no step: its realized cut may drift inside the right
+    piece without changing the split).  With `middles` (the middle-sharing
     mechanism) the manipulator's plan places no mass on middle pieces, so
     middle shares contribute nothing to the planned value, and the
     right branch requires another agent between it and the middle.
@@ -321,59 +318,46 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     share = Fraction(half, k)
     others = sorted((_node_cut(profile[i], a, b, k), i) for i in agents if i != agent)
 
-    best: Optional[tuple[Fraction, list[_Step], Interval]] = None
-
-    def consider(value: Fraction, steps: list[_Step], leaf: Interval) -> None:
-        nonlocal best
-        if best is None or value > best[0]:
-            best = (value, steps, leaf)
-
+    plans = []
     own_cut = _node_cut(true_v, a, b, k)
     for c in _node_candidates(a, b, others, true_v, own_cut):
         order = sorted(others + [(c, agent)])
         if order[half - 1] != (c, agent):
             continue  # manipulator does not pin the boundary; drift would move it
-        d_hi = order[half][0]
         left = [i for _, i in order[:half]]
-        rest_lo = d_hi if middles else c
+        rest_lo = order[half][0] if middles else c
         value, steps, leaf = _dp_best_path(profile, agent, a, c, left, middles)
-        consider(value, [_Step("left", share, rest_lo, b)] + steps, leaf)
+        plans.append((value, [(share, rest_lo, b)] + steps, leaf))
 
     # single right branch: the manipulator sits beyond the split however it
     # reports, so only the resulting child matters
-    if not middles:
-        d_lo = others[half - 1][0]
+    if not middles or k - half >= 2:
+        d = others[half if middles else half - 1][0]
         right = [agent] + [i for _, i in others[half:]]
-        value, steps, leaf = _dp_best_path(profile, agent, d_lo, b, right, middles)
-        consider(value, [_Step("right", share, d_lo, b)] + steps, leaf)
-    elif k - half >= 2:
-        d_hi = others[half][0]
-        right = [agent] + [i for _, i in others[half:]]
-        value, steps, leaf = _dp_best_path(profile, agent, d_hi, b, right, middles)
-        consider(value, [_Step("right", share, d_hi, b)] + steps, leaf)
+        plans.append(_dp_best_path(profile, agent, d, b, right, middles))
 
-    assert best is not None
-    return best
+    if not plans:
+        raise AssertionError(f"no plan for agent {agent} at node [{a}, {b}]")
+    return max(plans, key=lambda plan: plan[0])
 
 
-def _realize_path(steps: list[_Step], leaf: Interval) -> PiecewiseConstantValuation:
+def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Interval
+                  ) -> PiecewiseConstantValuation:
     """Build a misreport whose node cuts walk the planned path exactly.
 
     Works upward from the leaf: a left step keeps a `share` fraction of the
     mass in the child (so the prefix reaches the target precisely at the
-    child's right edge) and spreads the remainder beyond the recursion
-    boundary; a right step leaves the child mass alone, letting the realized
-    cut fall harmlessly inside the right piece.
+    child's right edge) and spreads the remainder on [rest_lo, hi], beyond
+    the recursion boundary; right steps leave the child mass alone.
     """
     if leaf.length == 0:
         raise ValueError("cannot realize a path ending in a null piece")
     chunks: list[tuple[Fraction, Fraction, Fraction]] = [(leaf.lo, leaf.hi, Fraction(1))]
-    for step in reversed(steps):
-        if step.side == "left":
-            if not step.rest_lo < step.hi:
-                raise AssertionError("left step has nowhere to park the rest mass")
-            chunks = [(lo, hi, m * step.share) for lo, hi, m in chunks]
-            chunks.append((step.rest_lo, step.hi, 1 - step.share))
+    for share, rest_lo, hi in reversed(steps):
+        if not rest_lo < hi:
+            raise AssertionError("left step has nowhere to park the rest mass")
+        chunks = [(lo, top, m * share) for lo, top, m in chunks]
+        chunks.append((rest_lo, hi, 1 - share))
     return PiecewiseConstantValuation.from_chunks(
         (lo, hi, mass / (hi - lo)) for lo, hi, mass in chunks)
 
@@ -401,15 +385,13 @@ def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int
     elif (grid_certificate.mechanism != mechanism.name
           or grid_certificate.agent != agent or grid_certificate.profile != profile):
         raise ValueError("grid_certificate belongs to another mechanism, agent or profile")
-    truthful_value = grid_certificate.truthful_value
     certificates = [grid_certificate]
     planned, steps, leaf = _dp_best_path(
         profile, agent, ZERO, ONE, list(range(profile.n)), middles)
-    if planned > truthful_value:
-        misreport = _realize_path(steps, leaf)
-        cert = evaluate_misreport(mechanism, profile, agent, misreport)
+    if planned > grid_certificate.truthful_value:
+        cert = evaluate_misreport(mechanism, profile, agent, _realize_path(steps, leaf))
         if cert.deviated_value < planned:
             raise AssertionError(
                 f"realized value {cert.deviated_value} below planned {planned}")
         certificates.append(cert)
-    return _best_certificate(certificates)
+    return min(certificates, key=lambda c: (-c.gain, _encoding(c.misreport)))

@@ -51,11 +51,6 @@ class RWOracle:
     def query_count(self) -> int:
         return len(self.log)
 
-    @property
-    def function(self) -> PiecewiseConstantValuation:
-        """The valuation all answers are consistent with."""
-        return self.hidden
-
     def _ask(self, kind: str, x: Fraction, y: Fraction) -> Fraction:
         key = (kind, x, y)
         if key not in self._memo:
@@ -82,17 +77,6 @@ class RWOracle:
         """
         x, r = frac(x), frac(r)
         return self._ask("cut", x, r)
-
-
-class StrategicOracle(RWOracle):
-    """An oracle answering every query per a fixed misreported valuation."""
-
-    def __init__(self, reported: PiecewiseConstantValuation):
-        super().__init__(reported)
-
-    @property
-    def reported(self) -> PiecewiseConstantValuation:
-        return self.hidden
 
 
 @dataclass(frozen=True)
@@ -122,9 +106,9 @@ def approximate_valuation(oracle: RWOracle, k: int,
     epsilon = frac(epsilon)
     if epsilon <= 0 or k < 1:
         raise ValueError("need epsilon > 0 and k >= 1")
-    if len(oracle.function.breakpoints) > k:
+    if len(oracle.hidden.breakpoints) > k:
         raise ValueError(
-            f"k={k} below the hidden breakpoint count {len(oracle.function.breakpoints)}")
+            f"k={k} below the hidden breakpoint count {len(oracle.hidden.breakpoints)}")
     slice_mass = epsilon / (2 * k)
     n_queries = query_budget(k, epsilon)
     before = oracle.query_count

@@ -18,7 +18,7 @@ from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism
 from cakecut.properties import SearchConfig, best_response_gain, ep_cutpoint_best_response
 from cakecut.sampling import random_profile
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
-from cakecut import io
+from cakecut import cake, io
 from cakecut.io import FormatError, as_rational, canonical_dumps, load_json
 
 UNIFORM_PAIR = {"agents": [
@@ -201,6 +201,27 @@ class TestChainAndVerify:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["output"]["verified"] is True
         assert len(profiles) == runs
+
+    @pytest.mark.parametrize("argv", [
+        ("--name", "thm1", "--mechanism", "even-paz", "--n", "3"),
+        ("--name", "prop1", "--mechanism", "modified-ep"),
+        ("--name", "thm2", "--mechanism", "equal-split", "--n", "3"),
+        ("--name", "discussion"),
+    ], ids=["thm1", "prop1", "thm2", "discussion"])
+    @pytest.mark.parametrize("tamper", [False, True], ids=["as-emitted", "tampered"])
+    def test_cli_agrees_with_api(self, capsys, tmp_path, argv, tamper):
+        _, out, _ = run_cli(capsys, "chain", *argv)
+        witness = json.loads(out)["output"]
+        if tamper:
+            stored = witness["certificate"].get("report", witness["certificate"])
+            key = "envy" if "envy" in stored else "gain"
+            stored[key] = "1/7"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(witness))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        verified = json.loads(out)["output"]["verified"]
+        assert verified is io.witness_from_json(load_json(str(path))).verify()
+        assert verified is (not tamper) and code == (1 if tamper else 0)
 
     def test_infeasible_parameters_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "chain", "--name", "thm1",
@@ -473,6 +494,17 @@ def _discussion_witness(edit=lambda witness: None) -> bytes:
     return json.dumps(witness).encode()
 
 
+def _huge_denominator_profile() -> bytes:
+    """Valid input whose modified-ep allocation has a denominator beyond
+    CPython's 4,300-digit int-to-string limit, though every input number is
+    under it: agent 0 puts half its mass on [0, 1/(10**3999 + 7)]."""
+    b = Fraction(1, 10 ** 3999 + 7)
+    return json.dumps({"agents": [
+        {"breakpoints": [str(b)], "densities": [str(1 / (2 * b)), str(1 / (2 - 2 * b))]},
+        {"breakpoints": [], "densities": ["1"]},
+        {"breakpoints": ["1/3"], "densities": ["3/2", "3/4"]}]}).encode()
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize("content, argv, names", [
         (b"{", ("check", "--mechanism", "even-paz", "--profile", "{path}"), "not valid JSON"),
@@ -503,12 +535,20 @@ class TestUnreadableInput:
          ("verify", "{path}"), "witness.violated: 'proportionality' needs a 'report'"),
         (_discussion_witness(lambda w: w.update(violated="contiguity")),
          ("verify", "{path}"), "witness.violated: 'contiguity' needs a 'report'"),
+        (_discussion_witness(lambda w: w.update(mechanism="even-paz")),
+         ("verify", "{path}"), "witness.mechanism: 'even-paz' differs"),
+        (_discussion_witness(lambda w: w["certificate"].update(mechanism="even-paz")),
+         ("verify", "{path}"), "witness.mechanism: 'modified-ep-exchange' differs"),
+        (_huge_denominator_profile(),
+         ("allocate", "--mechanism", "modified-ep", "--profile", "{path}"),
+         "more digits than the int-to-string limit"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
             "report-contiguous-string", "breakpoint-beyond-cake",
             "witness-violated-unknown", "gain-witness-as-proportionality",
-            "gain-witness-as-contiguity"])
+            "gain-witness-as-contiguity", "witness-mechanism-relabeled",
+            "certificate-mechanism-relabeled", "result-beyond-digit-limit"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -578,7 +618,7 @@ class TestDecimalExponents:
         monkeypatch.setattr(io, "Fraction", _RefuseHugePowers)
 
     @pytest.mark.parametrize("text", ["1e999999999", "1E-999999999", "2.5e+0_999999999",
-                                      f"1e{io.MAX_DECIMAL_EXPONENT + 1}"])
+                                      f"1e{cake.MAX_DECIMAL_EXPONENT + 1}"])
     def test_string_rejected(self, text):
         with pytest.raises(FormatError, match="exponent"):
             as_rational(text, "x")
@@ -589,7 +629,7 @@ class TestDecimalExponents:
             load_json(stdio.StringIO(f'{{"agents": [{text}]}}'))
 
     def test_exponents_within_bound_exact(self):
-        bound = io.MAX_DECIMAL_EXPONENT
+        bound = cake.MAX_DECIMAL_EXPONENT
         assert as_rational(f"1e-{bound}", "x") == Fraction(1, 10 ** bound)
         assert load_json(stdio.StringIO("[2.5e-1]")) == [Fraction(1, 4)]
 

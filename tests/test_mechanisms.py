@@ -28,6 +28,7 @@ from cakecut.mechanisms import (
 )
 from cakecut.properties import report_for
 from cakecut.sampling import random_profile, random_valuation
+from support import support
 
 F = Fraction
 U = PCV.uniform()
@@ -188,8 +189,8 @@ class TestEqualSplit:
             # every cell some agent desires is held by an agent desiring it
             for i, piece in enumerate(alloc.pieces):
                 for other in profile:
-                    undesired = piece.intersect(profile[i].zero_support())
-                    assert undesired.intersect(other.positive_support()).measure == 0
+                    undesired = piece.intersect(support(profile[i], positive=False))
+                    assert undesired.intersect(support(other)).measure == 0
 
 
 class TestRegistry:

@@ -21,7 +21,7 @@ EXPORTED = {
     "properties": ["GainCertificate", "PropertyReport", "SearchConfig",
                    "best_response_gain", "check_properties",
                    "ep_cutpoint_best_response", "evaluate_misreport", "report_for"],
-    "queries": ["LearnedValuation", "LiftedMechanism", "RWOracle", "StrategicOracle",
+    "queries": ["LearnedValuation", "LiftedMechanism", "RWOracle",
                 "approximate_valuation", "lift_direct_to_rw", "query_budget"],
 }
 ALL = sorted(name for names in EXPORTED.values() for name in names)

@@ -35,6 +35,7 @@ from cakecut.properties import (
     report_for,
 )
 from cakecut.sampling import random_profile
+from support import support
 
 F = Fraction
 U = PCV.uniform()
@@ -135,6 +136,20 @@ class TestGridEngine:
             profile = random_profile(rng, 3)
             cert = best_response_gain(CONSTANT, profile, 0)
             assert cert.gain == 0
+
+    @pytest.mark.parametrize("cfg, breakpoints, densities", [
+        (SearchConfig(), ["63/6400", "1/100"], ["1600/63", "1600", "50/99"]),
+        (SearchConfig(mass_denominator=3, max_candidates=None),
+         ["63/6400", "1/100"], ["0", "6400/3", "200/297"]),
+    ], ids=["default", "full-grid"])
+    def test_ties_go_to_smallest_encoding(self, cfg, breakpoints, densities):
+        # every misreport scores the same under CONSTANT, so the winner is the
+        # candidate with the smallest (bounds, densities)
+        profile = Profile.of([SPIKE, U, D2])
+        cert = best_response_gain(CONSTANT, profile, 0, cfg)
+        assert cert.gain == 0
+        assert cert.misreport == PCV.of(breakpoints, densities)
+        assert cert.misreport != profile[0]
 
     def test_finds_exchange_manipulation_exactly(self):
         cfg = SearchConfig(mass_denominator=10, max_breakpoints=2,
@@ -309,7 +324,7 @@ def reference_validate(allocation, profile):
     if missing.measure > 0:
         problems.append(f"uncovered cake {missing}")
     for i, v in enumerate(profile):
-        wanted = allocation.discarded.intersect(v.positive_support())
+        wanted = allocation.discarded.intersect(support(v))
         if wanted.measure > 0:
             problems.append(f"free-disposal violation: agent {i} values discarded {wanted}")
     return problems

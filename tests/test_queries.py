@@ -14,7 +14,6 @@ from cakecut.mechanisms import MODIFIED_EVEN_PAZ
 from cakecut.queries import (
     LearnedValuation,
     RWOracle,
-    StrategicOracle,
     approximate_valuation,
     lift_direct_to_rw,
     query_budget,
@@ -99,7 +98,7 @@ class TestOracle:
                 assert o.eval(x, cut) == r
 
     def test_strategic_oracle_answers_report(self):
-        o = StrategicOracle(reported=FRONT)
+        o = RWOracle(FRONT)
         assert o.cut(0, "1/2") == F(1, 4)
         assert U.value_between(0, o.cut(0, "1/2")) == F(1, 4)
 
@@ -210,5 +209,5 @@ class TestLifting:
         lifted = lift_direct_to_rw(MODIFIED_EVEN_PAZ, k=2, epsilon="1/5")
         truthful = lifted.run_on_oracles([RWOracle(D) for D in (U, FRONT)])
         strategic = lifted.run_on_oracles(
-            [RWOracle(U), StrategicOracle(reported=U)])
+            [RWOracle(U), RWOracle(U)])
         assert truthful != strategic
