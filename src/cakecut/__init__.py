@@ -14,14 +14,13 @@ from importlib import import_module
 _EXPORTS = {name: module for module, names in {
     "cake": "Allocation InfeasibleCutError Interval Piece PiecewiseConstantValuation"
             " Profile frac ival normalized validate_allocation",
-    "chains": "ChainError ChainParameters InfeasibleParameters PropertyCertificate"
-              " ViolationWitness discussion_example ep_worstcase_fixture prop1_chain"
-              " thm1_chain thm2_chain",
+    "chains": "ChainError ChainParameters InfeasibleParameters ViolationWitness"
+              " discussion_example ep_worstcase_fixture prop1_chain thm1_chain thm2_chain",
     "mechanisms": "MECHANISMS Mechanism equal_split_nonwasteful even_paz get_mechanism"
                   " modified_even_paz with_zero_piece_exchange",
-    "properties": "GainCertificate PropertyReport SearchConfig best_response_gain"
-                  " check_properties ep_cutpoint_best_response evaluate_misreport"
-                  " report_for",
+    "properties": "GainCertificate PropertyCertificate PropertyReport SearchConfig"
+                  " best_response_gain check_properties ep_cutpoint_best_response"
+                  " evaluate_misreport report_for",
     "queries": "LearnedValuation LiftedMechanism RWOracle approximate_valuation"
                " lift_direct_to_rw query_budget",
 }.items() for name in names.split()}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from cakecut.cake import (
     Allocation,
@@ -35,9 +35,9 @@ from cakecut.cake import (
     ZERO,
     frac,
 )
-from cakecut.mechanisms import MECHANISMS, MODIFIED_EP_EXCHANGE, Mechanism
+from cakecut.mechanisms import MODIFIED_EP_EXCHANGE, Mechanism, get_mechanism
 from cakecut.properties import (
-    Certificate, GainCertificate, PropertyReport, evaluate_misreport, recompute, report_for)
+    Certificate, PropertyCertificate, evaluate_misreport, recompute, report_for)
 
 UNIFORM = PiecewiseConstantValuation.uniform()
 
@@ -86,26 +86,13 @@ class ChainParameters:
         return None
 
 
-@dataclass(frozen=True)
-class PropertyCertificate:
-    """A property finding tied to the profile it was measured on."""
-
-    mechanism: str
-    profile: Profile
-    report: PropertyReport
-
-    def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
-        mech = mechanism if mechanism is not None else MECHANISMS[self.mechanism]
-        return recompute(self, mech)[0] == self
-
-
 class Violation(NamedTuple):
     """The certificate kind (as in JSON) a witness of one violation needs and
     ``holds(certificate, allocation, epsilon)``, its predicate; `allocation`
     is what a report certificate measures (None for a gain certificate)."""
 
     kind: str
-    holds: Callable[[Any, Optional[Allocation], Fraction], bool]
+    holds: Callable[[Certificate, Optional[Allocation], Fraction], bool]
 
 
 # every violation a witness can name, in the order a chain stage checks them
@@ -133,7 +120,7 @@ class ViolationWitness:
     parameters: tuple[tuple[str, Fraction], ...]
 
     def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
-        mech = mechanism if mechanism is not None else MECHANISMS[self.certificate.mechanism]
+        mech = mechanism if mechanism is not None else get_mechanism(self.certificate.mechanism)
         fresh, allocation = recompute(self.certificate, mech)
         return fresh == self.certificate and self.holds(fresh, allocation)
 
@@ -142,7 +129,7 @@ class ViolationWitness:
         the violation this witness names."""
         violation = VIOLATIONS.get(self.violated)
         return (violation is not None
-                and isinstance(certificate, GainCertificate) == (violation.kind == "gain")
+                and certificate.kind == violation.kind
                 and violation.holds(certificate, allocation, self.epsilon))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -35,10 +36,10 @@ from cakecut.io import (
     witness_from_json,
     witness_to_json,
 )
-from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism
+from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, get_mechanism
 
 if TYPE_CHECKING:
-    from cakecut.properties import SearchConfig
+    from cakecut.properties import Certificate, SearchConfig
 
 
 class CliError(ValueError):
@@ -179,10 +180,8 @@ def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
         return witness_to_json(chains.discussion_example()[1])
     if mechanism is None:
         raise CliError("--mechanism is required for this chain")
-    runner = {"thm1": chains.thm1_chain, "prop1": chains.prop1_chain,
-              "thm2": chains.thm2_chain}[name]
     try:
-        witness = runner(mechanism, chains.ChainParameters(
+        witness = getattr(chains, f"{name}_chain")(mechanism, chains.ChainParameters(
             n, eps1, eps2, tuple(sorted(deltas.items()))))
     except chains.InfeasibleParameters as exc:
         raise CliError(str(exc)) from None
@@ -216,15 +215,14 @@ def do_verify(obj: Any) -> tuple[dict, bool]:
 
 
 def _resolve(name: str) -> Mechanism:
-    if name not in MECHANISMS:
-        raise CliError(f"unknown mechanism {name!r}; known: {sorted(MECHANISMS)}")
-    return MECHANISMS[name]
+    try:
+        return get_mechanism(name)
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from None
 
 
-def _certificate_values(certificate) -> dict:
-    from cakecut.properties import GainCertificate
-
-    if isinstance(certificate, GainCertificate):
+def _certificate_values(certificate: Certificate) -> dict:
+    if certificate.kind == "gain":
         return {f: rat_str(getattr(certificate, f))
                 for f in ("truthful_value", "deviated_value", "gain")}
     return report_to_json(certificate.report)
@@ -430,11 +428,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     args[spec.name] = dict(value) if spec.kind is dict else value
             profile = load_profile(ns.profile) if getattr(ns, "profile", None) else None
             output, code = _execute(ns.command, args, profile, ns.seed)
-            inputs = args if profile is None else dict(args, profile=ns.profile)
+            inputs = dict(args)
+            if profile is not None:
+                inputs["profile"] = ns.profile
+            if ns.seed:     # the default seed, 0, is not echoed
+                inputs["seed"] = ns.seed
             report = {"command": ns.command, "inputs": inputs, "output": output,
                       "exact": True}
     except (CliError, FormatError) as exc:
-        print(f"cakecut: error: {exc}", file=sys.stderr)
+        # an echoed number may run to thousands of digits: keep its first 20
+        message = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}…({len(m[0])} digits)", str(exc))
+        print(f"cakecut: error: {message}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter() - started) * 1000
     sys.stdout.write(emit_report(report, getattr(ns, "format", "json"), elapsed_ms))

@@ -23,8 +23,9 @@ from cakecut.cake import (
 )
 
 if TYPE_CHECKING:  # the readers below import these when they are called
-    from cakecut.chains import PropertyCertificate, ViolationWitness
-    from cakecut.properties import GainCertificate, PropertyReport
+    from cakecut.chains import ViolationWitness
+    from cakecut.properties import (
+        Certificate, GainCertificate, PropertyCertificate, PropertyReport)
 
 
 class FormatError(ValueError):
@@ -161,7 +162,7 @@ def report_from_json(obj: Any, where: str) -> PropertyReport:
 
 def gain_certificate_to_json(cert: GainCertificate) -> dict:
     return {
-        "kind": "gain",
+        "kind": cert.kind,
         "mechanism": cert.mechanism,
         "profile": profile_to_json(cert.profile),
         "agent": cert.agent,
@@ -174,20 +175,19 @@ def gain_certificate_to_json(cert: GainCertificate) -> dict:
 
 def property_certificate_to_json(cert: PropertyCertificate) -> dict:
     return {
-        "kind": "report",
+        "kind": cert.kind,
         "mechanism": cert.mechanism,
         "profile": profile_to_json(cert.profile),
         "report": report_to_json(cert.report),
     }
 
 
-def certificate_from_json(obj: Any, where: str
-                          ) -> Union[GainCertificate, PropertyCertificate]:
+def certificate_from_json(obj: Any, where: str) -> Certificate:
+    from cakecut.properties import GainCertificate, PropertyCertificate
+
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f"{where}: expected a certificate object with a kind")
     if obj["kind"] == "gain":
-        from cakecut.properties import GainCertificate
-
         require_keys(obj, {"kind", "mechanism", "profile", "agent", "misreport",
                            "truthful_value", "deviated_value", "gain"}, set(), where)
         profile = profile_from_json(obj["profile"], f"{where}.profile")
@@ -205,8 +205,6 @@ def certificate_from_json(obj: Any, where: str
             as_rational(obj["gain"], f"{where}.gain"),
         )
     if obj["kind"] == "report":
-        from cakecut.chains import PropertyCertificate
-
         require_keys(obj, {"kind", "mechanism", "profile", "report"}, set(), where)
         return PropertyCertificate(
             _field(obj, "mechanism", str, where),
@@ -217,18 +215,14 @@ def certificate_from_json(obj: Any, where: str
 
 
 def witness_to_json(witness: ViolationWitness) -> dict:
-    from cakecut.properties import GainCertificate
-
-    if isinstance(witness.certificate, GainCertificate):
-        cert = gain_certificate_to_json(witness.certificate)
-    else:
-        cert = property_certificate_to_json(witness.certificate)
+    write = (gain_certificate_to_json if witness.certificate.kind == "gain"
+             else property_certificate_to_json)
     return {
         "chain": witness.chain,
         "mechanism": witness.mechanism,
         "violated": witness.violated,
         "epsilon": rat_str(witness.epsilon),
-        "certificate": cert,
+        "certificate": write(witness.certificate),
         "profiles": [profile_to_json(p) for p in witness.profiles],
         "parameters": {k: rat_str(v) for k, v in witness.parameters},
     }
@@ -257,9 +251,9 @@ def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
         raise FormatError(f"{where}.mechanism: {mechanism!r} differs from the "
                           f"certificate's mechanism {certificate.mechanism!r}")
     kind = VIOLATIONS[violated].kind
-    if obj["certificate"]["kind"] != kind:
+    if certificate.kind != kind:
         raise FormatError(f"{where}.violated: {violated!r} needs a {kind!r} certificate, "
-                          f"got {obj['certificate']['kind']!r}")
+                          f"got {certificate.kind!r}")
     return ViolationWitness(
         chain, mechanism, violated, epsilon, certificate,
         tuple(profile_from_json(p, f"{where}.profiles[{i}]")

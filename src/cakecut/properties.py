@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import ClassVar, Iterable, Optional
 
 from cakecut.cake import (
     Allocation,
@@ -36,10 +36,7 @@ from cakecut.cake import (
     ZERO,
     cell_grid,
 )
-from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, _halving, _node_cut
-
-if TYPE_CHECKING:
-    from cakecut.chains import PropertyCertificate
+from cakecut.mechanisms import SHARES_MIDDLE, Mechanism, _halving, _node_cut, get_mechanism
 
 
 # ---------------------------------------------------------------------------
@@ -104,31 +101,49 @@ def check_properties(mechanism: Mechanism, profile: Profile) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# gain certificates
+# certificates
 
 
 @dataclass(frozen=True)
-class GainCertificate:
+class Certificate:
+    """A finding tied to the mechanism and profile it was measured on.
+
+    `kind` is the certificate's JSON kind, "gain" or "report"; verify()
+    re-derives every field by running the mechanism (by default the one the
+    certificate names) and reports any mismatch.
+    """
+
+    kind: ClassVar[str]
+    mechanism: str
+    profile: Profile
+
+    def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
+        mech = mechanism if mechanism is not None else get_mechanism(self.mechanism)
+        return recompute(self, mech)[0] == self
+
+
+@dataclass(frozen=True)
+class GainCertificate(Certificate):
     """A verified manipulation: misreport plus exact before/after values.
 
     gain == deviated_value - truthful_value, both recomputed from mechanism
-    runs; verify() re-derives every field and reports any mismatch.
+    runs.
     """
 
-    mechanism: str
-    profile: Profile
+    kind = "gain"
     agent: int
     misreport: PiecewiseConstantValuation
     truthful_value: Fraction
     deviated_value: Fraction
     gain: Fraction
 
-    def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
-        mech = mechanism if mechanism is not None else MECHANISMS[self.mechanism]
-        return recompute(self, mech)[0] == self
 
+@dataclass(frozen=True)
+class PropertyCertificate(Certificate):
+    """A property report of the mechanism's allocation of the profile."""
 
-Certificate = Union[GainCertificate, "PropertyCertificate"]
+    kind = "report"
+    report: PropertyReport
 
 
 def evaluate_misreport(mechanism: Mechanism, profile: Profile, agent: int,
@@ -146,7 +161,7 @@ def recompute(certificate: Certificate, mechanism: Mechanism
     """`certificate` with its values recomputed by running `mechanism` once
     on each profile it names, and the allocation a report certificate
     measures (None for a gain certificate)."""
-    if isinstance(certificate, GainCertificate):
+    if certificate.kind == "gain":
         fresh = evaluate_misreport(mechanism, certificate.profile, certificate.agent,
                                    certificate.misreport)
         return replace(fresh, mechanism=certificate.mechanism), None

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,11 +193,37 @@ class TestThm2Chain:
         assert witness.certificate.gain > 0
         assert witness.verify(EVEN_PAZ)
 
+    def test_third_stage_deviation(self):
+        # agent 0 keeps [2/9, 5/9] on the first two profiles, so stages 1 and
+        # 2 pass; on the third, agent 1's tail report gains 1/6 under even-paz
+        p1 = Profile.of([U, U, PCV.on_piece(Piece.interval("1/9", "4/9"))])
+        p2 = p1.replace(0, PCV.on_piece(Piece.interval("2/9", "5/9")))
+        fixed = Allocation.of([Piece.interval("2/9", "5/9"), Piece.interval("5/9", 1),
+                               Piece.interval(0, "2/9")])
+        lookup = Mechanism("lookup", lambda p: fixed if p in (p1, p2) else EVEN_PAZ.run(p))
+        witness = thm2_chain(lookup, ChainParameters.of(3))
+        assert witness.violated == "strategyproofness"
+        assert witness.profiles[:2] == (p1, p2) and len(witness.profiles) == 3
+        assert witness.certificate.gain == F(1, 6)
+        assert witness.verify(lookup)
+
     def test_rejects_small_n_and_nonzero_eps1(self):
         with pytest.raises(InfeasibleParameters):
             thm2_chain(EVEN_PAZ, ChainParameters.of(2))
         with pytest.raises(InfeasibleParameters):
             thm2_chain(EVEN_PAZ, ChainParameters.of(3, eps1="1/10"))
+
+
+class TestUnregisteredMechanism:
+    @pytest.mark.parametrize("certified", [
+        lambda: thm1_chain(WASTEFUL, ChainParameters.of(2)),
+        lambda: thm1_chain(WASTEFUL, ChainParameters.of(2)).certificate,
+        lambda: evaluate_misreport(WASTEFUL, Profile.of([U, U]), 0, U),
+    ], ids=["witness", "report-certificate", "gain-certificate"])
+    def test_verify_names_the_known_mechanisms(self, certified):
+        message = f"unknown mechanism 'wasteful-halver'; known: {sorted(MECHANISMS)}"
+        with pytest.raises(KeyError, match=re.escape(message)):
+            certified().verify()
 
 
 class TestDiscussionExample:

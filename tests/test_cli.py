@@ -1,3 +1,4 @@
+import hashlib
 import io as stdio
 import json
 import os
@@ -136,6 +137,28 @@ class TestGainAndLearn:
         output = json.loads(out)["output"]
         assert output["queries_used"] == 20
         assert output["k"] == 2
+
+
+class TestSeedInInputs:
+    THREE = {"agents": [
+        {"breakpoints": ["1/3"], "densities": ["2", "1/2"]},
+        {"breakpoints": [], "densities": ["1"]},
+        {"breakpoints": ["1/2"], "densities": ["1/2", "3/2"]},
+    ]}
+    ARGV = ("gain", "--mechanism", "even-paz", "--agent", "1", "--max-candidates", "8",
+            "--profile", "three.json")
+    # sha256 of the seed-0 output, which leaves the default seed out of `inputs`
+    SEED_0 = "61c681d92830f386e6fea6decffa6fd284429b7132e6c9df8509b1607b67c21a"
+
+    def test_flag_run_echoes_a_non_default_seed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "three.json").write_text(json.dumps(self.THREE))
+        runs = {seed: run_cli(capsys, *self.ARGV, "--seed", seed) for seed in ("0", "7")}
+        assert runs["0"] == run_cli(capsys, *self.ARGV)
+        assert hashlib.sha256(runs["0"][1].encode()).hexdigest() == self.SEED_0
+        seed0, seed7 = (json.loads(runs[seed][1]) for seed in ("0", "7"))
+        assert seed0["output"] != seed7["output"]
+        assert seed7["inputs"] == dict(seed0["inputs"], seed=7)
 
 
 class TestChainAndVerify:
@@ -414,15 +437,22 @@ class TestImportSets:
          0, ["cakecut.queries"]),
         (["chain", "--name", "discussion"], 2, ["cakecut.chains", "cakecut.properties"]),
         (["verify", "{witness}"], 0, ["cakecut.chains", "cakecut.properties"]),
+        (["verify", "{report}"], 0, ["cakecut.properties"]),
         (["run", "{scenario}"], 0, ["cakecut.properties"]),
-    ], ids=["allocate", "check", "gain", "learn", "chain", "verify", "run"])
+    ], ids=["allocate", "check", "gain", "learn", "chain", "verify", "verify-report",
+            "run"])
     def test_modules_loaded(self, tmp_path, exchange_profile, argv, code, extra):
         witness, scenario = tmp_path / "w.json", tmp_path / "s.json"
         witness.write_bytes(_discussion_witness())
         scenario.write_text(json.dumps({"version": 1, "command": "check", "arguments": {
             "mechanism": "modified-ep"}, "profile": {"file": exchange_profile}}))
-        argv = [a.format(profile=exchange_profile, witness=witness, scenario=scenario)
-                for a in argv]
+        profile = io.profile_from_json(EXCHANGE_PAIR)
+        report = tmp_path / "r.json"
+        report.write_text(canonical_dumps(io.property_certificate_to_json(
+            cakecut.PropertyCertificate("modified-ep", profile, cakecut.check_properties(
+                MECHANISMS["modified-ep"], profile)))))
+        argv = [a.format(profile=exchange_profile, witness=witness, scenario=scenario,
+                         report=report) for a in argv]
         child = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
                                capture_output=True, text=True, cwd=tmp_path,
                                env=_child_env())
@@ -542,13 +572,23 @@ class TestUnreadableInput:
         (_huge_denominator_profile(),
          ("allocate", "--mechanism", "modified-ep", "--profile", "{path}"),
          "more digits than the int-to-string limit"),
+        (json.dumps({"agents": [{"breakpoints": ["1/1" + "0" * 4999],
+                                 "densities": ["1", "1"]},
+                                UNIFORM_PAIR["agents"][0]]}).encode(),
+         ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         "invalid rational '1/10000000000000000000…(5000 digits)'"),
+        (b'{"agents": [{"breakpoints": [], "densities": [1e999]},'
+         b' {"breakpoints": [], "densities": ["1"]}]}',
+         ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         "total mass 10000000000000000000…(1000 digits), expected exactly 1"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
             "report-contiguous-string", "breakpoint-beyond-cake",
             "witness-violated-unknown", "gain-witness-as-proportionality",
             "gain-witness-as-contiguity", "witness-mechanism-relabeled",
-            "certificate-mechanism-relabeled", "result-beyond-digit-limit"])
+            "certificate-mechanism-relabeled", "result-beyond-digit-limit",
+            "5000-digit-denominator", "mass-1e999"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -558,6 +598,7 @@ class TestUnreadableInput:
         assert code == 1
         assert out == ""
         assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 300
         assert names in err
 
 

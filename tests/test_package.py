@@ -14,11 +14,11 @@ EXPORTED = {
              "PiecewiseConstantValuation", "Profile", "frac", "ival", "normalized",
              "validate_allocation"],
     "chains": ["ChainError", "ChainParameters", "InfeasibleParameters",
-               "PropertyCertificate", "ViolationWitness", "discussion_example",
+               "ViolationWitness", "discussion_example",
                "ep_worstcase_fixture", "prop1_chain", "thm1_chain", "thm2_chain"],
     "mechanisms": ["MECHANISMS", "Mechanism", "equal_split_nonwasteful", "even_paz",
                    "get_mechanism", "modified_even_paz", "with_zero_piece_exchange"],
-    "properties": ["GainCertificate", "PropertyReport", "SearchConfig",
+    "properties": ["GainCertificate", "PropertyCertificate", "PropertyReport", "SearchConfig",
                    "best_response_gain", "check_properties",
                    "ep_cutpoint_best_response", "evaluate_misreport", "report_for"],
     "queries": ["LearnedValuation", "LiftedMechanism", "RWOracle",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from cakecut.mechanisms import (
 )
 from cakecut.properties import (
     GainCertificate,
+    PropertyCertificate,
     SearchConfig,
     best_response_gain,
     check_properties,
@@ -127,6 +129,16 @@ class TestEvaluateMisreport:
                                  cert.misreport, cert.truthful_value,
                                  cert.deviated_value + 1, cert.gain)
         assert not forged.verify(EVEN_PAZ)
+
+
+class TestPropertyCertificate:
+    def test_verify_recomputes_the_report(self):
+        profile = Profile.of([D1, D2])
+        cert = PropertyCertificate("modified-ep", profile,
+                                   check_properties(MODIFIED_EVEN_PAZ, profile))
+        assert cert.verify()
+        forged = replace(cert, report=replace(cert.report, envy=cert.report.envy + 1))
+        assert not forged.verify()
 
 
 class TestGridEngine:
