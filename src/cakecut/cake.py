@@ -359,6 +359,37 @@ class PiecewiseConstantValuation:
             acc += mass
         raise InfeasibleCutError(f"requested value {r} exceeds remaining {acc}")
 
+    def node_cut(self, a: Fraction, b: Fraction, share: Fraction) -> Fraction:
+        """``cut_point(a, share * value_between(a, b))`` for 0 <= share <= 1,
+        from one walk over the segments that overlap [a, b].
+
+        The walk keeps each positive-density overlap with its mass; the cut
+        lies in the first overlap whose mass covers what is left of the
+        target, so the segments are not walked from the start again.
+        """
+        if not (ZERO <= a <= b <= ONE and ZERO <= share <= ONE):
+            raise ValueError("need 0 <= a <= b <= 1 and 0 <= share <= 1")
+        bounds = self.bounds
+        overlaps = []
+        total = ZERO
+        for lo, hi, d in zip(bounds, bounds[1:], self.densities):
+            if hi <= a:
+                continue
+            if lo >= b:
+                break
+            if d:
+                lo = a if lo < a else lo
+                mass = d * ((b if hi > b else hi) - lo)
+                total += mass
+                overlaps.append((lo, d, mass))
+        rest = share * total
+        if rest:
+            for lo, d, mass in overlaps:
+                if mass >= rest:
+                    return lo + rest / d
+                rest -= mass
+        return a
+
 
 def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
                ) -> PiecewiseConstantValuation:

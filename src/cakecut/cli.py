@@ -46,6 +46,18 @@ class CliError(ValueError):
     """User input error; rendered as a diagnostic and exit code 1."""
 
 
+# `learn` makes floor(2k/eps) cut queries, one at a time; a budget
+# above this is refused before any query runs.
+MAX_QUERY_BUDGET = 10 ** 5
+
+
+def _error_line(message: str) -> str:
+    """`message` as one diagnostic line: an echoed number may run to
+    thousands of digits, so each run of more than 40 keeps its first 20."""
+    message = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}…({len(m[0])} digits)", message)
+    return f"cakecut: error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # the arguments of each command, for flags and scenario files alike
 
@@ -155,11 +167,14 @@ def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
 
 
 def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
-    from cakecut.queries import RWOracle, approximate_valuation
+    from cakecut.queries import RWOracle, approximate_valuation, query_budget
 
     if k < len(profile[agent].breakpoints):
         raise CliError(f"argument 'k': {k} is below agent {agent}'s breakpoint count "
                        f"{len(profile[agent].breakpoints)}")
+    if query_budget(k, eps) > MAX_QUERY_BUDGET:
+        raise CliError(f"arguments 'k' and 'eps': query budget floor(2k/eps) = "
+                       f"{query_budget(k, eps)} exceeds {MAX_QUERY_BUDGET}")
     learned = approximate_valuation(RWOracle(profile[agent]), k, eps)
     return {
         "agent": agent,
@@ -341,7 +356,7 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors exit 1, not argparse's 2
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, _error_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,9 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = {"command": ns.command, "inputs": inputs, "output": output,
                       "exact": True}
     except (CliError, FormatError) as exc:
-        # an echoed number may run to thousands of digits: keep its first 20
-        message = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}…({len(m[0])} digits)", str(exc))
-        print(f"cakecut: error: {message}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 1
     elapsed_ms = (time.perf_counter() - started) * 1000
     sys.stdout.write(emit_report(report, getattr(ns, "format", "json"), elapsed_ms))

@@ -10,7 +10,12 @@ member shares the cake between a node's two median cuts among all of the
 node's agents.  The gain engines and the CLI read the table.  With
 ``follow=i``, :func:`_halving` walks only agent i's path (in modified
 Even-Paz, also the middles on it) and fills only i's intervals, which is all
-a gain search needs to score a misreport of agent i.
+a gain search needs to score a misreport of agent i.  A search passes one
+table of the other agents' sorted cuts per node to all its walks, so a
+walk's node costs one lookup and one bisection for i's cut.  Each agent's
+node cut comes from one walk over its segments
+(:meth:`cakecut.cake.PiecewiseConstantValuation.node_cut`) and is memoised
+on its valuation (:func:`_node_cut`).
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep
@@ -27,6 +32,7 @@ plain rule whenever cut points are distinct.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -64,25 +70,37 @@ def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
     key = (a, b, k)
     cut = memo.get(key)
     if cut is None:
-        cut = memo[key] = v.cut_point(a, Fraction(k // 2, k) * v.value_between(a, b))
+        cut = memo[key] = v.node_cut(a, b, Fraction(k // 2, k))
     return cut
 
 
-def _halving(profile: Profile, share_middle: bool,
-             follow: Optional[int] = None) -> list[list[Interval]]:
+# One search's table of the other agents' sorted (cut, index) pairs at each
+# node its path walks visit, keyed (a, b, the node's agents): see _halving.
+OtherCuts = dict[tuple[Fraction, Fraction, frozenset[int]], list[tuple[Fraction, int]]]
+
+
+def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
+             others: Optional[OtherCuts] = None) -> list[list[Interval]]:
     """Recursive halving; returns each agent's list of intervals.  At a node
     [a, b] the first floor(k/2) agents recurse on [a, d_lo], d_lo the
     floor(k/2)-th smallest cut, and the rest on [d_lo, b].  With
     `share_middle` the rest recurse on [d_hi, b], d_hi the next cut, and the
     middle [d_lo, d_hi] is halved among all k agents without sharing.  With
     `follow` only the children holding that agent are descended (a middle
-    holds them all), so only its list is filled.
+    holds them all), so only its list is filled.  The other agents' sorted
+    cuts at a node are read from, or computed into, `others` (a fresh table
+    if None) and that agent's cut is placed among them by bisection.  They
+    depend only on the node's ends, its agents and their valuations, so a
+    search that varies only the followed agent's report walks all its
+    candidates through one table; the table must not outlive that search.
 
     Children are visited left, middle, right and a leaf appends only a
     positive-length interval, so every list is strictly increasing and
     feeds :meth:`Piece.ordered` directly.  The leaves partition the cake.
     """
     pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
+    if others is None:
+        others = {}
 
     def solve(a: Fraction, b: Fraction, agents: list[int], share_middle: bool) -> None:
         if not agents:
@@ -93,7 +111,16 @@ def _halving(profile: Profile, share_middle: bool,
                 pieces[agents[0]].append(Interval(a, b))
             return
         half = k // 2
-        cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
+        if follow is None:
+            cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
+        else:
+            key = (a, b, frozenset(agents))
+            rest = others.get(key)
+            if rest is None:
+                rest = others[key] = sorted((_node_cut(profile[i], a, b, k), i)
+                                            for i in agents if i != follow)
+            cuts = rest.copy()
+            insort(cuts, (_node_cut(profile[follow], a, b, k), follow))
         d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
         left = [i for _, i in cuts[:half]]
         if follow is None or follow in left:

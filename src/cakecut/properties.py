@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
@@ -36,7 +37,8 @@ from cakecut.cake import (
     ZERO,
     cell_grid,
 )
-from cakecut.mechanisms import SHARES_MIDDLE, Mechanism, _halving, _node_cut, get_mechanism
+from cakecut.mechanisms import (
+    SHARES_MIDDLE, Mechanism, OtherCuts, _halving, _node_cut, get_mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,8 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
     Enumerates candidate misreports (breakpoint subsets x mass simplex),
     deterministically subsamples to the configured budget, scores each by
     the manipulator's value (by the path walk for the ``SHARES_MIDDLE``
-    family, else by running the mechanism), and re-derives the winner by one
+    family, whose walks share one table of the other agents' cuts, else by
+    running the mechanism), and re-derives the winner by one
     full run; a walk that disagrees raises AssertionError.  The truthful
     report is always among the candidates, so the result never has negative
     gain.  This is a lower bound on the supremum gain, never an upper-bound
@@ -271,12 +274,13 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
             seen.add(key)
             candidates.append(cand)
     middle = SHARES_MIDDLE.get(mechanism.name)
+    others: OtherCuts = {}      # the other agents' cuts, shared by this search's walks
 
     def full_run(cand: PiecewiseConstantValuation) -> Fraction:
         return true_v.value(mechanism.run(profile.replace(agent, cand)).pieces[agent])
 
     def path_walk(cand: PiecewiseConstantValuation) -> Fraction:
-        walk = _halving(profile.replace(agent, cand), middle, follow=agent)
+        walk = _halving(profile.replace(agent, cand), middle, follow=agent, others=others)
         return sum((true_v.value_between(iv.lo, iv.hi) for iv in walk[agent]), ZERO)
 
     score = full_run if middle is None else path_walk
@@ -336,11 +340,10 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     plans = []
     own_cut = _node_cut(true_v, a, b, k)
     for c in _node_candidates(a, b, others, true_v, own_cut):
-        order = sorted(others + [(c, agent)])
-        if order[half - 1] != (c, agent):
+        if bisect(others, (c, agent)) != half - 1:
             continue  # manipulator does not pin the boundary; drift would move it
-        left = [i for _, i in order[:half]]
-        rest_lo = order[half][0] if middles else c
+        left = [i for _, i in others[:half - 1]] + [agent]
+        rest_lo = others[half - 1][0] if middles else c
         value, steps, leaf = _dp_best_path(profile, agent, a, c, left, middles)
         plans.append((value, [(share, rest_lo, b)] + steps, leaf))
 

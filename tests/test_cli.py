@@ -138,6 +138,19 @@ class TestGainAndLearn:
         assert output["queries_used"] == 20
         assert output["k"] == 2
 
+    @pytest.mark.parametrize("eps, code", [("1/5", 0), ("2/11", 1)])
+    def test_query_budget_cap(self, capsys, monkeypatch, exchange_profile, eps, code):
+        # k = 1: a budget of floor(2/eps) = 10 queries runs, 11 is refused
+        monkeypatch.setattr(cakecut.cli, "MAX_QUERY_BUDGET", 10)
+        got, out, err = run_cli(capsys, "learn", "--profile", exchange_profile,
+                                "--agent", "0", "--k", "1", "--eps", eps)
+        assert got == code
+        if code:
+            assert out == "" and err == ("cakecut: error: arguments 'k' and 'eps': query "
+                                         "budget floor(2k/eps) = 11 exceeds 10\n")
+        else:
+            assert json.loads(out)["output"]["queries_used"] == 10
+
 
 class TestSeedInInputs:
     THREE = {"agents": [
@@ -482,6 +495,7 @@ class TestScenarioArgumentTypes:
                   "max_candidate": 7}, "max_candidate"),
         ("chain", {"name": "thm1", "mechanism": "equal-split", "verify": "w.json"},
          "verify"),
+        ("learn", {"agent": 0, "k": 2, "eps": "1/100000000"}, "eps"),
     ])
     def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
                                             arguments, field):
@@ -581,6 +595,12 @@ class TestUnreadableInput:
          b' {"breakpoints": [], "densities": ["1"]}]}',
          ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
          "total mass 10000000000000000000…(1000 digits), expected exactly 1"),
+        (json.dumps(UNIFORM_PAIR).encode(),
+         ("learn", "--agent", "0", "--k", "2", "--eps", "1/100000000", "--profile", "{path}"),
+         "query budget floor(2k/eps) = 400000000 exceeds 100000"),
+        (json.dumps(UNIFORM_PAIR).encode(),
+         ("gain", "--mechanism", "even-paz", "--agent", "1" * 5000, "--profile", "{path}"),
+         "argument --agent: invalid int value: '11111111111111111111…(5000 digits)'"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -588,7 +608,8 @@ class TestUnreadableInput:
             "witness-violated-unknown", "gain-witness-as-proportionality",
             "gain-witness-as-contiguity", "witness-mechanism-relabeled",
             "certificate-mechanism-relabeled", "result-beyond-digit-limit",
-            "5000-digit-denominator", "mass-1e999"])
+            "5000-digit-denominator", "mass-1e999", "learn-query-budget",
+            "argparse-5000-digit-agent"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:

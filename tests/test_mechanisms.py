@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cakecut import io
 from cakecut.cake import (
+    ONE,
+    ZERO,
     Piece,
     PiecewiseConstantValuation as PCV,
     Profile,
@@ -234,6 +236,29 @@ class TestPathWalk:
             assert Piece.of(walk[i]) == full.pieces[i]
             assert not any(walk[j] for j in range(n) if j != i)
 
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(SHARES_MIDDLE)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 6), denom=st.sampled_from([2, 3, 4, 12]))
+    def test_walks_share_one_table_of_other_cuts(self, name, seed, n, denom):
+        # one agent's truthful report and five misreports walk through one
+        # table of the other agents' cuts, as in a gain search
+        rng = random.Random(seed)
+        profile = random_profile(rng, n, max_breakpoints=3, denom=denom)
+        agent = rng.randrange(n)
+        others = {}
+        lies = [profile[agent]] + [random_valuation(rng, max_breakpoints=3, denom=denom)
+                                   for _ in range(5)]
+        for lie in lies:
+            deviated = profile.replace(agent, lie)
+            walk = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)
+            assert Piece.of(walk[agent]) == MECHANISMS[name].run(deviated).pieces[agent]
+        assert (ZERO, ONE, frozenset(range(n))) in others
+        for (a, b, agents), cuts in others.items():
+            k = len(agents)
+            assert cuts == sorted(
+                (profile[i].cut_point(a, F(k // 2, k) * profile[i].value_between(a, b)), i)
+                for i in agents if i != agent)
+
 
 class TestHalvingOrder:
     @settings(max_examples=150, deadline=None)
@@ -259,6 +284,39 @@ class TestNodeCutMemo:
         assert _node_cut(v, a, b, k) == expected
         assert (a, b, k) in v.node_cuts
         assert _node_cut(v, a, b, k) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_one_pass_cut_equals_two_walks(self, seed, data):
+        # ends drawn from the valuation's own bounds and from the 1/24 grid, so
+        # a == b, ends on breakpoints and zero-mass nodes all occur
+        v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
+        point = st.sampled_from(v.bounds) | st.integers(0, 24).map(lambda i: F(i, 24))
+        a, b = sorted(data.draw(st.tuples(point, point)))
+        share = data.draw(st.fractions(0, 1, max_denominator=12))
+        assert v.node_cut(a, b, share) == v.cut_point(a, share * v.value_between(a, b))
+
+    @pytest.mark.parametrize("a, b, share, cut", [
+        ("1/3", "1/3", "1/2", "1/3"),     # a == b
+        ("0", "1/2", "1/2", "0"),         # zero mass: the cut stays at a
+        ("1/4", "1/2", "1", "1/4"),
+        ("1/2", "1", "1/2", "3/4"),       # both ends on breakpoints
+        ("1/4", "1", "1/2", "3/4"),       # zero-density head, then mass
+        ("0", "1", "1", "1"),
+        ("1/2", "1", "0", "1/2"),
+    ])
+    def test_one_pass_cut_edge_cases(self, a, b, share, cut):
+        a, b, share = F(a), F(b), F(share)
+        assert D1.node_cut(a, b, share) == F(cut)
+        assert D1.cut_point(a, share * D1.value_between(a, b)) == F(cut)
+
+    @pytest.mark.parametrize("a, b, share", [
+        ("1/2", "1/3", "1/2"), ("-1/2", "1/2", "1/2"), ("0", "3/2", "1/2"),
+        ("0", "1", "3/2"), ("0", "1", "-1/2"),
+    ])
+    def test_one_pass_cut_rejects_bad_nodes(self, a, b, share):
+        with pytest.raises(ValueError):
+            D1.node_cut(F(a), F(b), F(share))
 
     def test_memo_is_invisible(self):
         v = PCV.of(["1/3", "3/4"], [F(3, 4), F(3, 2), F(1, 2)])

@@ -263,7 +263,7 @@ class TestEveryCertificateVerifies:
             assert cert.verify()
 
     def test_wrong_path_walk_is_caught(self, monkeypatch):
-        def whole_cake(profile, share_middle, follow=None):
+        def whole_cake(profile, share_middle, follow=None, others=None):
             pieces = [[] for _ in range(profile.n)]
             pieces[follow].append(Interval(ZERO, F(1)))
             return pieces
