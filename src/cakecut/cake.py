@@ -6,7 +6,9 @@ enter any computation, so every comparison made by mechanisms, checkers, and
 counterexample chains downstream is an exact decision.  The cell sweep
 (:func:`cell_grid`) places every endpoint at an exact integer numerator over one
 common denominator, the lcm of the endpoints' denominators, so it sorts,
-indexes and measures cells with plain ints and still decides exactly.
+indexes and measures cells with plain ints and still decides exactly; the
+segment walks do the same on a valuation's ``integer_image`` and build one
+``Fraction`` per result.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -16,9 +18,9 @@ increasing order (as the mechanisms and the cell sweep produce them), merges
 touching neighbours without sorting, and refuses input that is not.
 
 Values are immutable after construction and all operations are pure.  A
-valuation's memo of halving cuts (``node_cuts``) caches only pure results of
-its own fields and stays out of equality, hashing, ``repr`` and JSON, so
-values may still be shared between threads.
+valuation's memo of halving cuts (``node_cuts``) and its integer image cache
+only pure results of its own fields and stay out of equality, hashing,
+``repr`` and JSON, so values may still be shared between threads.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if not (ZERO <= self.lo <= self.hi <= ONE):
-            raise ValueError(f"interval [{self.lo}, {self.hi}] not within [0, 1]")
+        lo, hi = self.lo, self.hi       # compared as ints: denominators are positive
+        if not (0 <= lo.numerator and hi.numerator <= hi.denominator
+                and lo.numerator * hi.denominator <= hi.numerator * lo.denominator):
+            raise ValueError(f"interval [{lo}, {hi}] not within [0, 1]")
 
     @property
     def length(self) -> Fraction:
@@ -320,17 +324,47 @@ class PiecewiseConstantValuation:
                 return d
         return self.densities[-1]
 
+    @cached_property
+    def integer_image(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+        """``(L, M, bounds * L, densities * M)`` as plain ints, L the lcm of
+        the bounds' denominators and M of the densities'.  The segment walks
+        run on it.  Not a field: it is a pure function of the fields."""
+        lcm_b = math.lcm(*(b.denominator for b in self.bounds))
+        lcm_d = math.lcm(*(d.denominator for d in self.densities))
+        return (lcm_b, lcm_d, tuple(b.numerator * (lcm_b // b.denominator) for b in self.bounds),
+                tuple(d.numerator * (lcm_d // d.denominator) for d in self.densities))
+
+    def _overlaps(self, x: int, y: int, q: int) -> tuple[int, list[tuple[int, int, int]]]:
+        """``(unit, overlaps)`` for the query [x/q, y/q], 0 <= x <= y <= q: each
+        positive-density segment meeting it in more than a point as ``(lo, d,
+        mass)``, lo its left end clipped to the query over ``unit = L * q``, d
+        its density over M and mass its value on the query over ``unit * M``."""
+        lcm_b, _, bounds, densities = self.integer_image
+        x *= lcm_b
+        y *= lcm_b
+        out = []
+        for lo, hi, d in zip(bounds, bounds[1:], densities):
+            hi *= q
+            if hi <= x:
+                continue
+            lo *= q
+            if lo >= y:
+                break
+            if d:
+                lo = x if lo < x else lo
+                out.append((lo, d, d * ((y if hi > y else hi) - lo)))
+        return lcm_b * q, out
+
     def value_between(self, x: RationalLike, y: RationalLike) -> Fraction:
-        """Exact value of the interval [x, y]."""
+        """Exact value of the interval [x, y], summed in ints on the integer
+        image with x and y over the lcm of their denominators."""
         x, y = frac(x), frac(y)
-        if not (ZERO <= x <= y <= ONE):
+        q = math.lcm(x.denominator, y.denominator)
+        xq, yq = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
+        if not 0 <= xq <= yq <= q:
             raise ValueError(f"interval [{x}, {y}] not within [0, 1]")
-        total = ZERO
-        for a, b, d in self.segments():
-            lo, hi = max(a, x), min(b, y)
-            if lo < hi:
-                total += d * (hi - lo)
-        return total
+        unit, overlaps = self._overlaps(xq, yq, q)
+        return Fraction(sum(mass for _, _, mass in overlaps), unit * self.integer_image[1])
 
     def value(self, piece: Piece) -> Fraction:
         """Exact value of a piece; additive over its intervals."""
@@ -339,54 +373,49 @@ class PiecewiseConstantValuation:
     def cut_point(self, x: RationalLike, r: RationalLike) -> Fraction:
         """Leftmost y >= x with value_between(x, y) == r.
 
-        Walks segments exactly; cut_point(x, 0) == x by the leftmost
-        convention.  Raises InfeasibleCutError if r exceeds the value of
-        [x, 1].
+        Walks segments exactly in ints on the integer image, with r's
+        denominator folded into the running value; cut_point(x, 0) == x by
+        the leftmost convention.  Raises InfeasibleCutError if r exceeds the
+        value of [x, 1].
         """
         x, r = frac(x), frac(r)
-        if r < 0 or not (ZERO <= x <= ONE):
+        q = x.denominator
+        if r.numerator < 0 or not 0 <= x.numerator <= q:
             raise ValueError("need 0 <= x <= 1 and r >= 0")
-        if r == 0:
+        if r.numerator == 0:
             return x
-        acc = ZERO
-        for a, b, d in self.segments():
-            lo = max(a, x)
-            if lo >= b:
-                continue
-            mass = d * (b - lo)
-            if d > 0 and acc + mass >= r:
-                return lo + (r - acc) / d
+        unit, overlaps = self._overlaps(x.numerator, q, q)
+        rd, m = r.denominator, self.integer_image[1]
+        target, acc = r.numerator * unit * m, 0       # over rd * unit * M
+        for lo, d, mass in overlaps:
+            mass *= rd
+            if acc + mass >= target:
+                return Fraction(lo * rd * d + target - acc, rd * unit * d)
             acc += mass
-        raise InfeasibleCutError(f"requested value {r} exceeds remaining {acc}")
+        raise InfeasibleCutError(
+            f"requested value {r} exceeds remaining {Fraction(acc, rd * unit * m)}")
 
     def node_cut(self, a: Fraction, b: Fraction, share: Fraction) -> Fraction:
         """``cut_point(a, share * value_between(a, b))`` for 0 <= share <= 1,
         from one walk over the segments that overlap [a, b].
 
-        The walk keeps each positive-density overlap with its mass; the cut
-        lies in the first overlap whose mass covers what is left of the
-        target, so the segments are not walked from the start again.
+        The walk keeps each positive-density overlap with its mass, in ints
+        on the integer image; the cut lies in the first overlap whose mass
+        covers what is left of the target, so the segments are not walked
+        from the start again.
         """
-        if not (ZERO <= a <= b <= ONE and ZERO <= share <= ONE):
+        q = math.lcm(a.denominator, b.denominator)
+        aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        s = share.denominator
+        if not (0 <= aq <= bq <= q and 0 <= share.numerator <= s):
             raise ValueError("need 0 <= a <= b <= 1 and 0 <= share <= 1")
-        bounds = self.bounds
-        overlaps = []
-        total = ZERO
-        for lo, hi, d in zip(bounds, bounds[1:], self.densities):
-            if hi <= a:
-                continue
-            if lo >= b:
-                break
-            if d:
-                lo = a if lo < a else lo
-                mass = d * ((b if hi > b else hi) - lo)
-                total += mass
-                overlaps.append((lo, d, mass))
-        rest = share * total
+        unit, overlaps = self._overlaps(aq, bq, q)
+        rest = share.numerator * sum(mass for _, _, mass in overlaps)   # over s * unit * M
         if rest:
             for lo, d, mass in overlaps:
+                mass *= s
                 if mass >= rest:
-                    return lo + rest / d
+                    return Fraction(lo * s * d + rest, s * unit * d)
                 rest -= mass
         return a
 

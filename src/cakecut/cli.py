@@ -88,7 +88,7 @@ ARGUMENTS: dict[str, tuple[Arg, ...]] = {
              Arg("rounds", int, 1, ">= 0", help="offset refinement rounds"),
              Arg("mass_denominator", int, 4, ">= 1"),
              Arg("max_breakpoints", int, 2, ">= 0"),
-             Arg("max_candidates", int, 64, ">= 0", nullable=True)),
+             Arg("max_candidates", int, 64, ">= 1", nullable=True)),
     "learn": (AGENT,
               Arg("k", int, 1, "> 0", required=True,
                   help="upper bound on the agent's breakpoint count"),

@@ -200,7 +200,7 @@ class SearchConfig:
         # below these bounds a search tries no misreport but the truthful one
         # (or fails midway), and its gain of 0 would read as "none found"
         for name, least in (("mass_denominator", 1), ("max_breakpoints", 0),
-                            ("offset_rounds", 0), ("max_candidates", 0)):
+                            ("offset_rounds", 0), ("max_candidates", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"SearchConfig.{name} must be at least {least}, got {value}")

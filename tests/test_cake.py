@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cakecut import cake
+import support as reference
+from cakecut import cake, io
 from cakecut.cake import (
     MAX_DECIMAL_EXPONENT,
     Allocation,
@@ -247,6 +248,70 @@ class TestCutPoint:
             cut = v.cut_point(x, r)
             assert cut <= y
             assert v.value_between(x, cut) == r
+
+
+GRIDS = (7, 11, 13, 24)
+
+
+@st.composite
+def grid_valuations(draw):
+    """Breakpoints on one of the coprime GRIDS, small int densities (zero
+    segments included) rescaled to unit mass."""
+    g = draw(st.sampled_from(GRIDS))
+    points = sorted(draw(st.lists(st.integers(1, g - 1), unique=True, max_size=4)))
+    dens = draw(st.lists(st.integers(0, 4), min_size=len(points) + 1,
+                         max_size=len(points) + 1).filter(any))
+    return normalized([F(p, g) for p in points], dens)
+
+
+def outcome(walk, *args):
+    """The walk's result, or its error, with its type."""
+    try:
+        result = walk(*args)
+    except ValueError as exc:           # InfeasibleCutError included
+        return type(exc), str(exc)
+    return type(result), result
+
+
+def as_int(f):
+    return int(f) if f.denominator == 1 else f
+
+
+class TestIntegerWalks:
+    @settings(max_examples=400, deadline=None)
+    @given(v=grid_valuations(), data=st.data())
+    def test_match_fraction_reference(self, v, data):
+        # query points on the valuation's breakpoints and on another grid,
+        # one step past either end of the cake included
+        g = data.draw(st.sampled_from(GRIDS))
+        point = st.sampled_from(v.bounds) | st.integers(-1, g + 1).map(lambda i: F(i, g))
+        x = data.draw(point)
+        y = data.draw(point | st.just(x))
+        share = data.draw(st.sampled_from([F(0), F(1)]) | st.fractions(-1, 2, max_denominator=12))
+        remaining = reference.value_between(v, x, 1) if 0 <= x <= 1 else F(0)
+        r = data.draw(st.sampled_from([F(0), remaining, remaining + F(1, g), share * remaining])
+                      | st.fractions(-1, 1, max_denominator=24))
+        arg = data.draw(st.sampled_from([lambda f: f, str, as_int]))
+        assert outcome(v.value_between, arg(x), arg(y)) \
+            == outcome(reference.value_between, v, arg(x), arg(y))
+        assert outcome(v.cut_point, arg(x), arg(r)) \
+            == outcome(reference.cut_point, v, arg(x), arg(r))
+        a, b, share = (f if arg is str else arg(f) for f in (x, y, share))  # no strings
+        assert outcome(v.node_cut, a, b, share) == outcome(reference.node_cut, v, a, b, share)
+
+    def test_image_stays_out_of_identity(self):
+        points, masses = ["1/7", "6/13"], ["1/3", "0", "2/3"]
+        v = PCV.of(points, ["7/3", "0", "26/21"])
+        twin = PCV.from_masses(points, masses)
+        chunks = PCV.from_chunks([(F(6, 13), F(1), F(26, 21)), (F(0), F(1, 7), F(7, 3))])
+        before = (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v)))
+        assert v.value_between(0, 1) == 1
+        assert "integer_image" in vars(v) and "integer_image" not in vars(twin)
+        assert v == twin == chunks
+        assert (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v))) == before
+        assert (repr(twin), hash(twin)) == before[:2]
+        assert v.integer_image == twin.integer_image == chunks.integer_image \
+            == (91, 21, (0, 13, 42, 91), (49, 0, 26))
 
 
 class TestValidateAllocation:

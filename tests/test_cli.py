@@ -516,9 +516,10 @@ class TestScenarioArgumentTypes:
         ("gain", "--mechanism", "even-paz", "--agent", "0", "--mass-denominator", "-2"),
         ("gain", "--mechanism", "even-paz", "--agent", "0", "--max-breakpoints", "-1"),
         ("gain", "--mechanism", "even-paz", "--agent", "0", "--rounds", "-1"),
+        ("gain", "--mechanism", "even-paz", "--agent", "0", "--max-candidates", "0"),
     ], ids=["ep-exact-outside-family", "negative-max-candidates", "k-below-breakpoints",
             "zero-mass-denominator", "negative-mass-denominator",
-            "negative-max-breakpoints", "negative-rounds"])
+            "negative-max-breakpoints", "negative-rounds", "zero-max-candidates"])
     def test_bad_flag_is_one_line_error(self, exchange_profile, argv):
         child = subprocess.run(
             [sys.executable, "-m", "cakecut.cli", *argv, "--profile", exchange_profile],

@@ -182,7 +182,7 @@ class TestGridEngine:
 
     @pytest.mark.parametrize("budget", [
         {"mass_denominator": 0}, {"mass_denominator": -2}, {"max_breakpoints": -1},
-        {"offset_rounds": -1}, {"max_candidates": -3},
+        {"offset_rounds": -1}, {"max_candidates": -3}, {"max_candidates": 0},
     ])
     def test_budget_that_searches_nothing_rejected(self, budget):
         with pytest.raises(ValueError, match=next(iter(budget))):
