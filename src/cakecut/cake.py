@@ -18,9 +18,9 @@ increasing order (as the mechanisms and the cell sweep produce them), merges
 touching neighbours without sorting, and refuses input that is not.
 
 Values are immutable after construction and all operations are pure.  A
-valuation's memo of halving cuts (``node_cuts``) and its integer image cache
-only pure results of its own fields and stay out of equality, hashing,
-``repr`` and JSON, so values may still be shared between threads.
+valuation's integer image is cached once, as a pure function of its fields,
+and stays out of equality, hashing, ``repr`` and JSON, so values may be
+shared between threads.
 """
 
 from __future__ import annotations
@@ -297,12 +297,6 @@ class PiecewiseConstantValuation:
     def uniform() -> "PiecewiseConstantValuation":
         return PiecewiseConstantValuation((ZERO, ONE), (ONE,))
 
-    @cached_property
-    def node_cuts(self) -> dict[tuple[Fraction, Fraction, int], Fraction]:
-        """Memo of halving cuts keyed ``(a, b, k)``, filled by
-        ``mechanisms._node_cut``.  Not a field: it holds only pure results."""
-        return {}
-
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Interior breakpoints only."""
@@ -355,6 +349,18 @@ class PiecewiseConstantValuation:
                 out.append((lo, d, d * ((y if hi > y else hi) - lo)))
         return lcm_b * q, out
 
+    @staticmethod
+    def _cut(overlaps: list[tuple[int, int, int]], unit: int, s: int,
+             rest: int) -> Optional[Fraction]:
+        """The leftmost point where the ``overlaps`` of :meth:`_overlaps` reach
+        value ``rest`` > 0 over ``s * unit * M``; None if they fall short."""
+        for lo, d, mass in overlaps:
+            mass *= s
+            if mass >= rest:
+                return Fraction(lo * s * d + rest, s * unit * d)
+            rest -= mass
+        return None
+
     def value_between(self, x: RationalLike, y: RationalLike) -> Fraction:
         """Exact value of the interval [x, y], summed in ints on the integer
         image with x and y over the lcm of their denominators."""
@@ -385,24 +391,20 @@ class PiecewiseConstantValuation:
         if r.numerator == 0:
             return x
         unit, overlaps = self._overlaps(x.numerator, q, q)
-        rd, m = r.denominator, self.integer_image[1]
-        target, acc = r.numerator * unit * m, 0       # over rd * unit * M
-        for lo, d, mass in overlaps:
-            mass *= rd
-            if acc + mass >= target:
-                return Fraction(lo * rd * d + target - acc, rd * unit * d)
-            acc += mass
-        raise InfeasibleCutError(
-            f"requested value {r} exceeds remaining {Fraction(acc, rd * unit * m)}")
+        m = self.integer_image[1]
+        cut = self._cut(overlaps, unit, r.denominator, r.numerator * unit * m)
+        if cut is None:
+            remaining = Fraction(sum(mass for _, _, mass in overlaps), unit * m)
+            raise InfeasibleCutError(f"requested value {r} exceeds remaining {remaining}")
+        return cut
 
     def node_cut(self, a: Fraction, b: Fraction, share: Fraction) -> Fraction:
         """``cut_point(a, share * value_between(a, b))`` for 0 <= share <= 1,
         from one walk over the segments that overlap [a, b].
 
         The walk keeps each positive-density overlap with its mass, in ints
-        on the integer image; the cut lies in the first overlap whose mass
-        covers what is left of the target, so the segments are not walked
-        from the start again.
+        on the integer image, and the cut is found among those overlaps, so
+        the segments are not walked from the start again.
         """
         q = math.lcm(a.denominator, b.denominator)
         aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
@@ -411,13 +413,7 @@ class PiecewiseConstantValuation:
             raise ValueError("need 0 <= a <= b <= 1 and 0 <= share <= 1")
         unit, overlaps = self._overlaps(aq, bq, q)
         rest = share.numerator * sum(mass for _, _, mass in overlaps)   # over s * unit * M
-        if rest:
-            for lo, d, mass in overlaps:
-                mass *= s
-                if mass >= rest:
-                    return Fraction(lo * s * d + rest, s * unit * d)
-                rest -= mass
-        return a
+        return self._cut(overlaps, unit, s, rest) if rest else a
 
 
 def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]

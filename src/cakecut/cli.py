@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from cakecut.cake import Profile
 from cakecut.io import (
+    MAX_AGENTS,
     FormatError,
     require_keys,
     allocation_to_json,
@@ -189,6 +190,8 @@ def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
              eps2: Fraction, deltas: dict[str, Fraction]) -> dict:
     import cakecut.chains as chains
 
+    if n > MAX_AGENTS:
+        raise CliError(f"argument 'n': at most {MAX_AGENTS} agents, got {n}")
     if name not in chains.CHAINS:
         raise CliError(f"unknown chain {name!r}; known: {chains.CHAINS}")
     if name == "discussion":
@@ -258,14 +261,17 @@ class Scenario(NamedTuple):
 def parse_scenario(obj: Any, base_dir: str = ".") -> Scenario:
     require_keys(obj, {"version", "command"}, {"arguments", "profile", "seed"},
                  "scenario")
-    if obj["version"] != 1:
-        raise FormatError(f"scenario.version: unsupported version {obj['version']!r}")
+    if type(obj["version"]) is not int or obj["version"] != 1:
+        raise FormatError(f"scenario.version: expected the integer 1, got {obj['version']!r}")
     if obj["command"] not in ARGUMENTS:
         raise FormatError(f"scenario.command: unknown command {obj['command']!r}")
     profile = None
     if "profile" in obj:
         spec = obj["profile"]
         if isinstance(spec, dict) and set(spec.keys()) == {"file"}:
+            if not isinstance(spec["file"], str):
+                raise FormatError(f"scenario.profile.file: expected a string, "
+                                  f"got {spec['file']!r}")
             profile = load_profile(os.path.join(base_dir, spec["file"]))
         else:
             profile = profile_from_json(spec, "scenario.profile")

@@ -32,6 +32,10 @@ class FormatError(ValueError):
     """Malformed input file; the message names the offending field."""
 
 
+# Profiles and `chain --n` above this many agents are refused before any run.
+MAX_AGENTS = 1000
+
+
 def _exact(text: str, where: str = "JSON number") -> Fraction:
     """Fraction(text), refusing a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
     try:
@@ -117,6 +121,8 @@ def profile_from_json(obj: Any, where: str = "profile") -> Profile:
     agents = obj["agents"]
     if not isinstance(agents, list) or len(agents) < 2:
         raise FormatError(f"{where}.agents: need an array of at least two agents")
+    if len(agents) > MAX_AGENTS:
+        raise FormatError(f"{where}.agents: at most {MAX_AGENTS} agents, got {len(agents)}")
     return Profile.of(
         valuation_from_json(a, f"{where}.agents[{i}]") for i, a in enumerate(agents))
 

@@ -12,10 +12,9 @@ node's agents.  The gain engines and the CLI read the table.  With
 Even-Paz, also the middles on it) and fills only i's intervals, which is all
 a gain search needs to score a misreport of agent i.  A search passes one
 table of the other agents' sorted cuts per node to all its walks, so a
-walk's node costs one lookup and one bisection for i's cut.  Each agent's
-node cut comes from one walk over its segments
-(:meth:`cakecut.cake.PiecewiseConstantValuation.node_cut`) and is memoised
-on its valuation (:func:`_node_cut`).
+walk's node costs one lookup and one bisection for i's cut; that table is
+the only cache of node cuts.  Each agent's node cut comes from one walk over
+its segments (:func:`_node_cut`).
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep
@@ -60,18 +59,8 @@ class Mechanism:
 def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
               k: int) -> Fraction:
     """The reported cut on sub-cake [a, b]: leftmost point where the agent's
-    value reaches the floor(k/2)/k share of its value for [a, b].
-
-    The cut depends only on the valuation and (a, b, k), so it is memoised
-    on the valuation: repeated runs on profiles that share valuation objects
-    (every candidate of a manipulation search) compute each cut once.
-    """
-    memo = v.node_cuts
-    key = (a, b, k)
-    cut = memo.get(key)
-    if cut is None:
-        cut = memo[key] = v.node_cut(a, b, Fraction(k // 2, k))
-    return cut
+    value reaches the floor(k/2)/k share of its value for [a, b]."""
+    return v.node_cut(a, b, Fraction(k // 2, k))
 
 
 # One search's table of the other agents' sorted (cut, index) pairs at each

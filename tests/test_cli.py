@@ -20,7 +20,7 @@ from cakecut.properties import SearchConfig, best_response_gain, ep_cutpoint_bes
 from cakecut.sampling import random_profile
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
 from cakecut import cake, io
-from cakecut.io import FormatError, as_rational, canonical_dumps, load_json
+from cakecut.io import MAX_AGENTS, FormatError, as_rational, canonical_dumps, load_json
 
 UNIFORM_PAIR = {"agents": [
     {"breakpoints": [], "densities": ["1"]},
@@ -550,6 +550,12 @@ def _huge_denominator_profile() -> bytes:
         {"breakpoints": ["1/3"], "densities": ["3/2", "3/4"]}]}).encode()
 
 
+def _allocate_scenario(**fields):
+    scenario = {"version": 1, "command": "allocate",
+                "arguments": {"mechanism": "even-paz"}, "profile": UNIFORM_PAIR}
+    return json.dumps({**scenario, **fields}).encode()
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize("content, argv, names", [
         (b"{", ("check", "--mechanism", "even-paz", "--profile", "{path}"), "not valid JSON"),
@@ -602,6 +608,19 @@ class TestUnreadableInput:
         (json.dumps(UNIFORM_PAIR).encode(),
          ("gain", "--mechanism", "even-paz", "--agent", "1" * 5000, "--profile", "{path}"),
          "argument --agent: invalid int value: '11111111111111111111…(5000 digits)'"),
+        (_allocate_scenario(profile={"file": 5}), ("run", "{path}"),
+         "scenario.profile.file: expected a string, got 5"),
+        (_allocate_scenario(profile={"file": ["p.json"]}), ("run", "{path}"),
+         "scenario.profile.file: expected a string, got ['p.json']"),
+        (_allocate_scenario(version=True), ("run", "{path}"),
+         "scenario.version: expected the integer 1, got True"),
+        (_allocate_scenario(version=1.0), ("run", "{path}"),
+         "scenario.version: expected the integer 1, got Fraction(1, 1)"),
+        (None, ("chain", "--name", "thm1", "--mechanism", "even-paz", "--n", str(MAX_AGENTS + 1)),
+         f"argument 'n': at most {MAX_AGENTS} agents, got {MAX_AGENTS + 1}"),
+        (json.dumps({"agents": UNIFORM_PAIR["agents"][:1] * (MAX_AGENTS + 1)}).encode(),
+         ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         f"profile.agents: at most {MAX_AGENTS} agents, got {MAX_AGENTS + 1}"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -610,7 +629,9 @@ class TestUnreadableInput:
             "gain-witness-as-contiguity", "witness-mechanism-relabeled",
             "certificate-mechanism-relabeled", "result-beyond-digit-limit",
             "5000-digit-denominator", "mass-1e999", "learn-query-budget",
-            "argparse-5000-digit-agent"])
+            "argparse-5000-digit-agent", "scenario-profile-file-int",
+            "scenario-profile-file-array", "scenario-version-true", "scenario-version-1.0",
+            "chain-n-above-cap", "profile-agents-above-cap"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:

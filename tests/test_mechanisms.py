@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ from cakecut.mechanisms import (
     modified_even_paz,
     with_zero_piece_exchange,
 )
-from cakecut.properties import report_for
+from cakecut.chains import ChainParameters, thm1_chain
+from cakecut.properties import (
+    SearchConfig, best_response_gain, ep_cutpoint_best_response, report_for)
 from cakecut.sampling import random_profile, random_valuation
 from support import support
 
@@ -282,8 +285,6 @@ class TestNodeCutMemo:
         a, b = F(min(ends), 24), F(max(ends), 24)
         expected = v.cut_point(a, F(k // 2, k) * v.value_between(a, b))
         assert _node_cut(v, a, b, k) == expected
-        assert (a, b, k) in v.node_cuts
-        assert _node_cut(v, a, b, k) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -318,19 +319,21 @@ class TestNodeCutMemo:
         with pytest.raises(ValueError):
             D1.node_cut(F(a), F(b), F(share))
 
-    def test_memo_is_invisible(self):
+    def test_valuations_hold_no_hidden_state(self):
         v = PCV.of(["1/3", "3/4"], [F(3, 4), F(3, 2), F(1, 2)])
-        twin = PCV.of(["1/3", "3/4"], [F(3, 4), F(3, 2), F(1, 2)])
-        before = (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v)))
-        even_paz(Profile.of([v, U, SPIKE]))
-        assert v.node_cuts and not twin.node_cuts
-        assert v == twin
-        assert (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v))) == before
-        assert (repr(twin), hash(twin)) == before[:2]
-
-    def test_runs_on_shared_valuations_reuse_cuts(self):
-        profile = random_profile(random.Random(5), 5)
-        first = modified_even_paz(profile)
-        filled = [dict(v.node_cuts) for v in profile]
-        assert modified_even_paz(profile) == first
-        assert [v.node_cuts for v in profile] == filled
+        profile = Profile.of([v, U, SPIKE])
+        for mechanism in MECHANISMS.values():
+            mechanism.run(profile)
+        cfg = SearchConfig(mass_denominator=3, max_breakpoints=1, offset_rounds=0,
+                           max_candidates=12)
+        best_response_gain(EVEN_PAZ, profile, 0, cfg)
+        ep_cutpoint_best_response(MODIFIED_EVEN_PAZ, profile, 0, cfg)
+        witness = thm1_chain(EVEN_PAZ, ChainParameters.of(3))
+        fields = {f.name for f in dataclasses.fields(PCV)}
+        assert all("integer_image" in vars(w) for w in profile)
+        for w in [*profile, *(u for p in witness.profiles for u in p)]:
+            assert vars(w).keys() - fields <= {"integer_image"}
+            twin = io.valuation_from_json(io.valuation_to_json(w), "twin")
+            assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
+            assert (io.canonical_dumps(io.valuation_to_json(w))
+                    == io.canonical_dumps(io.valuation_to_json(twin)))
