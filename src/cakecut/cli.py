@@ -43,10 +43,6 @@ if TYPE_CHECKING:
     from cakecut.properties import Certificate, SearchConfig
 
 
-class CliError(ValueError):
-    """User input error; rendered as a diagnostic and exit code 1."""
-
-
 # `learn` makes floor(2k/eps) cut queries, one at a time; a budget
 # above this is refused before any query runs.
 MAX_QUERY_BUDGET = 10 ** 5
@@ -54,8 +50,12 @@ MAX_QUERY_BUDGET = 10 ** 5
 
 def _error_line(message: str) -> str:
     """`message` as one diagnostic line: an echoed number may run to
-    thousands of digits, so each run of more than 40 keeps its first 20."""
+    thousands of digits, so each run of more than 40 keeps its first 20,
+    and an echoed name may hold a newline or a NUL, so every character
+    that is not printable is written as its backslash escape."""
     message = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}…({len(m[0])} digits)", message)
+    message = "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                      for c in message)
     return f"cakecut: error: {message}\n"
 
 
@@ -112,8 +112,8 @@ def _checked(command: str, args: dict) -> dict:
     specs = ARGUMENTS[command]
     unknown = sorted(args.keys() - {spec.name for spec in specs})
     if unknown:
-        raise CliError(f"unknown argument(s) {unknown} for {command}; "
-                       f"known: {[spec.name for spec in specs]}")
+        raise FormatError(f"unknown argument(s) {unknown} for {command}; "
+                          f"known: {[spec.name for spec in specs]}")
     checked = {}
     for spec in specs:
         value = checked[spec.name] = args.get(spec.name, spec.default)
@@ -123,14 +123,14 @@ def _checked(command: str, args: dict) -> dict:
         if spec.kind is Fraction:
             value = checked[spec.name] = as_rational(value, where)
         elif not isinstance(value, spec.kind) or isinstance(value, bool):
-            raise CliError(f"{where}: expected {spec.kind.__name__}, got {value!r}")
+            raise FormatError(f"{where}: expected {spec.kind.__name__}, got {value!r}")
         elif spec.kind is dict:
             checked[spec.name] = {k: as_rational(v, f"argument '{spec.name}.{k}'")
                                   for k, v in value.items()}
         if spec.bound:
             op, least = spec.bound.split()
             if not (value > int(least) if op == ">" else value >= int(least)):
-                raise CliError(f"{where}: must be {spec.bound}, got {value}")
+                raise FormatError(f"{where}: must be {spec.bound}, got {value}")
     return checked
 
 
@@ -159,11 +159,11 @@ def do_gain(mechanism: Mechanism, profile: Profile, agent: int, engine: str,
         cert = best_response_gain(mechanism, profile, agent, cfg)
     elif engine == "ep-exact":
         if mechanism.name not in SHARES_MIDDLE:
-            raise CliError(f"engine 'ep-exact' takes only the recursive-halving mechanisms "
-                           f"{sorted(SHARES_MIDDLE)}; got {mechanism.name!r}")
+            raise FormatError(f"engine 'ep-exact' takes only the recursive-halving mechanisms "
+                              f"{sorted(SHARES_MIDDLE)}; got {mechanism.name!r}")
         cert = ep_cutpoint_best_response(mechanism, profile, agent, cfg)
     else:
-        raise CliError(f"unknown engine {engine!r}")
+        raise FormatError(f"unknown engine {engine!r}")
     return {"engine": engine, "certificate": gain_certificate_to_json(cert)}
 
 
@@ -171,11 +171,11 @@ def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
     from cakecut.queries import RWOracle, approximate_valuation, query_budget
 
     if k < len(profile[agent].breakpoints):
-        raise CliError(f"argument 'k': {k} is below agent {agent}'s breakpoint count "
-                       f"{len(profile[agent].breakpoints)}")
+        raise FormatError(f"argument 'k': {k} is below agent {agent}'s breakpoint count "
+                          f"{len(profile[agent].breakpoints)}")
     if query_budget(k, eps) > MAX_QUERY_BUDGET:
-        raise CliError(f"arguments 'k' and 'eps': query budget floor(2k/eps) = "
-                       f"{query_budget(k, eps)} exceeds {MAX_QUERY_BUDGET}")
+        raise FormatError(f"arguments 'k' and 'eps': query budget floor(2k/eps) = "
+                          f"{query_budget(k, eps)} exceeds {MAX_QUERY_BUDGET}")
     learned = approximate_valuation(RWOracle(profile[agent]), k, eps)
     return {
         "agent": agent,
@@ -191,20 +191,20 @@ def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
     import cakecut.chains as chains
 
     if n > MAX_AGENTS:
-        raise CliError(f"argument 'n': at most {MAX_AGENTS} agents, got {n}")
+        raise FormatError(f"argument 'n': at most {MAX_AGENTS} agents, got {n}")
     if name not in chains.CHAINS:
-        raise CliError(f"unknown chain {name!r}; known: {chains.CHAINS}")
+        raise FormatError(f"unknown chain {name!r}; known: {chains.CHAINS}")
     if name == "discussion":
         return witness_to_json(chains.discussion_example()[1])
     if mechanism is None:
-        raise CliError("--mechanism is required for this chain")
+        raise FormatError("--mechanism is required for this chain")
     try:
         witness = getattr(chains, f"{name}_chain")(mechanism, chains.ChainParameters(
             n, eps1, eps2, tuple(sorted(deltas.items()))))
     except chains.InfeasibleParameters as exc:
-        raise CliError(str(exc)) from None
+        raise FormatError(str(exc)) from None
     except chains.ChainError as exc:
-        raise CliError(f"chain found no violation (unexpected): {exc}") from None
+        raise FormatError(f"chain found no violation (unexpected): {exc}") from None
     return witness_to_json(witness)
 
 
@@ -236,7 +236,7 @@ def _resolve(name: str) -> Mechanism:
     try:
         return get_mechanism(name)
     except KeyError as exc:
-        raise CliError(exc.args[0]) from None
+        raise FormatError(exc.args[0]) from None
 
 
 def _certificate_values(certificate: Certificate) -> dict:
@@ -320,9 +320,9 @@ def load_profile(path: str) -> Profile:
 def _need_profile(profile: Optional[Profile], agent: int = 0) -> Profile:
     """The profile a command runs on, which must hold `agent`."""
     if profile is None:
-        raise CliError("this command needs a profile (--profile or scenario field)")
+        raise FormatError("this command needs a profile (--profile or scenario field)")
     if not 0 <= agent < profile.n:
-        raise CliError(f"agent index {agent} out of range for {profile.n} agents")
+        raise FormatError(f"agent index {agent} out of range for {profile.n} agents")
     return profile
 
 
@@ -385,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 options.update(type=int if spec.kind is int else None, default=spec.default)
             p.add_argument(flag, **options)
-        if command == "chain":
-            p.add_argument("--verify", metavar="WITNESS",
-                           help="re-verify a previously emitted witness file")
         if command != "verify":
             p.add_argument("--profile", required=command != "chain",
                            help="profile JSON file")
@@ -434,9 +431,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(ns, "verify", None):  # chain --verify WITNESS is verify WITNESS
-        ns = argparse.Namespace(command="verify", witness=ns.verify, seed=ns.seed,
-                                format=ns.format)
     started = time.perf_counter()
     try:
         if ns.command == "run":
@@ -456,7 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 inputs["seed"] = ns.seed
             report = {"command": ns.command, "inputs": inputs, "output": output,
                       "exact": True}
-    except (CliError, FormatError) as exc:
+    except FormatError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 1
     elapsed_ms = (time.perf_counter() - started) * 1000

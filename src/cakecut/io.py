@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, IO, Union
+from typing import TYPE_CHECKING, Any
 
 from cakecut.cake import (
     Allocation,
@@ -29,7 +29,8 @@ if TYPE_CHECKING:  # the readers below import these when they are called
 
 
 class FormatError(ValueError):
-    """Malformed input file; the message names the offending field."""
+    """Input error: a malformed file or argument, named in the message; the
+    CLI prints it as one diagnostic line and exits 1."""
 
 
 # Profiles and `chain --n` above this many agents are refused before any run.
@@ -276,20 +277,19 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_json(stream_or_path: Union[str, IO[str]]) -> Any:
-    """Load JSON with floats parsed exactly (0.8 becomes 4/5); input that
-    cannot be read or is not UTF-8 JSON raises FormatError."""
-    name = stream_or_path if isinstance(stream_or_path, str) else "input"
+def load_json(path: str) -> Any:
+    """Load the JSON file at `path` with floats parsed exactly (0.8 becomes
+    4/5); a file that cannot be read or is not UTF-8 JSON raises FormatError."""
+    fh = None                       # still None if open() itself fails
     try:
-        if isinstance(stream_or_path, str):
-            with open(stream_or_path, encoding="utf-8") as fh:
-                return json.load(fh, parse_float=_exact)
-        return json.load(stream_or_path, parse_float=_exact)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_float=_exact)
     except FormatError as exc:     # a number refused by _exact
-        raise FormatError(f"{name}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
     except FileNotFoundError:
-        raise FormatError(f"file not found: {name}") from None
+        raise FormatError(f"file not found: {path}") from None
     except OSError as exc:
-        raise FormatError(f"{name}: cannot read ({exc.strerror})") from None
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{name}: not valid JSON ({exc})") from None
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except (ValueError, RecursionError) as exc:    # open() refuses a NUL in the path
+        problem = "cannot read" if fh is None else "not valid JSON"
+        raise FormatError(f"{path}: {problem} ({exc})") from None

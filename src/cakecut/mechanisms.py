@@ -7,14 +7,14 @@ produce allocations that pass :func:`cakecut.cake.validate_allocation`.
 Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
 ``SHARES_MIDDLE`` table names this recursive-halving family and whether each
 member shares the cake between a node's two median cuts among all of the
-node's agents.  The gain engines and the CLI read the table.  With
-``follow=i``, :func:`_halving` walks only agent i's path (in modified
-Even-Paz, also the middles on it) and fills only i's intervals, which is all
-a gain search needs to score a misreport of agent i.  A search passes one
-table of the other agents' sorted cuts per node to all its walks, so a
-walk's node costs one lookup and one bisection for i's cut; that table is
-the only cache of node cuts.  Each agent's node cut comes from one walk over
-its segments (:func:`_node_cut`).
+node's agents.  The gain engines and the CLI read the table.  A node's
+sorted cuts come from a table keyed by its ends and agents, the only cache
+of node cuts: a full run keeps its own and follows nobody.  With
+``follow=i`` the table holds the other agents' cuts, shared by all walks of
+a gain search, i's cut is placed among them by bisection, and only i's
+path (in modified Even-Paz, also the middles on it) is walked, which is
+all a search needs to score a misreport of agent i.  Each cut is one walk
+over the agent's segments (:func:`_node_cut`).
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep
@@ -38,7 +38,6 @@ from typing import Callable, Optional
 
 from cakecut.cake import (
     Allocation,
-    Interval,
     Piece,
     PiecewiseConstantValuation,
     Profile,
@@ -63,31 +62,32 @@ def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
     return v.node_cut(a, b, Fraction(k // 2, k))
 
 
-# One search's table of the other agents' sorted (cut, index) pairs at each
-# node its path walks visit, keyed (a, b, the node's agents): see _halving.
-OtherCuts = dict[tuple[Fraction, Fraction, frozenset[int]], list[tuple[Fraction, int]]]
+# A halving run's sorted (cut, index) pairs at each node it visits, keyed
+# (a, b, the node's agents), without the followed agent's: see _halving.
+NodeCuts = dict[tuple[Fraction, Fraction, frozenset[int]], list[tuple[Fraction, int]]]
+Span = tuple[Fraction, Fraction]
 
 
 def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
-             others: Optional[OtherCuts] = None) -> list[list[Interval]]:
-    """Recursive halving; returns each agent's list of intervals.  At a node
-    [a, b] the first floor(k/2) agents recurse on [a, d_lo], d_lo the
-    floor(k/2)-th smallest cut, and the rest on [d_lo, b].  With
+             others: Optional[NodeCuts] = None) -> list[list[Span]]:
+    """Recursive halving; returns each agent's list of ``(lo, hi)`` spans.
+    At a node [a, b] the first floor(k/2) agents recurse on [a, d_lo], d_lo
+    the floor(k/2)-th smallest cut, and the rest on [d_lo, b].  With
     `share_middle` the rest recurse on [d_hi, b], d_hi the next cut, and the
-    middle [d_lo, d_hi] is halved among all k agents without sharing.  With
-    `follow` only the children holding that agent are descended (a middle
-    holds them all), so only its list is filled.  The other agents' sorted
-    cuts at a node are read from, or computed into, `others` (a fresh table
-    if None) and that agent's cut is placed among them by bisection.  They
-    depend only on the node's ends, its agents and their valuations, so a
-    search that varies only the followed agent's report walks all its
+    middle [d_lo, d_hi] is halved among all k agents without sharing.  The
+    sorted cuts of a node's agents but `follow` are read from, or computed
+    into, `others` (a fresh table if None).  With `follow` that agent's cut
+    is placed among them by bisection and only the children holding it are
+    descended (a middle holds them all), so only its list is filled.  The
+    cuts depend only on the node's ends, its agents and their valuations,
+    so a search that varies only the followed agent's report walks all its
     candidates through one table; the table must not outlive that search.
 
     Children are visited left, middle, right and a leaf appends only a
-    positive-length interval, so every list is strictly increasing and
-    feeds :meth:`Piece.ordered` directly.  The leaves partition the cake.
+    positive-length span, so every list is strictly increasing and feeds
+    :meth:`Piece.ordered` directly.  The leaves partition the cake.
     """
-    pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
+    pieces: list[list[Span]] = [[] for _ in range(profile.n)]
     if others is None:
         others = {}
 
@@ -97,28 +97,23 @@ def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
         k = len(agents)
         if k == 1:
             if a < b:
-                pieces[agents[0]].append(Interval(a, b))
+                pieces[agents[0]].append((a, b))
             return
         half = k // 2
-        if follow is None:
-            cuts = sorted((_node_cut(profile[i], a, b, k), i) for i in agents)
-        else:
-            key = (a, b, frozenset(agents))
-            rest = others.get(key)
-            if rest is None:
-                rest = others[key] = sorted((_node_cut(profile[i], a, b, k), i)
-                                            for i in agents if i != follow)
-            cuts = rest.copy()
+        cuts = others.setdefault((a, b, frozenset(agents)), [])
+        if not cuts:        # a new node; k >= 2, so it has an agent but `follow`
+            cuts += sorted((_node_cut(profile[i], a, b, k), i) for i in agents if i != follow)
+        if follow is not None:
+            cuts = cuts.copy()
             insort(cuts, (_node_cut(profile[follow], a, b, k), follow))
         d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
-        left = [i for _, i in cuts[:half]]
-        if follow is None or follow in left:
+        left, right = [i for _, i in cuts[:half]], [i for _, i in cuts[half:]]
+        if follow not in right:
             solve(a, d_lo, left, share_middle)
         if share_middle and d_lo < d_hi:
             solve(d_lo, d_hi, agents, False)
-        if follow is None or follow not in left:
-            solve(d_hi if share_middle else d_lo, b, [i for _, i in cuts[half:]],
-                  share_middle)
+        if follow not in left:
+            solve(d_hi if share_middle else d_lo, b, right, share_middle)
 
     solve(ZERO, ONE, list(range(profile.n)), share_middle)
     return pieces
@@ -127,8 +122,8 @@ def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
 def _halving_allocation(profile: Profile, share_middle: bool) -> Allocation:
     """The full run's allocation: the leaves cover the cake, so nothing is
     discarded."""
-    return Allocation(tuple(Piece.ordered((iv.lo, iv.hi) for iv in p)
-                            for p in _halving(profile, share_middle)), Piece.empty())
+    return Allocation(tuple(map(Piece.ordered, _halving(profile, share_middle))),
+                      Piece.empty())
 
 
 def even_paz(profile: Profile) -> Allocation:

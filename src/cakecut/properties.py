@@ -9,7 +9,8 @@ mechanism on the truthful and the deviated profile, so a certificate can
 never overstate a gain.
 
 Both engines produce LOWER bounds on the true supremum gain.  The grid
-engine enumerates misreports over a breakpoint/mass grid.  The cut-point
+engine numbers the misreports of a breakpoint/mass grid and builds only a
+seeded sample of them, so its cost follows the budget.  The cut-point
 engine, specific to the recursive-halving mechanisms, enumerates where the
 manipulator's report can sit relative to the other agents' (fixed) cuts at
 every recursion node, takes the best path by dynamic programming, and then
@@ -20,17 +21,16 @@ gain, ties broken by the lexicographically smallest misreport encoding).
 
 from __future__ import annotations
 
-import itertools
-import math
+import sys
 from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 from random import Random
-from typing import ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 from cakecut.cake import (
     Allocation,
-    Interval,
     ONE,
     PiecewiseConstantValuation,
     Profile,
@@ -38,7 +38,7 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import (
-    SHARES_MIDDLE, Mechanism, OtherCuts, _halving, _node_cut, get_mechanism)
+    SHARES_MIDDLE, Mechanism, NodeCuts, Span, _halving, _node_cut, get_mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +64,10 @@ def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
     """Measure an allocation exactly in one pass over its :func:`cell_grid`.
 
     Cell widths are integer key differences over the grid's scale and each
-    agent's densities integer numerators over their lcm, so agent i values
-    every piece at an integer over one denominator: the sums run on ints,
-    and envy and deficit take one ``Fraction`` per agent, waste one in all.
+    agent's densities the integer numerators of its ``integer_image``, so
+    agent i values every piece at an integer over one denominator: the sums
+    run on ints, and envy and deficit take one ``Fraction`` per agent, waste
+    one in all.
     """
     n = profile.n
     if allocation.n != n:
@@ -78,10 +79,9 @@ def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
     desired = [False] * len(widths)
     served = 0                      # desired width whose lowest holder desires it
     for i, (v, agent) in enumerate(zip(profile, segments)):
-        denominator = math.lcm(*(d.denominator for d in v.densities))
+        _, denominator, _, weights = v.integer_image
         values = [0] * (n + 1)      # of each part (index n: discarded), in 1/(denominator*scale)
-        for lo, hi, d in agent:
-            weight = d.numerator * (denominator // d.denominator)
+        for (lo, hi, _), weight in zip(agent, weights):
             if weight:
                 for k in range(lo, hi):
                     desired[k] = True
@@ -225,45 +225,74 @@ def _candidate_points(profile: Profile, truthful: Allocation,
     return sorted(points)
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
+def _unrank(n: int, size: int, rank: int) -> list[int]:
+    """The `rank`-th `size`-combination of range(n) in ``itertools.combinations``
+    order.  Mirrored (x to n - 1 - x) it is the combination whose sum of
+    ``comb(x, slots)`` is ``comb(n, size) - 1 - rank``, unranked greedily
+    (the last slot directly: ``comb(x, 1) == x``)."""
+    rest, out = comb(n, size) - 1 - rank, []
+    for slots in range(size, 0, -1):
+        top = rest if slots == 1 else bisect(range(n), rest, key=lambda x: comb(x, slots)) - 1
+        rest -= comb(top, slots)
+        out.append(n - 1 - top)
+    return out
+
+
+def _descriptors(pool: list[Fraction], cfg: SearchConfig
+                 ) -> Iterator[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
+    """The ``(points, masses)`` misreports a grid search tries.  They are
+    numbered by size, then by points as ``combinations(pool, size)``, then
+    by the compositions of d into size + 1 masses in lexicographic order,
+    which are the bar positions ``combinations(range(d + size), size)``.
+    Past ``max_candidates`` only the numbers ``Random(seed).sample`` draws
+    are unranked, so nothing grows with the number of misreports."""
+    d = cfg.mass_denominator
+    blocks = [(comb(len(pool), size) * comb(d + size, size), comb(d + size, size))
+              for size in range(cfg.max_breakpoints + 1)]   # (misreports, mass splits)
+    total = sum(count for count, _ in blocks)
+    indices: Iterable[int] = range(total)
+    if cfg.max_candidates is not None and total > cfg.max_candidates:
+        rng = Random(cfg.seed)
+        if total <= sys.maxsize:
+            indices = rng.sample(indices, cfg.max_candidates)
+        else:   # len(indices) overflows: draw as sample's set branch does
+            picked: dict[int, None] = {}
+            while len(picked) < cfg.max_candidates:
+                picked[rng.randrange(total)] = None
+            indices = picked
+    for index in indices:
+        for size, (count, splits) in enumerate(blocks):
+            if index < count:
+                break
+            index -= count
+        rank, bars = divmod(index, splits)
+        ends = (-1, *_unrank(d + size, size, bars), d + size)
+        yield (tuple([pool[j] for j in _unrank(len(pool), size, rank)]),
+               tuple([hi - lo - 1 for lo, hi in zip(ends, ends[1:])]))
 
 
 def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
                        cfg: SearchConfig = SearchConfig()) -> GainCertificate:
     """Grid search for a profitable misreport by one agent.
 
-    Enumerates candidate misreports (breakpoint subsets x mass simplex),
-    deterministically subsamples to the configured budget, scores each by
-    the manipulator's value (by the path walk for the ``SHARES_MIDDLE``
-    family, whose walks share one table of the other agents' cuts, else by
-    running the mechanism), and re-derives the winner by one
-    full run; a walk that disagrees raises AssertionError.  The truthful
-    report is always among the candidates, so the result never has negative
-    gain.  This is a lower bound on the supremum gain, never an upper-bound
-    claim.
+    Indexes candidate misreports (breakpoint subsets x mass simplex),
+    deterministically samples indices to the configured budget, builds only
+    the sampled misreports (:func:`_descriptors`), scores each by the
+    manipulator's value (by the path walk for the ``SHARES_MIDDLE`` family,
+    whose walks share one table of the other agents' cuts, else by running
+    the mechanism), and re-derives the winner by one full run; a walk that
+    disagrees raises AssertionError.  The truthful report is always among
+    the candidates, so the result never has negative gain.  This is a lower
+    bound on the supremum gain, never an upper-bound claim.
     """
     true_v = profile[agent]
     truthful_alloc = mechanism.run(profile)
     truthful_value = true_v.value(truthful_alloc.pieces[agent])
     pool = _candidate_points(profile, truthful_alloc, cfg)
-    descriptors: list[tuple[tuple[Fraction, ...], tuple[int, ...]]] = []
     d = cfg.mass_denominator
-    for size in range(0, cfg.max_breakpoints + 1):
-        for points in itertools.combinations(pool, size):
-            for masses in _compositions(d, size + 1):
-                descriptors.append((points, masses))
-    if cfg.max_candidates is not None and len(descriptors) > cfg.max_candidates:
-        rng = Random(cfg.seed)
-        descriptors = rng.sample(descriptors, cfg.max_candidates)
     seen: set[tuple] = set()
     candidates = [profile[agent]]
-    for points, masses in descriptors:
+    for points, masses in _descriptors(pool, cfg):
         try:
             cand = PiecewiseConstantValuation.from_masses(
                 points, [Fraction(m, d) for m in masses])
@@ -274,14 +303,14 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
             seen.add(key)
             candidates.append(cand)
     middle = SHARES_MIDDLE.get(mechanism.name)
-    others: OtherCuts = {}      # the other agents' cuts, shared by this search's walks
+    others: NodeCuts = {}      # the other agents' cuts, shared by this search's walks
 
     def full_run(cand: PiecewiseConstantValuation) -> Fraction:
         return true_v.value(mechanism.run(profile.replace(agent, cand)).pieces[agent])
 
     def path_walk(cand: PiecewiseConstantValuation) -> Fraction:
         walk = _halving(profile.replace(agent, cand), middle, follow=agent, others=others)
-        return sum((true_v.value_between(iv.lo, iv.hi) for iv in walk[agent]), ZERO)
+        return sum((true_v.value_between(lo, hi) for lo, hi in walk[agent]), ZERO)
 
     score = full_run if middle is None else path_walk
     scored, winner = min(((score(cand), cand) for cand in candidates),
@@ -317,9 +346,9 @@ def _node_candidates(a: Fraction, b: Fraction, others: list[tuple[Fraction, int]
 
 def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
                   agents: list[int], middles: bool
-                  ) -> tuple[Fraction, list[tuple[Fraction, Fraction, Fraction]], Interval]:
+                  ) -> tuple[Fraction, list[tuple[Fraction, Fraction, Fraction]], Span]:
     """(value, steps, leaf): the best true value the manipulator can steer
-    its recursion piece to, its left steps as (share, rest_lo, hi), the leaf.
+    its recursion piece to, its left steps as (share, rest_lo, hi), its leaf span.
 
     At each node the manipulator either pins the left boundary to a candidate
     cut of its own (left branch; realizable exactly) or joins the right
@@ -331,7 +360,7 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     """
     true_v = profile[agent]
     if len(agents) == 1:
-        return true_v.value_between(a, b), [], Interval(a, b)
+        return true_v.value_between(a, b), [], (a, b)
     k = len(agents)
     half = k // 2
     share = Fraction(half, k)
@@ -359,7 +388,7 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     return max(plans, key=lambda plan: plan[0])
 
 
-def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Interval
+def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Span
                   ) -> PiecewiseConstantValuation:
     """Build a misreport whose node cuts walk the planned path exactly.
 
@@ -368,9 +397,9 @@ def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Interv
     child's right edge) and spreads the remainder on [rest_lo, hi], beyond
     the recursion boundary; right steps leave the child mass alone.
     """
-    if leaf.length == 0:
+    if not leaf[0] < leaf[1]:
         raise ValueError("cannot realize a path ending in a null piece")
-    chunks: list[tuple[Fraction, Fraction, Fraction]] = [(leaf.lo, leaf.hi, Fraction(1))]
+    chunks: list[tuple[Fraction, Fraction, Fraction]] = [(*leaf, Fraction(1))]
     for share, rest_lo, hi in reversed(steps):
         if not rest_lo < hi:
             raise AssertionError("left step has nowhere to park the rest mass")

@@ -1,5 +1,4 @@
 import hashlib
-import io as stdio
 import json
 import os
 import random
@@ -7,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -45,6 +45,15 @@ def exchange_profile(tmp_path):
     path = tmp_path / "exchange.json"
     path.write_text(json.dumps(EXCHANGE_PAIR))
     return str(path)
+
+
+def load_text(text):
+    """load_json of a file that holds `text`."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_json(path)
 
 
 def run_cli(capsys, *argv):
@@ -200,8 +209,11 @@ class TestChainAndVerify:
         witness = json.loads(out)["output"]
         path = tmp_path / "w.json"
         path.write_text(json.dumps(witness))
-        code, out, _ = run_cli(capsys, "chain", "--verify", str(path))
-        assert code == 0
+        code, out, err = run_cli(capsys, "chain", "--verify", str(path))
+        # `verify` is the one re-verification route; the flag is unknown
+        assert (code, out) == (1, "")
+        assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+        assert "--verify" in err
 
     def test_tampered_witness_rejected(self, capsys, tmp_path):
         run_cli(capsys, "chain", "--name", "thm2", "--mechanism", "even-paz",
@@ -291,11 +303,11 @@ class TestReadmeRoundTrip:
         assert verify.returncode == 0, verify.stderr
         assert json.loads(verify.stdout)["output"]["verified"] is True
 
-    def test_chain_verify_flag_accepts_envelope(self, capsys, tmp_path):
+    def test_verify_accepts_chain_envelope(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "chain", "--name", "discussion")
         path = tmp_path / "w.json"
         path.write_text(out)
-        code, out, _ = run_cli(capsys, "chain", "--verify", str(path))
+        code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0
         assert json.loads(out)["output"]["verified"] is True
 
@@ -621,6 +633,13 @@ class TestUnreadableInput:
         (json.dumps({"agents": UNIFORM_PAIR["agents"][:1] * (MAX_AGENTS + 1)}).encode(),
          ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
          f"profile.agents: at most {MAX_AGENTS} agents, got {MAX_AGENTS + 1}"),
+        # control characters in an echoed name are escaped
+        (_allocate_scenario(profile={"file": "a\nb"}), ("run", "{path}"),
+         "file not found: {dir}/a\\nb"),
+        (_allocate_scenario(profile={"file": "a\x00b"}), ("run", "{path}"),
+         "{dir}/a\\x00b: cannot read (embedded null byte)"),
+        (None, ("chain", "--name", "discussion", "a\nb"), "unrecognized arguments: a\\nb"),
+        (None, ("chain", "--name", "discussion", "a\x00b"), "unrecognized arguments: a\\x00b"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -631,7 +650,8 @@ class TestUnreadableInput:
             "5000-digit-denominator", "mass-1e999", "learn-query-budget",
             "argparse-5000-digit-agent", "scenario-profile-file-int",
             "scenario-profile-file-array", "scenario-version-true", "scenario-version-1.0",
-            "chain-n-above-cap", "profile-agents-above-cap"])
+            "chain-n-above-cap", "profile-agents-above-cap", "scenario-profile-file-newline",
+            "scenario-profile-file-nul", "argparse-newline", "argparse-nul"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -641,8 +661,26 @@ class TestUnreadableInput:
         assert code == 1
         assert out == ""
         assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+        assert err[:-1].isprintable()
         assert len(err.encode()) <= 300
-        assert names in err
+        assert names.replace("{dir}", str(tmp_path)) in err
+
+
+class TestGainAtScale:
+    def test_ten_thousand_breakpoints(self, tmp_path):
+        # a search indexes about 6.7e9 misreports and builds only the sampled ones
+        m = 10_000
+        wide = cake.normalized([Fraction(j, m + 1) for j in range(1, m + 1)],
+                               [1 + j % 2 for j in range(m + 1)])
+        path = tmp_path / "wide.json"
+        path.write_text(canonical_dumps(io.profile_to_json(
+            cake.Profile.of([wide, cake.PiecewiseConstantValuation.uniform()]))))
+        child = subprocess.run(
+            [sys.executable, "-m", "cakecut.cli", "gain", "--mechanism", "even-paz",
+             "--agent", "0", "--profile", str(path)],
+            capture_output=True, env=_child_env(), timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert Fraction(json.loads(child.stdout)["output"]["certificate"]["gain"]) >= 0
 
 
 class TestJsonRoundTrip:
@@ -656,7 +694,7 @@ class TestJsonRoundTrip:
     @staticmethod
     def assert_round_trip(obj, to_json, from_json):
         first = canonical_dumps(to_json(obj))
-        again = from_json(load_json(stdio.StringIO(first)))
+        again = from_json(load_text(first))
         assert canonical_dumps(to_json(again)) == first
 
     @settings(max_examples=40, deadline=None)
@@ -710,12 +748,12 @@ class TestDecimalExponents:
     @pytest.mark.parametrize("text", ["1e999999999", "1.5E-999999999"])
     def test_json_number_rejected(self, text):
         with pytest.raises(FormatError, match="exponent"):
-            load_json(stdio.StringIO(f'{{"agents": [{text}]}}'))
+            load_text(f'{{"agents": [{text}]}}')
 
     def test_exponents_within_bound_exact(self):
         bound = cake.MAX_DECIMAL_EXPONENT
         assert as_rational(f"1e-{bound}", "x") == Fraction(1, 10 ** bound)
-        assert load_json(stdio.StringIO("[2.5e-1]")) == [Fraction(1, 4)]
+        assert load_text("[2.5e-1]") == [Fraction(1, 4)]
 
     def test_profile_file_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

@@ -236,7 +236,7 @@ class TestPathWalk:
         full = MECHANISMS[name].run(profile)
         for i in range(n):
             walk = _halving(profile, SHARES_MIDDLE[name], follow=i)
-            assert Piece.of(walk[i]) == full.pieces[i]
+            assert Piece.ordered(walk[i]) == full.pieces[i]
             assert not any(walk[j] for j in range(n) if j != i)
 
     @settings(max_examples=60, deadline=None)
@@ -254,7 +254,7 @@ class TestPathWalk:
         for lie in lies:
             deviated = profile.replace(agent, lie)
             walk = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)
-            assert Piece.of(walk[agent]) == MECHANISMS[name].run(deviated).pieces[agent]
+            assert Piece.ordered(walk[agent]) == MECHANISMS[name].run(deviated).pieces[agent]
         assert (ZERO, ONE, frozenset(range(n))) in others
         for (a, b, agents), cuts in others.items():
             k = len(agents)
@@ -270,9 +270,9 @@ class TestHalvingOrder:
     def test_every_list_strictly_increasing(self, name, seed, n, denom):
         # ties and zero densities give zero-length leaves, which are skipped
         profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
-        for intervals in _halving(profile, SHARES_MIDDLE[name]):
-            assert all(iv.lo < iv.hi for iv in intervals)
-            assert all(a.hi <= b.lo for a, b in zip(intervals, intervals[1:]))
+        for spans in _halving(profile, SHARES_MIDDLE[name]):
+            assert all(lo < hi for lo, hi in spans)
+            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 class TestNodeCutMemo:

@@ -1,6 +1,8 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +198,74 @@ class TestGridEngine:
         assert a == b
 
 
+def compositions(total, parts):
+    """The compositions of `total` into `parts` masses, head first ascending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head, *rest)
+
+
+def wide_profile(m):
+    """One agent with m breakpoints and one uniform agent."""
+    wide = normalized([F(j, m + 1) for j in range(1, m + 1)], [1 + j % 2 for j in range(m + 1)])
+    return Profile.of([wide, U])
+
+
+class TestGridSampling:
+    """The grid engine unranks sampled indices instead of listing every misreport."""
+
+    @staticmethod
+    def built(monkeypatch):
+        """The (points, masses) of every candidate valuation a search builds."""
+        calls = []
+        real = PCV.from_masses
+
+        def counted(points, masses):
+            calls.append((tuple(points), tuple(masses)))
+            return real(points, masses)
+
+        monkeypatch.setattr(PCV, "from_masses", staticmethod(counted))
+        return calls
+
+    @settings(max_examples=80, deadline=None)
+    @given(pool_size=st.integers(0, 7), d=st.integers(1, 5), max_size=st.integers(0, 3))
+    def test_unranked_equals_materialized(self, pool_size, d, max_size):
+        pool = [F(j + 1, pool_size + 1) for j in range(pool_size)]
+        materialized = [(points, masses) for size in range(max_size + 1)
+                        for points in itertools.combinations(pool, size)
+                        for masses in compositions(d, size + 1)]
+        cfg = SearchConfig(mass_denominator=d, max_breakpoints=max_size, max_candidates=None)
+        assert list(properties._descriptors(pool, cfg)) == materialized
+
+    def test_wide_search_builds_at_most_max_candidates(self, monkeypatch):
+        built = self.built(monkeypatch)
+        cert = best_response_gain(EVEN_PAZ, wide_profile(400), 0)
+        assert 0 < len(built) <= SearchConfig().max_candidates
+        assert cert.gain >= 0
+
+    def test_draws_past_maxsize_match_sample(self, monkeypatch):
+        # 586 misreports: with maxsize below that, the draws come from
+        # randrange and must pick the candidates random.sample picks
+        profile, cfg = Profile.of([SPIKE, D2]), SearchConfig(max_candidates=7)
+        built = self.built(monkeypatch)
+        expected = best_response_gain(EVEN_PAZ, profile, 0, cfg)
+        sampled = built.copy()
+        monkeypatch.setattr(properties, "sys", SimpleNamespace(maxsize=300))
+        del built[:]
+        assert best_response_gain(EVEN_PAZ, profile, 0, cfg) == expected
+        assert built == sampled and len(built) == cfg.max_candidates
+
+    def test_search_past_maxsize(self, monkeypatch):
+        # C(pool, 16) * C(20, 16) misreports overflow len(range(...))
+        built = self.built(monkeypatch)
+        cfg = SearchConfig(max_breakpoints=16, offset_rounds=1)
+        cert = best_response_gain(EVEN_PAZ, wide_profile(40), 0, cfg)
+        assert len(built) == cfg.max_candidates and cert.verify()
+
+
 class TestCutPointEngine:
     def test_uniform_pair_has_no_gain(self):
         cert = ep_cutpoint_best_response(EVEN_PAZ, Profile.of([U, U]), 0)
@@ -265,7 +335,7 @@ class TestEveryCertificateVerifies:
     def test_wrong_path_walk_is_caught(self, monkeypatch):
         def whole_cake(profile, share_middle, follow=None, others=None):
             pieces = [[] for _ in range(profile.n)]
-            pieces[follow].append(Interval(ZERO, F(1)))
+            pieces[follow].append((ZERO, F(1)))
             return pieces
 
         monkeypatch.setattr(properties, "_halving", whole_cake)
