@@ -1,5 +1,7 @@
 """Helpers shared by the reference checks in the tests."""
 
+from fractions import Fraction
+
 from cakecut.cake import ONE, ZERO, InfeasibleCutError, Interval, Piece, frac
 
 
@@ -70,3 +72,39 @@ def node_cut(v, a, b, share):
                 return lo + rest / d
             rest -= mass
     return a
+
+
+# Reference Even-Paz and modified Even-Paz, written from the paper's
+# description: each agent of a node [a, b] reports the point splitting its
+# value of the node in the floor(k/2) : ceil(k/2) ratio; the first floor(k/2)
+# agents in (cut, index) order take the cake left of the floor(k/2)-th cut,
+# the others the cake right of it.  Modified Even-Paz gives the others the
+# cake right of the next cut instead, and the cake between the two cuts is
+# shared among all k agents by plain Even-Paz.  No table, no integer image.
+
+
+def halving(profile, share_middle):
+    """Each agent's ``(lo, hi)`` spans, left to right; a leaf adds one only
+    when it is not empty."""
+    spans = [[] for _ in range(profile.n)]
+
+    def solve(a, b, agents, share_middle):
+        k = len(agents)
+        if k == 1:
+            if a < b:
+                spans[agents[0]].append((a, b))
+            return
+        half = k // 2
+        cuts = sorted((node_cut(profile[i], a, b, Fraction(half, k)), i) for i in agents)
+        d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
+        left, right = [i for _, i in cuts[:half]], [i for _, i in cuts[half:]]
+        solve(a, d_lo, left, share_middle)
+        if not share_middle:
+            solve(d_lo, b, right, False)
+            return
+        if d_lo < d_hi:
+            solve(d_lo, d_hi, agents, False)
+        solve(d_hi, b, right, True)
+
+    solve(ZERO, ONE, list(range(profile.n)), share_middle)
+    return spans

@@ -33,6 +33,7 @@ from cakecut.chains import ChainParameters, thm1_chain
 from cakecut.properties import (
     SearchConfig, best_response_gain, ep_cutpoint_best_response, report_for)
 from cakecut.sampling import random_profile, random_valuation
+import support as reference
 from support import support
 
 F = Fraction
@@ -261,6 +262,40 @@ class TestPathWalk:
             assert cuts == sorted(
                 (profile[i].cut_point(a, F(k // 2, k) * profile[i].value_between(a, b)), i)
                 for i in agents if i != agent)
+
+
+class TestPaperReference:
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(SHARES_MIDDLE)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 7), denom=st.sampled_from([2, 3, 4, 12]),
+           copies=st.integers(0, 3))
+    def test_runs_and_walks_follow_the_paper(self, name, seed, n, denom, copies):
+        # small denominators make agents share breakpoints and tie on cuts,
+        # random_valuation draws zero densities (zero-mass nodes), and the
+        # copies give equal reports
+        rng = random.Random(seed)
+        agents = list(random_profile(rng, n, max_breakpoints=3, denom=denom))
+        for _ in range(copies):
+            agents[rng.randrange(n)] = agents[rng.randrange(n)]
+        profile = Profile.of(agents)
+        share_middle = SHARES_MIDDLE[name]
+        expected = reference.halving(profile, share_middle)
+        full = _halving(profile, share_middle)
+        assert full == expected
+        assert all(type(x) is Fraction for spans in full for span in spans for x in span)
+        assert MECHANISMS[name].run(profile).pieces == tuple(map(Piece.ordered, expected))
+        for i in range(n):
+            assert _halving(profile, share_middle, follow=i)[i] == expected[i]
+        # misreports of one agent walk through one table, as in a gain search
+        agent = rng.randrange(n)
+        others = {}
+        lies = [profile[agent], profile[(agent + 1) % n],
+                *(random_valuation(rng, max_breakpoints=3, denom=denom) for _ in range(4))]
+        for lie in lies:
+            deviated = profile.replace(agent, lie)
+            walk = _halving(deviated, share_middle, follow=agent, others=others)
+            assert walk[agent] == reference.halving(deviated, share_middle)[agent]
+            assert all(type(x) is Fraction for span in walk[agent] for x in span)
 
 
 class TestHalvingOrder:
