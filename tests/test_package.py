@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -83,3 +84,34 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         cakecut.no_such_name
     assert not hasattr(cakecut, "no_such_name")
+
+
+# The modules that decide: no float may enter them.  cli is left out, because
+# its timing is a float by design.
+EXACT_MODULES = ("cake", "mechanisms", "properties", "chains", "queries", "sampling", "io")
+INTEGER_MATH = {"gcd", "lcm", "comb", "floor", "ceil", "isqrt"}
+
+
+def _inexact(node):
+    """What makes an AST node a way for a float to enter, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"literal {node.value!r}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float(...)"
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr not in INTEGER_MATH):
+        return f"math.{node.attr}"
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        names = [alias.name for alias in node.names if alias.name not in INTEGER_MATH]
+        return f"from math import {', '.join(names)}" if names else None
+    return None
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_no_float_enters_the_exact_modules(module):
+    path = os.path.join(os.path.dirname(cakecut.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    found = [f"line {node.lineno}: {what}" for node in ast.walk(tree)
+             if (what := _inexact(node)) is not None]
+    assert found == []

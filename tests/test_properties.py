@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -386,6 +387,42 @@ class TestSharedNodeCuts:
         grid = best_response_gain(EVEN_PAZ, Profile.of([SPIKE, U, D2]), 0)
         with pytest.raises(ValueError, match="grid_certificate"):
             ep_cutpoint_best_response(mechanism, profile, agent, grid_certificate=grid)
+
+
+class TestCertificateBytes:
+    # every search engine's certificates for all five mechanisms, hashed as
+    # canonical JSON; the digest was taken before the node step and the
+    # valuation checks ran on integers, and no speed-up may change a byte
+    CONFIGS = [
+        SearchConfig(mass_denominator=1, max_breakpoints=0, offset_rounds=0,
+                     max_candidates=None),
+        SearchConfig(mass_denominator=2, max_breakpoints=1, offset_rounds=1,
+                     max_candidates=None),
+        SearchConfig(mass_denominator=3, max_breakpoints=2, offset_rounds=0,
+                     max_candidates=7, seed=5),
+        SearchConfig(mass_denominator=4, max_breakpoints=2, offset_rounds=1,
+                     max_candidates=24),
+        SearchConfig(mass_denominator=4, max_breakpoints=1, offset_rounds=1,
+                     max_candidates=1),
+    ]
+    DIGEST = "08779ddb82a0679064cad16fae872901ed3f5262ee09dcab878def8bbdbc3784"
+
+    def test_every_engine_keeps_its_bytes(self):
+        digest = hashlib.sha256()
+        for n, denom in [(n, denom) for n in range(2, 7) for denom in (4, 12)]:
+            rng = random.Random(100 * n + denom)
+            profile = random_profile(rng, n, max_breakpoints=2, denom=denom)
+            agent = rng.randrange(n)
+            for cfg in self.CONFIGS:
+                for name, mechanism in MECHANISMS.items():
+                    certs = [best_response_gain(mechanism, profile, agent, cfg)]
+                    if name in SHARES_MIDDLE:
+                        certs.append(ep_cutpoint_best_response(
+                            mechanism, profile, agent, cfg, grid_certificate=certs[0]))
+                    for cert in certs:
+                        text = io.canonical_dumps(io.gain_certificate_to_json(cert))
+                        digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 # ---------------------------------------------------------------------------
