@@ -8,7 +8,8 @@ counterexample chains downstream is an exact decision.  The cell sweep
 common denominator, the lcm of the endpoints' denominators, so it sorts,
 indexes and measures cells with plain ints and still decides exactly; the
 segment walks do the same on a valuation's ``integer_image`` and build one
-``Fraction`` per result.
+``Fraction`` per result, and the halving recursion takes its node cuts from
+them as unreduced int pairs (:meth:`PiecewiseConstantValuation.share_cut`).
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -18,9 +19,11 @@ increasing order (as the mechanisms and the cell sweep produce them), merges
 touching neighbours without sorting, and refuses input that is not.
 
 Values are immutable after construction and all operations are pure.  A
-valuation's integer image is cached once, as a pure function of its fields,
-and stays out of equality, hashing, ``repr`` and JSON, so values may be
-shared between threads.
+valuation computes its integer image once, at construction, runs every
+validity check on those ints and keeps it; the image is a pure function of
+the fields and stays out of equality, hashing, ``repr`` and JSON, so values
+may be shared between threads.  Intervals and valuations take ints and
+``Fraction``s only: a float is refused with :func:`frac`'s ``TypeError``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -68,6 +70,17 @@ def frac(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+def _inexact(values: Iterable) -> TypeError:
+    """The error for the first of `values` that is neither an int nor a
+    ``Fraction``: frac's TypeError for a float."""
+    x = next(x for x in values if not isinstance(x, (int, Fraction)))
+    try:
+        frac(x)
+    except TypeError as error:
+        return error
+    return TypeError(f"{x!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """A closed subinterval [lo, hi] of the cake, possibly degenerate."""
@@ -77,8 +90,12 @@ class Interval:
 
     def __post_init__(self) -> None:
         lo, hi = self.lo, self.hi       # compared as ints: denominators are positive
-        if not (0 <= lo.numerator and hi.numerator <= hi.denominator
-                and lo.numerator * hi.denominator <= hi.numerator * lo.denominator):
+        try:
+            within = (0 <= lo.numerator and hi.numerator <= hi.denominator
+                      and lo.numerator * hi.denominator <= hi.numerator * lo.denominator)
+        except AttributeError:
+            raise _inexact((lo, hi)) from None
+        if not within:
             raise ValueError(f"interval [{lo}, {hi}] not within [0, 1]")
 
     @property
@@ -204,6 +221,19 @@ class Piece:
         return " ∪ ".join(repr(iv) for iv in self.intervals)
 
 
+def _integer_image(bounds: Sequence[Fraction], densities: Sequence[Fraction]
+                   ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """``(L, M, bounds * L, densities * M)``; TypeError if a value is not an
+    int or a ``Fraction`` (frac's for a float)."""
+    try:
+        lcm_b = math.lcm(*(b.denominator for b in bounds))
+        lcm_d = math.lcm(*(d.denominator for d in densities))
+    except AttributeError:
+        raise _inexact(chain(bounds, densities)) from None
+    return (lcm_b, lcm_d, tuple([b.numerator * (lcm_b // b.denominator) for b in bounds]),
+            tuple([d.numerator * (lcm_d // d.denominator) for d in densities]))
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantValuation:
     """A normalized step-function density over the cake.
@@ -212,29 +242,40 @@ class PiecewiseConstantValuation:
     ``densities`` holds one non-negative density per segment [b_j, b_{j+1}].
     Canonical form merges adjacent segments of equal density, so the interior
     breakpoint count is exact.  Total mass must be exactly 1; non-normalized
-    input is rejected (use :func:`normalized` to rescale fixtures).
+    input is rejected (use :func:`normalized` to rescale fixtures).  Every
+    bound and density is an int or a ``Fraction``; a float is refused.
+
+    Construction computes ``integer_image == (L, M, bounds * L, densities *
+    M)`` as plain ints, L the lcm of the bounds' denominators and M of the
+    densities', runs every check on it and keeps it as an attribute that is
+    not a field: it is a pure function of the fields, so it stays out of
+    equality, hashing, ``repr`` and JSON.  The segment walks run on it.
     """
 
     bounds: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bounds) < 2 or self.bounds[0] != ZERO or self.bounds[-1] != ONE:
+        # every check runs on the integer image, which is kept for the walks
+        lcm_b, lcm_d, bounds, densities = image = _integer_image(self.bounds, self.densities)
+        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != lcm_b:
             raise ValueError("bounds must run from 0 to 1")
-        if len(self.densities) != len(self.bounds) - 1:
+        if len(densities) != len(bounds) - 1:
             raise ValueError("need one density per segment")
-        for a, b in zip(self.bounds, self.bounds[1:]):
+        for a, b in zip(bounds, bounds[1:]):
             if not a < b:
                 raise ValueError("bounds must be strictly increasing")
-        if any(d < 0 for d in self.densities):
+        if any(d < 0 for d in densities):
             raise ValueError("densities must be non-negative")
         # canonical form: no adjacent segments with the same density
-        for d, e in zip(self.densities, self.densities[1:]):
+        for d, e in zip(densities, densities[1:]):
             if d == e:
                 raise ValueError("adjacent equal densities; construct via of()")
-        total = sum(d * (b - a) for a, b, d in self.segments())
-        if total != 1:
-            raise ValueError(f"valuation has total mass {total}, expected exactly 1")
+        total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities))
+        if total != lcm_b * lcm_d:
+            raise ValueError(f"valuation has total mass {Fraction(total, lcm_b * lcm_d)}, "
+                             "expected exactly 1")
+        object.__setattr__(self, "integer_image", image)
 
     @staticmethod
     def of(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
@@ -318,16 +359,6 @@ class PiecewiseConstantValuation:
                 return d
         return self.densities[-1]
 
-    @cached_property
-    def integer_image(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-        """``(L, M, bounds * L, densities * M)`` as plain ints, L the lcm of
-        the bounds' denominators and M of the densities'.  The segment walks
-        run on it.  Not a field: it is a pure function of the fields."""
-        lcm_b = math.lcm(*(b.denominator for b in self.bounds))
-        lcm_d = math.lcm(*(d.denominator for d in self.densities))
-        return (lcm_b, lcm_d, tuple(b.numerator * (lcm_b // b.denominator) for b in self.bounds),
-                tuple(d.numerator * (lcm_d // d.denominator) for d in self.densities))
-
     def _overlaps(self, x: int, y: int, q: int) -> tuple[int, list[tuple[int, int, int]]]:
         """``(unit, overlaps)`` for the query [x/q, y/q], 0 <= x <= y <= q: each
         positive-density segment meeting it in more than a point as ``(lo, d,
@@ -351,13 +382,14 @@ class PiecewiseConstantValuation:
 
     @staticmethod
     def _cut(overlaps: list[tuple[int, int, int]], unit: int, s: int,
-             rest: int) -> Optional[Fraction]:
+             rest: int) -> Optional[tuple[int, int]]:
         """The leftmost point where the ``overlaps`` of :meth:`_overlaps` reach
-        value ``rest`` > 0 over ``s * unit * M``; None if they fall short."""
+        value ``rest`` > 0 over ``s * unit * M``, as an unreduced ``(numerator,
+        denominator)`` pair; None if they fall short."""
         for lo, d, mass in overlaps:
             mass *= s
             if mass >= rest:
-                return Fraction(lo * s * d + rest, s * unit * d)
+                return lo * s * d + rest, s * unit * d
             rest -= mass
         return None
 
@@ -396,24 +428,35 @@ class PiecewiseConstantValuation:
         if cut is None:
             remaining = Fraction(sum(mass for _, _, mass in overlaps), unit * m)
             raise InfeasibleCutError(f"requested value {r} exceeds remaining {remaining}")
-        return cut
+        return Fraction(*cut)
 
     def node_cut(self, a: Fraction, b: Fraction, share: Fraction) -> Fraction:
         """``cut_point(a, share * value_between(a, b))`` for 0 <= share <= 1,
-        from one walk over the segments that overlap [a, b].
-
-        The walk keeps each positive-density overlap with its mass, in ints
-        on the integer image, and the cut is found among those overlaps, so
-        the segments are not walked from the start again.
-        """
+        from one walk over the segments that overlap [a, b]
+        (:meth:`share_cut` on the ends over the lcm of their denominators)."""
         q = math.lcm(a.denominator, b.denominator)
         aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
         s = share.denominator
         if not (0 <= aq <= bq <= q and 0 <= share.numerator <= s):
             raise ValueError("need 0 <= a <= b <= 1 and 0 <= share <= 1")
+        cut = self.share_cut(aq, bq, q, share.numerator, s)
+        return a if cut is None else Fraction(*cut)
+
+    def share_cut(self, aq: int, bq: int, q: int, num: int, s: int
+                  ) -> Optional[tuple[int, int]]:
+        """The node cut for the node [aq/q, bq/q] and the share num/s, as an
+        unreduced ``(numerator, denominator)`` pair, or None when the share of
+        the node's value is zero and the cut is the left end; the caller has
+        checked 0 <= aq <= bq <= q and 0 <= num <= s.
+
+        The walk keeps each positive-density overlap with its mass, in ints
+        on the integer image, and the cut is found among those overlaps, so
+        the segments are not walked from the start again.  The halving
+        recursion calls it with each node's ends over one q.
+        """
         unit, overlaps = self._overlaps(aq, bq, q)
-        rest = share.numerator * sum(mass for _, _, mass in overlaps)   # over s * unit * M
-        return self._cut(overlaps, unit, s, rest) if rest else a
+        rest = num * sum(mass for _, _, mass in overlaps)   # over s * unit * M
+        return self._cut(overlaps, unit, s, rest) if rest else None
 
 
 def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]

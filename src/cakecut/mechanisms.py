@@ -7,14 +7,19 @@ produce allocations that pass :func:`cakecut.cake.validate_allocation`.
 Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
 ``SHARES_MIDDLE`` table names this recursive-halving family and whether each
 member shares the cake between a node's two median cuts among all of the
-node's agents.  The gain engines and the CLI read the table.  A node's
-sorted cuts come from a table keyed by its ends and agents, the only cache
-of node cuts: a full run keeps its own and follows nobody.  With
-``follow=i`` the table holds the other agents' cuts, shared by all walks of
-a gain search, i's cut is placed among them by bisection, and only i's
-path (in modified Even-Paz, also the middles on it) is walked, which is
-all a search needs to score a misreport of agent i.  Each cut is one walk
-over the agent's segments (:func:`_node_cut`).
+node's agents.  The gain engines and the CLI read the table.  One node
+step, :func:`_node_step`, puts a node's ends over one denominator, takes
+each agent's cut as an unreduced int pair from one walk over its segments
+(:meth:`cakecut.cake.PiecewiseConstantValuation.share_cut`) and sorts the
+cuts on exact int keys; the recursion and the cut-point planner both use
+it.  A node's sorted cuts come from a table keyed by the ints of its ends
+and its agents' bitmask, the only cache of node cuts: a full run keeps its
+own and follows nobody.  With ``follow=i`` the table holds the other
+agents' cuts, shared by all walks of a gain search, i's cut is placed
+among them by bisection on integer cross-products, and only i's path (in
+modified Even-Paz, also the middles on it) is walked, which is all a
+search needs to score a misreport of agent i.  A ``Fraction`` is built
+only for the cuts that split a node and for the leaves.
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep
@@ -31,7 +36,8 @@ plain rule whenever cut points are distinct.
 
 from __future__ import annotations
 
-from bisect import insort
+import math
+from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -55,17 +61,37 @@ class Mechanism:
     run: Callable[[Profile], Allocation]
 
 
-def _node_cut(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
-              k: int) -> Fraction:
-    """The reported cut on sub-cake [a, b]: leftmost point where the agent's
-    value reaches the floor(k/2)/k share of its value for [a, b]."""
-    return v.node_cut(a, b, Fraction(k // 2, k))
-
-
-# A halving run's sorted (cut, index) pairs at each node it visits, keyed
-# (a, b, the node's agents), without the followed agent's: see _halving.
-NodeCuts = dict[tuple[Fraction, Fraction, frozenset[int]], list[tuple[Fraction, int]]]
+# A node's cuts as unreduced ``(numerator, denominator, agent)`` triples in
+# (cut, agent) order.
+Cuts = list[tuple[int, int, int]]
+# A halving run's sorted cuts at each node it visits, without the followed
+# agent's, keyed (a.numerator, a.denominator, b.numerator, b.denominator,
+# the node's agents as a bitmask): see _halving.
+NodeCuts = dict[tuple[int, int, int, int, int], Cuts]
 Span = tuple[Fraction, Fraction]
+
+
+def _node_ends(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int]:
+    """``(a * q, b * q, q)`` for the node [an/ad, bn/bd], q the lcm of the
+    ends' denominators: every agent's cut at the node is taken over it."""
+    q = math.lcm(ad, bd)
+    return an * (q // ad), bn * (q // bd), q
+
+
+def _node_step(profile: Profile, ends: tuple[int, int, int], agents: list[int],
+               k: int) -> Cuts:
+    """The cuts of `agents` at the node of k agents whose :func:`_node_ends`
+    are `ends`, each the leftmost point where the agent's value reaches the
+    floor(k/2)/k share of its value for the node, in (cut, agent) order:
+    sorted on the exact int keys ``(numerator * (D // denominator), agent)``,
+    D the lcm of the cuts' denominators."""
+    aq, bq, q = ends
+    half = k // 2
+    cuts = [(*(profile[i].share_cut(aq, bq, q, half, k) or (aq, q)), i) for i in agents]
+    if len(cuts) > 1:
+        lcm = math.lcm(*(den for _, den, _ in cuts))
+        cuts.sort(key=lambda cut: (cut[0] * (lcm // cut[1]), cut[2]))
+    return cuts
 
 
 def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
@@ -77,15 +103,18 @@ def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
     middle [d_lo, d_hi] is halved among all k agents without sharing.  The
     sorted cuts of a node's agents but `follow` are read from, or computed
     into, `others` (a fresh table if None).  With `follow` that agent's cut
-    is placed among them by bisection and only the children holding it are
-    descended (a middle holds them all), so only its list is filled.  The
-    cuts depend only on the node's ends, its agents and their valuations,
-    so a search that varies only the followed agent's report walks all its
-    candidates through one table; the table must not outlive that search.
+    is placed among them by integer cross-multiplication, with the same
+    agent-index tie-break, and only the children holding it are descended
+    (a middle holds them all), so only its list is filled.  The cuts depend
+    only on the node's ends, its agents and their valuations, so a search
+    that varies only the followed agent's report walks all its candidates
+    through one table; the table must not outlive that search.
 
-    Children are visited left, middle, right and a leaf appends only a
-    positive-length span, so every list is strictly increasing and feeds
-    :meth:`Piece.ordered` directly.  The leaves partition the cake.
+    Cuts stay int pairs; only d_lo, d_hi (where a middle is shared) and so
+    the leaves' ends become ``Fraction``s.  Children are visited left,
+    middle, right and a leaf appends only a positive-length span, so every
+    list is strictly increasing and feeds :meth:`Piece.ordered` directly.
+    The leaves partition the cake.
     """
     pieces: list[list[Span]] = [[] for _ in range(profile.n)]
     if others is None:
@@ -95,25 +124,37 @@ def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
         if not agents:
             raise AssertionError("recursed on an empty agent set")
         k = len(agents)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         if k == 1:
-            if a < b:
+            if an * bd < bn * ad:
                 pieces[agents[0]].append((a, b))
             return
         half = k // 2
-        cuts = others.setdefault((a, b, frozenset(agents)), [])
-        if not cuts:        # a new node; k >= 2, so it has an agent but `follow`
-            cuts += sorted((_node_cut(profile[i], a, b, k), i) for i in agents if i != follow)
+        key = (an, ad, bn, bd, sum(1 << i for i in agents))
+        cuts = others.get(key)
+        if cuts is None or follow is not None:
+            ends = _node_ends(an, ad, bn, bd)
+        if cuts is None:    # a new node; k >= 2, so it has an agent but `follow`
+            cuts = others[key] = _node_step(
+                profile, ends, [i for i in agents if i != follow], k)
         if follow is not None:
-            cuts = cuts.copy()
-            insort(cuts, (_node_cut(profile[follow], a, b, k), follow))
-        d_lo, d_hi = cuts[half - 1][0], cuts[half][0]
-        left, right = [i for _, i in cuts[:half]], [i for _, i in cuts[half:]]
+            num, den, _ = own = _node_step(profile, ends, [follow], k)[0]
+            at = bisect(cuts, (0, follow),
+                        key=lambda cut: (cut[0] * den - num * cut[1], cut[2]))
+            cuts = cuts[:at] + [own] + cuts[at:]
+        lo_num, lo_den, _ = cuts[half - 1]
+        d_lo = d_hi = Fraction(lo_num, lo_den)
+        if share_middle:
+            hi_num, hi_den, _ = cuts[half]
+            if lo_num * hi_den < hi_num * lo_den:
+                d_hi = Fraction(hi_num, hi_den)
+        left, right = [cut[2] for cut in cuts[:half]], [cut[2] for cut in cuts[half:]]
         if follow not in right:
             solve(a, d_lo, left, share_middle)
-        if share_middle and d_lo < d_hi:
+        if d_hi is not d_lo:    # a shared middle of positive length
             solve(d_lo, d_hi, agents, False)
         if follow not in left:
-            solve(d_hi if share_middle else d_lo, b, right, share_middle)
+            solve(d_hi, b, right, share_middle)
 
     solve(ZERO, ONE, list(range(profile.n)), share_middle)
     return pieces

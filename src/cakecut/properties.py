@@ -38,7 +38,8 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import (
-    SHARES_MIDDLE, Mechanism, NodeCuts, Span, _halving, _node_cut, get_mechanism)
+    SHARES_MIDDLE, Mechanism, NodeCuts, Span, _halving, _node_ends, _node_step,
+    get_mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +299,8 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
                 points, [Fraction(m, d) for m in masses])
         except (ValueError, ZeroDivisionError):
             continue
-        key = _encoding(cand)
-        if key not in seen:
-            seen.add(key)
+        if cand.integer_image not in seen:     # one image per valuation
+            seen.add(cand.integer_image)
             candidates.append(cand)
     middle = SHARES_MIDDLE.get(mechanism.name)
     others: NodeCuts = {}      # the other agents' cuts, shared by this search's walks
@@ -364,10 +364,12 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     k = len(agents)
     half = k // 2
     share = Fraction(half, k)
-    others = sorted((_node_cut(profile[i], a, b, k), i) for i in agents if i != agent)
+    ends = _node_ends(a.numerator, a.denominator, b.numerator, b.denominator)
+    others = [(Fraction(num, den), i) for num, den, i
+              in _node_step(profile, ends, [i for i in agents if i != agent], k)]
 
     plans = []
-    own_cut = _node_cut(true_v, a, b, k)
+    own_cut = Fraction(*_node_step(profile, ends, [agent], k)[0][:2])
     for c in _node_candidates(a, b, others, true_v, own_cut):
         if bisect(others, (c, agent)) != half - 1:
             continue  # manipulator does not pin the boundary; drift would move it

@@ -11,6 +11,26 @@ def support(v, positive=True):
     return Piece.of(Interval(a, b) for a, b, d in v.segments() if (d > 0) == positive)
 
 
+def check_valuation(bounds, densities):
+    """The earlier Fraction body of PiecewiseConstantValuation.__post_init__:
+    raise ValueError where construction must refuse ``(bounds, densities)``."""
+    if len(bounds) < 2 or bounds[0] != ZERO or bounds[-1] != ONE:
+        raise ValueError("bounds must run from 0 to 1")
+    if len(densities) != len(bounds) - 1:
+        raise ValueError("need one density per segment")
+    for a, b in zip(bounds, bounds[1:]):
+        if not a < b:
+            raise ValueError("bounds must be strictly increasing")
+    if any(d < 0 for d in densities):
+        raise ValueError("densities must be non-negative")
+    for d, e in zip(densities, densities[1:]):
+        if d == e:
+            raise ValueError("adjacent equal densities; construct via of()")
+    total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities))
+    if total != 1:
+        raise ValueError(f"valuation has total mass {total}, expected exactly 1")
+
+
 # Reference segment walks on Fraction arithmetic: the earlier bodies of
 # PiecewiseConstantValuation.value_between, cut_point and node_cut, with
 # ``self`` as ``v``.  The kernel's integer walks must agree with them.

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -143,6 +144,45 @@ class TestPieceOrdered:
         assert Piece.ordered(spans) == Piece.of(Interval(lo, hi) for lo, hi in spans)
 
 
+@st.composite
+def raw_valuations(draw):
+    """``(bounds, densities)`` of a valid valuation on the 1/12 grid, broken
+    in none, one or several of the ways construction refuses; integral values
+    are sometimes ints."""
+    points = draw(st.lists(st.integers(1, 11), max_size=4, unique=True))
+    bounds = [F(0), *sorted(F(p, 12) for p in points), F(1)]
+    widths = [b - a for a, b in zip(bounds, bounds[1:])]
+    weights = [draw(st.integers(0, 4))]
+    for _ in widths[1:]:                    # adjacent weights differ
+        weights.append((weights[-1] + draw(st.integers(1, 4))) % 5)
+    if not any(weights):
+        weights[0] = 1
+    total = sum(w * width for w, width in zip(weights, widths))
+    densities = [w / total for w in weights]
+    for breakage in sorted(draw(st.sets(st.sampled_from(
+            ["scale", "equal", "order", "negative", "length", "span"])))):
+        j = draw(st.integers(0, max(len(densities) - 1, 0)))
+        if breakage == "scale":             # not normalized
+            factor = draw(st.sampled_from([F(1, 2), F(3, 4), F(2)]))
+            densities = [d * factor for d in densities]
+        elif breakage == "equal" and j > 0:
+            densities[j] = densities[j - 1]
+        elif breakage == "order" and len(bounds) > 2:
+            i = draw(st.integers(1, len(bounds) - 2))
+            bounds[i] = draw(st.sampled_from([bounds[i - 1], bounds[i + 1], F(13, 12)]))
+        elif breakage == "negative" and densities:
+            densities[j] = -densities[j] if densities[j] else F(-1)
+        elif breakage == "length":
+            densities = draw(st.sampled_from([densities[:-1], densities + [F(1)]]))
+        elif breakage == "span":
+            bounds = draw(st.sampled_from([bounds[:1], [F(1, 24), *bounds[1:]],
+                                           [*bounds[:-1], F(23, 24)]]))
+    if draw(st.booleans()):
+        bounds = [int(b) if b.denominator == 1 else b for b in bounds]
+        densities = [int(d) if d.denominator == 1 else d for d in densities]
+    return tuple(bounds), tuple(densities)
+
+
 class TestValuationConstruction:
     def test_rejects_non_normalized(self):
         with pytest.raises(ValueError, match="total mass"):
@@ -176,6 +216,31 @@ class TestValuationConstruction:
     def test_rejects_float(self):
         with pytest.raises(TypeError, match="float"):
             frac(0.8)
+
+    def test_construction_refuses_float_fields(self):
+        with pytest.raises(TypeError, match="refusing inexact float 1.0"):
+            PCV((F(0), 1.0), (1.0,))
+        with pytest.raises(TypeError, match="refusing inexact float 0.0"):
+            Interval(0.0, F(1))
+        with pytest.raises(TypeError, match="'1/2' is not an int or a Fraction"):
+            PCV((F(0), "1/2", F(1)), (F(1), F(1)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=raw_valuations())
+    def test_refuses_exactly_what_the_fraction_checks_refused(self, raw):
+        bounds, densities = raw
+        try:
+            reference.check_valuation(bounds, densities)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                PCV(bounds, densities)
+            assert str(caught.value) == str(exc)
+            return
+        lcm_b = math.lcm(*(F(b).denominator for b in bounds))
+        lcm_d = math.lcm(*(F(d).denominator for d in densities))
+        assert PCV(bounds, densities).integer_image == (
+            lcm_b, lcm_d, tuple((b * lcm_b).numerator for b in map(F, bounds)),
+            tuple((d * lcm_d).numerator for d in map(F, densities)))
 
     def test_decimal_string_exact(self):
         assert frac("0.8") == F(4, 5)
@@ -306,7 +371,6 @@ class TestIntegerWalks:
         chunks = PCV.from_chunks([(F(6, 13), F(1), F(26, 21)), (F(0), F(1, 7), F(7, 3))])
         before = (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v)))
         assert v.value_between(0, 1) == 1
-        assert "integer_image" in vars(v) and "integer_image" not in vars(twin)
         assert v == twin == chunks
         assert (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v))) == before
         assert (repr(twin), hash(twin)) == before[:2]

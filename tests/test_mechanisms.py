@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cakecut import io
 from cakecut.cake import (
-    ONE,
-    ZERO,
     Piece,
     PiecewiseConstantValuation as PCV,
     Profile,
@@ -16,7 +14,6 @@ from cakecut.cake import (
 )
 from cakecut.mechanisms import (
     _halving,
-    _node_cut,
     EVEN_PAZ,
     EVEN_PAZ_EXCHANGE,
     MECHANISMS,
@@ -256,10 +253,13 @@ class TestPathWalk:
             deviated = profile.replace(agent, lie)
             walk = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)
             assert Piece.ordered(walk[agent]) == MECHANISMS[name].run(deviated).pieces[agent]
-        assert (ZERO, ONE, frozenset(range(n))) in others
-        for (a, b, agents), cuts in others.items():
+        # keyed on the ends' numerators and denominators and the agents' bitmask
+        assert (0, 1, 1, 1, 2 ** n - 1) in others
+        for (a_num, a_den, b_num, b_den, mask), cuts in others.items():
+            a, b = F(a_num, a_den), F(b_num, b_den)
+            agents = [i for i in range(n) if mask >> i & 1]
             k = len(agents)
-            assert cuts == sorted(
+            assert [(F(num, den), i) for num, den, i in cuts] == sorted(
                 (profile[i].cut_point(a, F(k // 2, k) * profile[i].value_between(a, b)), i)
                 for i in agents if i != agent)
 
@@ -319,7 +319,7 @@ class TestNodeCutMemo:
         v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
         a, b = F(min(ends), 24), F(max(ends), 24)
         expected = v.cut_point(a, F(k // 2, k) * v.value_between(a, b))
-        assert _node_cut(v, a, b, k) == expected
+        assert v.node_cut(a, b, F(k // 2, k)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
