@@ -22,8 +22,8 @@ Values are immutable after construction and all operations are pure.  A
 valuation computes its integer image once, at construction, runs every
 validity check on those ints and keeps it; the image is a pure function of
 the fields and stays out of equality, hashing, ``repr`` and JSON, so values
-may be shared between threads.  Intervals and valuations take ints and
-``Fraction``s only: a float is refused with :func:`frac`'s ``TypeError``.
+may be shared between threads.  Intervals and valuations refuse a float
+with :func:`frac`'s ``TypeError``.
 """
 
 from __future__ import annotations
@@ -221,19 +221,6 @@ class Piece:
         return " ∪ ".join(repr(iv) for iv in self.intervals)
 
 
-def _integer_image(bounds: Sequence[Fraction], densities: Sequence[Fraction]
-                   ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """``(L, M, bounds * L, densities * M)``; TypeError if a value is not an
-    int or a ``Fraction`` (frac's for a float)."""
-    try:
-        lcm_b = math.lcm(*(b.denominator for b in bounds))
-        lcm_d = math.lcm(*(d.denominator for d in densities))
-    except AttributeError:
-        raise _inexact(chain(bounds, densities)) from None
-    return (lcm_b, lcm_d, tuple([b.numerator * (lcm_b // b.denominator) for b in bounds]),
-            tuple([d.numerator * (lcm_d // d.denominator) for d in densities]))
-
-
 @dataclass(frozen=True)
 class PiecewiseConstantValuation:
     """A normalized step-function density over the cake.
@@ -257,7 +244,13 @@ class PiecewiseConstantValuation:
 
     def __post_init__(self) -> None:
         # every check runs on the integer image, which is kept for the walks
-        lcm_b, lcm_d, bounds, densities = image = _integer_image(self.bounds, self.densities)
+        try:
+            lcm_b = math.lcm(*(b.denominator for b in self.bounds))
+            lcm_d = math.lcm(*(d.denominator for d in self.densities))
+        except AttributeError:
+            raise _inexact(chain(self.bounds, self.densities)) from None
+        bounds = tuple([b.numerator * (lcm_b // b.denominator) for b in self.bounds])
+        densities = tuple([d.numerator * (lcm_d // d.denominator) for d in self.densities])
         if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != lcm_b:
             raise ValueError("bounds must run from 0 to 1")
         if len(densities) != len(bounds) - 1:
@@ -275,7 +268,7 @@ class PiecewiseConstantValuation:
         if total != lcm_b * lcm_d:
             raise ValueError(f"valuation has total mass {Fraction(total, lcm_b * lcm_d)}, "
                              "expected exactly 1")
-        object.__setattr__(self, "integer_image", image)
+        object.__setattr__(self, "integer_image", (lcm_b, lcm_d, bounds, densities))
 
     @staticmethod
     def of(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
