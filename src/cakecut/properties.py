@@ -299,7 +299,7 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
                 points, [Fraction(m, d) for m in masses])
         except (ValueError, ZeroDivisionError):
             continue
-        if cand.integer_image not in seen:     # one image per valuation
+        if cand.integer_image not in seen:     # equal images, equal valuations
             seen.add(cand.integer_image)
             candidates.append(cand)
     middle = SHARES_MIDDLE.get(mechanism.name)
