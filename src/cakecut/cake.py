@@ -8,8 +8,10 @@ counterexample chains downstream is an exact decision.  The cell sweep
 common denominator, the lcm of the endpoints' denominators, so it sorts,
 indexes and measures cells with plain ints and still decides exactly; the
 segment walks do the same on a valuation's ``integer_image`` and build one
-``Fraction`` per result, and the halving recursion takes its node cuts from
-them as unreduced int pairs (:meth:`PiecewiseConstantValuation.share_cut`).
+``Fraction`` per result.  The public walks are the two Robertson-Webb
+queries, ``value_between`` (eval) and ``cut_point`` (cut), which read their
+arguments through :func:`frac`, and ``value``, eval summed over a piece.
+The halving recursion's node cuts come from one private walk, as int pairs.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -423,29 +425,17 @@ class PiecewiseConstantValuation:
             raise InfeasibleCutError(f"requested value {r} exceeds remaining {remaining}")
         return Fraction(*cut)
 
-    def node_cut(self, a: Fraction, b: Fraction, share: Fraction) -> Fraction:
-        """``cut_point(a, share * value_between(a, b))`` for 0 <= share <= 1,
-        from one walk over the segments that overlap [a, b]
-        (:meth:`share_cut` on the ends over the lcm of their denominators)."""
-        q = math.lcm(a.denominator, b.denominator)
-        aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-        s = share.denominator
-        if not (0 <= aq <= bq <= q and 0 <= share.numerator <= s):
-            raise ValueError("need 0 <= a <= b <= 1 and 0 <= share <= 1")
-        cut = self.share_cut(aq, bq, q, share.numerator, s)
-        return a if cut is None else Fraction(*cut)
+    def _share_cut(self, aq: int, bq: int, q: int, num: int, s: int
+                   ) -> Optional[tuple[int, int]]:
+        """``cut_point(a, num/s * value_between(a, b))`` for the node [a, b] =
+        [aq/q, bq/q], as an unreduced ``(numerator, denominator)`` pair, or
+        None when that share of the node's value is zero and the cut is a;
+        the caller has checked 0 <= aq <= bq <= q and 0 <= num <= s.
 
-    def share_cut(self, aq: int, bq: int, q: int, num: int, s: int
-                  ) -> Optional[tuple[int, int]]:
-        """The node cut for the node [aq/q, bq/q] and the share num/s, as an
-        unreduced ``(numerator, denominator)`` pair, or None when the share of
-        the node's value is zero and the cut is the left end; the caller has
-        checked 0 <= aq <= bq <= q and 0 <= num <= s.
-
-        The walk keeps each positive-density overlap with its mass, in ints
+        One walk keeps each positive-density overlap with its mass, in ints
         on the integer image, and the cut is found among those overlaps, so
         the segments are not walked from the start again.  The halving
-        recursion calls it with each node's ends over one q.
+        recursion's node step calls it with each node's ends over one q.
         """
         unit, overlaps = self._overlaps(aq, bq, q)
         rest = num * sum(mass for _, _, mass in overlaps)   # over s * unit * M

@@ -8,13 +8,12 @@ Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
 ``SHARES_MIDDLE`` table names this recursive-halving family and whether each
 member shares the cake between a node's two median cuts among all of the
 node's agents.  The gain engines and the CLI read the table.  One node
-step, :func:`_node_step`, puts a node's ends over one denominator, takes
-each agent's cut as an unreduced int pair from one walk over its segments
-(:meth:`cakecut.cake.PiecewiseConstantValuation.share_cut`) and sorts the
-cuts on exact int keys; the recursion and the cut-point planner both use
-it.  A node's sorted cuts come from a table keyed by the ints of its ends
-and its agents' bitmask, the only cache of node cuts: a full run keeps its
-own and follows nobody.  With ``follow=i`` the table holds the other
+step, :func:`_node_step`, puts a node's ``Fraction`` ends over one
+denominator, takes each agent's cut as an unreduced int pair from one walk
+over its segments and sorts the cuts on exact int keys; the recursion and
+the cut-point planner both use it.  A node's sorted cuts come from a table
+keyed by the ints of its ends and its agents' bitmask, the only cache of
+node cuts: a full run keeps its own and follows nobody.  With ``follow=i`` the table holds the other
 agents' cuts, shared by all walks of a gain search, i's cut is placed
 among them by bisection on integer cross-products, and only i's path (in
 modified Even-Paz, also the middles on it) is walked, which is all a
@@ -71,23 +70,17 @@ NodeCuts = dict[tuple[int, int, int, int, int], Cuts]
 Span = tuple[Fraction, Fraction]
 
 
-def _node_ends(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int]:
-    """``(a * q, b * q, q)`` for the node [an/ad, bn/bd], q the lcm of the
-    ends' denominators: every agent's cut at the node is taken over it."""
-    q = math.lcm(ad, bd)
-    return an * (q // ad), bn * (q // bd), q
-
-
-def _node_step(profile: Profile, ends: tuple[int, int, int], agents: list[int],
+def _node_step(profile: Profile, a: Fraction, b: Fraction, agents: list[int],
                k: int) -> Cuts:
-    """The cuts of `agents` at the node of k agents whose :func:`_node_ends`
-    are `ends`, each the leftmost point where the agent's value reaches the
-    floor(k/2)/k share of its value for the node, in (cut, agent) order:
-    sorted on the exact int keys ``(numerator * (D // denominator), agent)``,
-    D the lcm of the cuts' denominators."""
-    aq, bq, q = ends
+    """The cuts of `agents` at the node [a, b] of k agents, each the leftmost
+    point where the agent's value reaches the floor(k/2)/k share of its value
+    for the node, taken over q, the lcm of the ends' denominators, and sorted
+    on the exact int keys ``(numerator * (D // denominator), agent)``, D the
+    lcm of the cuts' denominators."""
+    q = math.lcm(a.denominator, b.denominator)
+    aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
     half = k // 2
-    cuts = [(*(profile[i].share_cut(aq, bq, q, half, k) or (aq, q)), i) for i in agents]
+    cuts = [(*(profile[i]._share_cut(aq, bq, q, half, k) or (aq, q)), i) for i in agents]
     if len(cuts) > 1:
         lcm = math.lcm(*(den for _, den, _ in cuts))
         cuts.sort(key=lambda cut: (cut[0] * (lcm // cut[1]), cut[2]))
@@ -132,13 +125,11 @@ def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
         half = k // 2
         key = (an, ad, bn, bd, sum(1 << i for i in agents))
         cuts = others.get(key)
-        if cuts is None or follow is not None:
-            ends = _node_ends(an, ad, bn, bd)
         if cuts is None:    # a new node; k >= 2, so it has an agent but `follow`
             cuts = others[key] = _node_step(
-                profile, ends, [i for i in agents if i != follow], k)
+                profile, a, b, [i for i in agents if i != follow], k)
         if follow is not None:
-            num, den, _ = own = _node_step(profile, ends, [follow], k)[0]
+            num, den, _ = own = _node_step(profile, a, b, [follow], k)[0]
             at = bisect(cuts, (0, follow),
                         key=lambda cut: (cut[0] * den - num * cut[1], cut[2]))
             cuts = cuts[:at] + [own] + cuts[at:]

@@ -38,8 +38,7 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import (
-    SHARES_MIDDLE, Mechanism, NodeCuts, Span, _halving, _node_ends, _node_step,
-    get_mechanism)
+    SHARES_MIDDLE, Mechanism, NodeCuts, Span, _halving, _node_step, get_mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +363,11 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     k = len(agents)
     half = k // 2
     share = Fraction(half, k)
-    ends = _node_ends(a.numerator, a.denominator, b.numerator, b.denominator)
     others = [(Fraction(num, den), i) for num, den, i
-              in _node_step(profile, ends, [i for i in agents if i != agent], k)]
+              in _node_step(profile, a, b, [i for i in agents if i != agent], k)]
 
     plans = []
-    own_cut = Fraction(*_node_step(profile, ends, [agent], k)[0][:2])
+    own_cut = Fraction(*_node_step(profile, a, b, [agent], k)[0][:2])
     for c in _node_candidates(a, b, others, true_v, own_cut):
         if bisect(others, (c, agent)) != half - 1:
             continue  # manipulator does not pin the boundary; drift would move it

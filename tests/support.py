@@ -32,8 +32,9 @@ def check_valuation(bounds, densities):
 
 
 # Reference segment walks on Fraction arithmetic: the earlier bodies of
-# PiecewiseConstantValuation.value_between, cut_point and node_cut, with
-# ``self`` as ``v``.  The kernel's integer walks must agree with them.
+# PiecewiseConstantValuation.value_between and cut_point, with ``self`` as
+# ``v``, and of the one-pass node cut that mechanisms._node_step now takes
+# for each agent.  The kernel's integer walks must agree with them.
 
 
 def value_between(v, x, y):

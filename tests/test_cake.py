@@ -361,8 +361,6 @@ class TestIntegerWalks:
             == outcome(reference.value_between, v, arg(x), arg(y))
         assert outcome(v.cut_point, arg(x), arg(r)) \
             == outcome(reference.cut_point, v, arg(x), arg(r))
-        a, b, share = (f if arg is str else arg(f) for f in (x, y, share))  # no strings
-        assert outcome(v.node_cut, a, b, share) == outcome(reference.node_cut, v, a, b, share)
 
     def test_image_stays_out_of_identity(self):
         points, masses = ["1/7", "6/13"], ["1/3", "0", "2/3"]

@@ -14,6 +14,7 @@ from cakecut.cake import (
 )
 from cakecut.mechanisms import (
     _halving,
+    _node_step,
     EVEN_PAZ,
     EVEN_PAZ_EXCHANGE,
     MECHANISMS,
@@ -311,48 +312,44 @@ class TestHalvingOrder:
 
 
 class TestNodeCutMemo:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           ends=st.tuples(st.integers(0, 24), st.integers(0, 24)),
-           k=st.integers(1, 9))
-    def test_memoised_cut_equals_direct_cut(self, seed, ends, k):
-        v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
-        a, b = F(min(ends), 24), F(max(ends), 24)
-        expected = v.cut_point(a, F(k // 2, k) * v.value_between(a, b))
-        assert v.node_cut(a, b, F(k // 2, k)) == expected
-
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_one_pass_cut_equals_two_walks(self, seed, data):
-        # ends drawn from the valuation's own bounds and from the 1/24 grid, so
-        # a == b, ends on breakpoints and zero-mass nodes all occur
-        v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
-        point = st.sampled_from(v.bounds) | st.integers(0, 24).map(lambda i: F(i, 24))
+        # ends drawn from the valuations' own bounds and from the 1/24 grid, and
+        # some agents copies of others, so a == b, ends on breakpoints,
+        # zero-mass nodes and tied cuts all occur
+        rng = random.Random(seed)
+        valuations = [random_valuation(rng, max_breakpoints=4, denom=24)]
+        for _ in range(data.draw(st.integers(1, 4))):
+            valuations.append(rng.choice(valuations) if rng.randrange(3) == 0
+                              else random_valuation(rng, max_breakpoints=4, denom=24))
+        profile = Profile.of(valuations)
+        bounds = sorted({x for v in profile for x in v.bounds})
+        point = st.sampled_from(bounds) | st.integers(0, 24).map(lambda i: F(i, 24))
         a, b = sorted(data.draw(st.tuples(point, point)))
-        share = data.draw(st.fractions(0, 1, max_denominator=12))
-        assert v.node_cut(a, b, share) == v.cut_point(a, share * v.value_between(a, b))
+        agents = data.draw(st.lists(st.sampled_from(range(profile.n)), min_size=1,
+                                    unique=True))
+        k = data.draw(st.integers(max(2, len(agents)), 9))
+        share = F(k // 2, k)
+        cuts = [(F(num, den), i) for num, den, i in _node_step(profile, a, b, agents, k)]
+        assert cuts == sorted((reference.node_cut(profile[i], a, b, share), i)
+                              for i in agents)
+        for cut, i in cuts:
+            assert cut == profile[i].cut_point(a, share * profile[i].value_between(a, b))
 
     @pytest.mark.parametrize("a, b, share, cut", [
         ("1/3", "1/3", "1/2", "1/3"),     # a == b
         ("0", "1/2", "1/2", "0"),         # zero mass: the cut stays at a
-        ("1/4", "1/2", "1", "1/4"),
         ("1/2", "1", "1/2", "3/4"),       # both ends on breakpoints
         ("1/4", "1", "1/2", "3/4"),       # zero-density head, then mass
-        ("0", "1", "1", "1"),
-        ("1/2", "1", "0", "1/2"),
+        ("1/2", "1", "0", "1/2"),         # a node of one agent: share 0
     ])
     def test_one_pass_cut_edge_cases(self, a, b, share, cut):
         a, b, share = F(a), F(b), F(share)
-        assert D1.node_cut(a, b, share) == F(cut)
+        k = share.denominator                       # share == F(k // 2, k)
+        [(num, den, _)] = _node_step(Profile.of([D1, U]), a, b, [0], k)
+        assert F(num, den) == F(cut)
         assert D1.cut_point(a, share * D1.value_between(a, b)) == F(cut)
-
-    @pytest.mark.parametrize("a, b, share", [
-        ("1/2", "1/3", "1/2"), ("-1/2", "1/2", "1/2"), ("0", "3/2", "1/2"),
-        ("0", "1", "3/2"), ("0", "1", "-1/2"),
-    ])
-    def test_one_pass_cut_rejects_bad_nodes(self, a, b, share):
-        with pytest.raises(ValueError):
-            D1.node_cut(F(a), F(b), F(share))
 
     def test_valuations_hold_no_hidden_state(self):
         v = PCV.of(["1/3", "3/4"], [F(3, 4), F(3, 2), F(1, 2)])
