@@ -46,16 +46,23 @@ if TYPE_CHECKING:
 # `learn` makes floor(2k/eps) cut queries, one at a time; a budget
 # above this is refused before any query runs.
 MAX_QUERY_BUDGET = 10 ** 5
+# Each `gain` offset round adds two points per base point, with one more bit
+# of denominator, so the candidate pool grows quadratically in bits; more
+# rounds than this are refused.
+MAX_OFFSET_ROUNDS = 64
 
 
 def _error_line(message: str) -> str:
-    """`message` as one diagnostic line: an echoed number may run to
-    thousands of digits, so each run of more than 40 keeps its first 20,
-    and an echoed name may hold a newline or a NUL, so every character
-    that is not printable is written as its backslash escape."""
+    """`message` as one diagnostic line of at most 300 bytes: an echoed
+    number may run to thousands of digits, so each run of more than 40
+    keeps its first 20; an echoed name may hold a newline or a NUL, so
+    every character that is not printable is written as its backslash
+    escape; an echoed array may be long, so the message keeps 280 bytes."""
     message = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}…({len(m[0])} digits)", message)
     message = "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
                       for c in message)
+    if len(message.encode()) > 280:
+        message = message.encode()[:277].decode(errors="ignore") + "…"
     return f"cakecut: error: {message}\n"
 
 
@@ -263,7 +270,7 @@ def parse_scenario(obj: Any, base_dir: str = ".") -> Scenario:
                  "scenario")
     if type(obj["version"]) is not int or obj["version"] != 1:
         raise FormatError(f"scenario.version: expected the integer 1, got {obj['version']!r}")
-    if obj["command"] not in ARGUMENTS:
+    if not isinstance(obj["command"], str) or obj["command"] not in ARGUMENTS:
         raise FormatError(f"scenario.command: unknown command {obj['command']!r}")
     profile = None
     if "profile" in obj:
@@ -339,6 +346,9 @@ def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
     if command == "gain":
         from cakecut.properties import SearchConfig
 
+        if a["rounds"] > MAX_OFFSET_ROUNDS:
+            raise FormatError(f"argument 'rounds': at most {MAX_OFFSET_ROUNDS}, "
+                              f"got {a['rounds']}")
         cfg = SearchConfig(mass_denominator=a["mass_denominator"],
                            max_breakpoints=a["max_breakpoints"],
                            offset_rounds=a["rounds"],

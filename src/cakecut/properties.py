@@ -213,8 +213,7 @@ def _candidate_points(profile: Profile, truthful: Allocation,
         base.update(v.breakpoints)
     base.update(p for p in truthful.boundaries() if ZERO < p < ONE)
     anchored = sorted(base | {ZERO, ONE})
-    gaps = [q - p for p, q in zip(anchored, anchored[1:]) if q > p]
-    gamma = min(gaps) / 64 if gaps else Fraction(1, 64)
+    gamma = min(q - p for p, q in zip(anchored, anchored[1:])) / 64
     points = set(base)
     for _ in range(cfg.offset_rounds):
         for p in list(base):
@@ -336,9 +335,8 @@ def _node_candidates(a: Fraction, b: Fraction, others: list[tuple[Fraction, int]
     cands: set[Fraction] = set(pts)
     for p, q in zip(pts, pts[1:]):
         gap = q - p
-        if gap > 0:
-            cands.add(p + gap / 2)
-            cands.add(q - gap / 64)
+        cands.add(p + gap / 2)
+        cands.add(q - gap / 64)
     cands.discard(b)
     return sorted(cands)
 

@@ -146,10 +146,6 @@ class LiftedMechanism:
     k: int
     epsilon: Fraction
 
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}@rw(k={self.k},eps={self.epsilon})"
-
     def _learn(self, oracles: Sequence[RWOracle]) -> Profile:
         return Profile.of(
             approximate_valuation(o, self.k, self.epsilon).valuation for o in oracles)

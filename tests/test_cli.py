@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io as io_module
 import json
 import os
 import random
@@ -640,6 +642,14 @@ class TestUnreadableInput:
          "{dir}/a\\x00b: cannot read (embedded null byte)"),
         (None, ("chain", "--name", "discussion", "a\nb"), "unrecognized arguments: a\\nb"),
         (None, ("chain", "--name", "discussion", "a\x00b"), "unrecognized arguments: a\\x00b"),
+        # found by TestBoundaryFuzz
+        (_allocate_scenario(command=["allocate"]), ("run", "{path}"),
+         "scenario.command: unknown command ['allocate']"),
+        (_allocate_scenario(arguments={"mechanism": ["even-paz"] * 50}), ("run", "{path}"),
+         "argument 'mechanism': expected str, got ['even-paz', 'even-paz'"),
+        (json.dumps(UNIFORM_PAIR).encode(),
+         ("gain", "--mechanism", "even-paz", "--agent", "0", "--rounds", "65",
+          "--profile", "{path}"), "argument 'rounds': at most 64, got 65"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -651,7 +661,8 @@ class TestUnreadableInput:
             "argparse-5000-digit-agent", "scenario-profile-file-int",
             "scenario-profile-file-array", "scenario-version-true", "scenario-version-1.0",
             "chain-n-above-cap", "profile-agents-above-cap", "scenario-profile-file-newline",
-            "scenario-profile-file-nul", "argparse-newline", "argparse-nul"])
+            "scenario-profile-file-nul", "argparse-newline", "argparse-nul",
+            "scenario-command-array", "echoed-array-cut", "gain-rounds-above-cap"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -838,3 +849,190 @@ class TestScenarios:
         assert code == 0
         assert report["exact"] is True
         assert report["output"]["report"]["proportionality_deficit"] == "0"
+
+
+class Raw(str):
+    """A JSON number written into the document as it stands."""
+
+
+def _dumps(value) -> str:
+    """JSON text of `value`, with every Raw written unquoted."""
+    if isinstance(value, Raw):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dumps, value)) + "]"
+    return json.dumps(value)
+
+
+def _paths(value, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+class TestBoundaryFuzz:
+    """Mutated profiles, scenarios, witnesses and certificates fed to the CLI
+    in-process: every run ends in exit 0 or 1 (2 only for a chain), one error
+    line or none, and a `verified: true` only when the values stored in the
+    document are the ones its mechanism gives."""
+
+    KEYS = ["agents", "breakpoints", "densities", "kind", "mechanism", "profile",
+            "agent", "misreport", "gain", "report", "contiguous", "chain", "violated",
+            "epsilon", "certificate", "profiles", "parameters", "command", "arguments",
+            "version", "seed", "file", "witness", "output", "name", "n", "k", "eps",
+            "rounds", "max_candidates", "mass_denominator", "max_breakpoints", "x"]
+    NUMBERS = [-1, -10 ** 6, 0, 1, 2, 3, MAX_AGENTS + 1, cakecut.cli.MAX_QUERY_BUDGET + 1,
+               cakecut.cli.MAX_OFFSET_ROUNDS + 1, Raw(f"1e{cake.MAX_DECIMAL_EXPONENT + 1}"),
+               Raw(f"-1E+{cake.MAX_DECIMAL_EXPONENT + 1}"),
+               Raw(f"2.5e-{cake.MAX_DECIMAL_EXPONENT + 1}"), Raw("1" * 4301), Raw("0.5"),
+               Raw("-2.5")]
+    STRINGS = ["", "x", "1/0", "-1/2", "3/2", "0.1", "1e1001", "1" * 4301, "a\nb",
+               "even-paz", "modified-ep", "thm1", "discussion", "gain", "report",
+               "profile.json"]
+    scalars = (st.sampled_from(NUMBERS) | st.sampled_from(STRINGS)
+               | st.sampled_from([None, True, False]))
+    values = (scalars | st.lists(scalars, max_size=3)
+              | st.dictionaries(st.sampled_from(KEYS), scalars, max_size=2))
+
+    @staticmethod
+    def seed_document(data):
+        """(document, argv) from TestJsonRoundTrip's generators; "{path}" in
+        argv stands for the document's file."""
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        profile = random_profile(rng, data.draw(st.integers(2, 5)), max_breakpoints=4,
+                                 denom=data.draw(st.sampled_from([3, 4, 12, 96])))
+        name = data.draw(st.sampled_from(sorted(MECHANISMS)))
+        halving = data.draw(st.sampled_from(sorted(SHARES_MIDDLE)))
+        kind = data.draw(st.sampled_from(["profile", "scenario", "witness", "gain", "report"]))
+        if kind == "witness":
+            chain = data.draw(st.sampled_from(sorted(TestJsonRoundTrip.CHAINS)))
+            run, sizes = TestJsonRoundTrip.CHAINS[chain]
+            witness = (discussion_example()[1] if data.draw(st.booleans()) else
+                       run(MECHANISMS[name], ChainParameters.of(data.draw(st.sampled_from(sizes)))))
+            return io.witness_to_json(witness), ["verify", "{path}"]
+        if kind == "gain":
+            engine = data.draw(st.sampled_from([best_response_gain, ep_cutpoint_best_response]))
+            cert = engine(MECHANISMS[halving], profile, 0, TestJsonRoundTrip.CFG)
+            return io.gain_certificate_to_json(cert), ["verify", "{path}"]
+        if kind == "report":
+            report = cakecut.check_properties(MECHANISMS[name], profile)
+            return (io.property_certificate_to_json(
+                cakecut.PropertyCertificate(name, profile, report)), ["verify", "{path}"])
+        arguments = data.draw(st.sampled_from([
+            {"command": "allocate", "mechanism": name},
+            {"command": "check", "mechanism": name},
+            {"command": "gain", "mechanism": halving, "agent": 1, "engine": "ep-exact",
+             "rounds": 0, "mass_denominator": 2, "max_breakpoints": 1, "max_candidates": 8},
+            {"command": "gain", "mechanism": name, "agent": 0, "rounds": 1,
+             "mass_denominator": 2, "max_breakpoints": 1, "max_candidates": 8},
+            {"command": "learn", "agent": 0, "k": 4, "eps": "1/2"},
+        ]))
+        command = arguments.pop("command")
+        document = io.profile_to_json(profile)
+        if kind == "profile":
+            flags = [flag for key, value in arguments.items()
+                     for flag in (f"--{key.replace('_', '-')}", str(value))]
+            return document, [command, *flags, "--profile", "{path}"]
+        if data.draw(st.booleans()):
+            document = {"file": "profile.json"}
+        scenario = data.draw(st.sampled_from([
+            {"command": command, "arguments": arguments, "profile": document, "seed": 0},
+            {"command": "chain", "arguments": {"name": "thm1", "mechanism": name, "n": 2}},
+            {"command": "verify", "arguments": {
+                "witness": io.witness_to_json(discussion_example()[1])}},
+        ]))
+        return {"version": 1, **scenario}, ["run", "{path}"]
+
+    def mutate(self, document, data):
+        """`document` with one node deleted, added to, replaced by a value of
+        any type or by a number beyond a cap, or grown into a list of 2-50;
+        or with a rational respelled unreduced, which leaves it valid."""
+        path = data.draw(st.sampled_from(list(_paths(document))))
+        op = data.draw(st.sampled_from(["delete", "add", "swap", "number", "grow", "respell"]))
+        node = document
+        for key in path:
+            node = node[key]
+        if op == "respell":
+            if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node):
+                value = Fraction(node)
+                new = f"{value.numerator * 3}/{value.denominator * 3}"
+            else:
+                return document
+        if op == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(self.KEYS))] = data.draw(self.values)
+            return document
+        if op == "add" and isinstance(node, list):
+            node.insert(data.draw(st.integers(0, len(node))), data.draw(self.values))
+            return document
+        elif op == "grow":
+            items = node if isinstance(node, list) and node else [node]
+            new = [items[i % len(items)] for i in range(data.draw(st.integers(2, 50)))]
+        else:
+            new = data.draw(st.sampled_from(self.NUMBERS) if op == "number" else self.values)
+        if not path:
+            return new
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+        return document
+
+    @staticmethod
+    def stored_values_hold(obj) -> bool:
+        """Whether the values a verified document stores are those its
+        mechanism gives, recomputed here through the library."""
+        if isinstance(obj, dict) and "command" in obj and "output" in obj:
+            obj = obj["output"]
+        if isinstance(obj, dict) and "chain" in obj:
+            obj = obj["certificate"]
+        cert = io.certificate_from_json(obj, "certificate")
+        mechanism = MECHANISMS[cert.mechanism]
+        if cert.kind == "report":
+            return cert.report == cakecut.check_properties(mechanism, cert.profile)
+        fresh = cakecut.evaluate_misreport(mechanism, cert.profile, cert.agent, cert.misreport)
+        return ((cert.truthful_value, cert.deviated_value, cert.gain)
+                == (fresh.truthful_value, fresh.deviated_value, fresh.gain))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents(self, data):
+        document, argv = self.seed_document(data)
+        document = self.mutate(document, data)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_dumps(document))
+            with open(os.path.join(work, "profile.json"), "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(UNIFORM_PAIR))
+            out, err = io_module.StringIO(), io_module.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.replace("{path}", path) for a in argv])
+            out, err = out.getvalue(), err.getvalue()
+            if err:
+                assert code == 1 and out == ""
+                assert err.startswith("cakecut: error: ") and err.count("\n") == 1
+                assert err[:-1].isprintable() and len(err.encode()) <= 300
+                return
+            report = json.loads(out)
+            assert code in (0, 1, 2)
+            assert (code == 2) == (report["command"] == "chain")
+            output = report["output"]
+            if report["command"] == "verify":
+                assert (code == 0) == output["verified"]
+                if output["verified"]:
+                    target = load_json(path)
+                    if argv[0] == "run":
+                        target = target["arguments"]["witness"]
+                        if isinstance(target, str):
+                            target = load_json(os.path.join(work, target))
+                    assert self.stored_values_hold(target)
+            else:
+                assert code != 1
