@@ -866,13 +866,13 @@ def _dumps(value) -> str:
     return json.dumps(value)
 
 
-def _paths(value, path=()):
-    """The path of every node of a JSON document, the root first."""
-    yield path
+def _nodes(value, path=()):
+    """``(path, node)`` for every node of a JSON document, the root first."""
+    yield path, value
     items = value.items() if isinstance(value, dict) else (
         enumerate(value) if isinstance(value, list) else ())
     for key, child in items:
-        yield from _paths(child, (*path, key))
+        yield from _nodes(child, (*path, key))
 
 
 class TestBoundaryFuzz:
@@ -951,22 +951,26 @@ class TestBoundaryFuzz:
     def mutate(self, document, data):
         """`document` with one node deleted, added to, replaced by a value of
         any type or by a number beyond a cap, or grown into a list of 2-50;
-        or with a rational respelled unreduced, which leaves it valid."""
-        path = data.draw(st.sampled_from(list(_paths(document))))
-        op = data.draw(st.sampled_from(["delete", "add", "swap", "number", "grow", "respell"]))
-        node = document
-        for key in path:
-            node = node[key]
-        if op == "respell":
-            if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node):
-                value = Fraction(node)
-                new = f"{value.numerator * 3}/{value.denominator * 3}"
-            else:
+        or with a rational respelled unreduced, which leaves it valid, or
+        moved by 1/7, which a verify must not accept as a stored value."""
+        op = data.draw(st.sampled_from(
+            ["delete", "add", "swap", "number", "grow", "respell", "tamper"]))
+        nodes = list(_nodes(document))
+        if op in ("respell", "tamper"):
+            nodes = [(path, node) for path, node in nodes
+                     if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node)]
+            if not nodes:
                 return document
-        if op == "add" and isinstance(node, dict):
+        path, node = data.draw(st.sampled_from(nodes))
+        if op == "respell":
+            value = Fraction(node)
+            new = f"{value.numerator * 3}/{value.denominator * 3}"
+        elif op == "tamper":
+            new = str(Fraction(node) + Fraction(1, 7))
+        elif op == "add" and isinstance(node, dict):
             node[data.draw(st.sampled_from(self.KEYS))] = data.draw(self.values)
             return document
-        if op == "add" and isinstance(node, list):
+        elif op == "add" and isinstance(node, list):
             node.insert(data.draw(st.integers(0, len(node))), data.draw(self.values))
             return document
         elif op == "grow":
