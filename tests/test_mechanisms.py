@@ -312,6 +312,17 @@ class TestHalvingOrder:
 
 
 class TestNodeCutMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ends=st.tuples(st.integers(0, 24), st.integers(0, 24)),
+           k=st.integers(1, 9))
+    def test_memoised_cut_equals_direct_cut(self, seed, ends, k):
+        v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
+        a, b = F(min(ends), 24), F(max(ends), 24)
+        expected = v.cut_point(a, F(k // 2, k) * v.value_between(a, b))
+        [(num, den, _)] = _node_step(Profile.of([v, U]), a, b, [0], k)
+        assert F(num, den) == expected
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_one_pass_cut_equals_two_walks(self, seed, data):
