@@ -20,6 +20,15 @@ order, and :meth:`Piece.ordered` takes ``(lo, hi)`` spans already in
 increasing order (as the mechanisms and the cell sweep produce them), merges
 touching neighbours without sorting, and refuses input that is not.
 
+Every value class of the package is a :class:`Record`: an immutable
+record whose fields are the parameters of its ``__init__``.  Records of one
+class are equal when their fields are, a record never equals one of another
+class (``==`` returns ``NotImplemented``), ``hash`` is the hash of the tuple
+of fields and ``repr`` reads ``Name(field=value, ...)``, all as a frozen
+dataclass's would; ``_replace`` runs the checks again.  The package does
+not import ``dataclasses``, whose ``inspect`` import would add to every
+command's start-up.
+
 Values are immutable after construction and all operations are pure.  A
 valuation computes its integer image once, at construction, runs every
 validity check on those ints and keeps it; the image is a pure function of
@@ -32,12 +41,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import total_ordering
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Optional, Sequence, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,6 +81,44 @@ def frac(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+class Record:
+    """An immutable record.  Its fields are the parameters of the subclass's
+    ``__init__``, in order, which writes them into the instance ``__dict__``
+    and runs the class's checks; :meth:`_replace` builds through it, so a
+    copy is checked again.  Assigning or deleting an attribute raises
+    AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes: object) -> Record:
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _inexact(values: Iterable) -> TypeError:
     """The error for the first of `values` that is neither an int nor a
     ``Fraction``: frac's TypeError for a float."""
@@ -83,22 +130,25 @@ def _inexact(values: Iterable) -> TypeError:
     return TypeError(f"{x!r} is not an int or a Fraction")
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A closed subinterval [lo, hi] of the cake, possibly degenerate."""
+@total_ordering
+class Interval(Record):
+    """A closed subinterval [lo, hi] of the cake, possibly degenerate; ordered
+    as the tuple ``(lo, hi)``."""
 
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi       # compared as ints: denominators are positive
-        try:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        self.__dict__.update(lo=lo, hi=hi)
+        try:                            # compared as ints: denominators are positive
             within = (0 <= lo.numerator and hi.numerator <= hi.denominator
                       and lo.numerator * hi.denominator <= hi.numerator * lo.denominator)
         except AttributeError:
             raise _inexact((lo, hi)) from None
         if not within:
             raise ValueError(f"interval [{lo}, {hi}] not within [0, 1]")
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) < (other.lo, other.hi)
+        return NotImplemented
 
     @property
     def length(self) -> Fraction:
@@ -112,8 +162,7 @@ def ival(lo: RationalLike, hi: RationalLike) -> Interval:
     return Interval(frac(lo), frac(hi))
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Record):
     """A finite union of intervals, kept in canonical form.
 
     Canonical form: intervals sorted by left endpoint, pairwise disjoint with
@@ -122,7 +171,8 @@ class Piece:
     identified, and equality is structural.
     """
 
-    intervals: tuple[Interval, ...] = ()
+    def __init__(self, intervals: tuple[Interval, ...] = ()) -> None:
+        self.__dict__["intervals"] = intervals
 
     @staticmethod
     def of(intervals: Iterable[Interval]) -> "Piece":
@@ -223,8 +273,7 @@ class Piece:
         return " ∪ ".join(repr(iv) for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantValuation:
+class PiecewiseConstantValuation(Record):
     """A normalized step-function density over the cake.
 
     ``bounds`` is the full breakpoint sequence 0 = b_0 < ... < b_{m+1} = 1 and
@@ -241,18 +290,17 @@ class PiecewiseConstantValuation:
     equality, hashing, ``repr`` and JSON.  The segment walks run on it.
     """
 
-    bounds: tuple[Fraction, ...]
-    densities: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, bounds: tuple[Fraction, ...], densities: tuple[Fraction, ...]
+                 ) -> None:
+        self.__dict__.update(bounds=bounds, densities=densities)
         # every check runs on the integer image, which is kept for the walks
         try:
-            lcm_b = math.lcm(*(b.denominator for b in self.bounds))
-            lcm_d = math.lcm(*(d.denominator for d in self.densities))
+            lcm_b = math.lcm(*(b.denominator for b in bounds))
+            lcm_d = math.lcm(*(d.denominator for d in densities))
         except AttributeError:
-            raise _inexact(chain(self.bounds, self.densities)) from None
-        bounds = tuple([b.numerator * (lcm_b // b.denominator) for b in self.bounds])
-        densities = tuple([d.numerator * (lcm_d // d.denominator) for d in self.densities])
+            raise _inexact(chain(bounds, densities)) from None
+        bounds = tuple([b.numerator * (lcm_b // b.denominator) for b in bounds])
+        densities = tuple([d.numerator * (lcm_d // d.denominator) for d in densities])
         if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != lcm_b:
             raise ValueError("bounds must run from 0 to 1")
         if len(densities) != len(bounds) - 1:
@@ -270,7 +318,7 @@ class PiecewiseConstantValuation:
         if total != lcm_b * lcm_d:
             raise ValueError(f"valuation has total mass {Fraction(total, lcm_b * lcm_d)}, "
                              "expected exactly 1")
-        object.__setattr__(self, "integer_image", (lcm_b, lcm_d, bounds, densities))
+        self.__dict__["integer_image"] = (lcm_b, lcm_d, bounds, densities)
 
     @staticmethod
     def of(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
@@ -377,7 +425,7 @@ class PiecewiseConstantValuation:
 
     @staticmethod
     def _cut(overlaps: list[tuple[int, int, int]], unit: int, s: int,
-             rest: int) -> Optional[tuple[int, int]]:
+             rest: int) -> tuple[int, int] | None:
         """The leftmost point where the ``overlaps`` of :meth:`_overlaps` reach
         value ``rest`` > 0 over ``s * unit * M``, as an unreduced ``(numerator,
         denominator)`` pair; None if they fall short."""
@@ -426,7 +474,7 @@ class PiecewiseConstantValuation:
         return Fraction(*cut)
 
     def _share_cut(self, aq: int, bq: int, q: int, num: int, s: int
-                   ) -> Optional[tuple[int, int]]:
+                   ) -> tuple[int, int] | None:
         """``cut_point(a, num/s * value_between(a, b))`` for the node [a, b] =
         [aq/q, bq/q], as an unreduced ``(numerator, denominator)`` pair, or
         None when that share of the node's value is zero and the cut is a;
@@ -457,14 +505,12 @@ def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[Rational
     return PiecewiseConstantValuation.of(bounds[1:-1], [d / total for d in dens])
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """An ordered tuple of n >= 2 normalized valuations."""
 
-    valuations: tuple[PiecewiseConstantValuation, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.valuations) < 2:
+    def __init__(self, valuations: tuple[PiecewiseConstantValuation, ...]) -> None:
+        self.__dict__["valuations"] = valuations
+        if len(valuations) < 2:
             raise ValueError("a profile needs at least two agents")
 
     @staticmethod
@@ -487,12 +533,11 @@ class Profile:
         return Profile(tuple(vals))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """One piece per agent plus the discarded remainder."""
 
-    pieces: tuple[Piece, ...]
-    discarded: Piece
+    def __init__(self, pieces: tuple[Piece, ...], discarded: Piece) -> None:
+        self.__dict__.update(pieces=pieces, discarded=discarded)
 
     @staticmethod
     def of(pieces: Sequence[Piece]) -> "Allocation":
@@ -519,7 +564,7 @@ CellGrid = tuple[list[Fraction], list[int], int, list[list[int]],
                  list[list[tuple[int, int, Fraction]]]]
 
 
-def cell_grid(profile: Profile, allocation: Optional[Allocation] = None) -> CellGrid:
+def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGrid:
     """The merged breakpoint grid of a profile and, optionally, an allocation,
     as ``(points, keys, scale, owners, segments)``.
 
@@ -561,7 +606,7 @@ def cell_grid(profile: Profile, allocation: Optional[Allocation] = None) -> Cell
     return [point[key] for key in keys], keys, scale, owners, segments
 
 
-def cells(profile: Profile, allocation: Optional[Allocation] = None) -> Iterator[tuple]:
+def cells(profile: Profile, allocation: Allocation | None = None) -> Iterator[tuple]:
     """Sweep the merged grid of every agent's bounds and, given an allocation,
     its piece and discarded endpoints once, yielding for each cell
     ``(lo, hi, holders, discarded, densities)``: the agents whose piece covers

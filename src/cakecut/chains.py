@@ -20,9 +20,9 @@ output); distinct chains can run concurrently.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
 
 from cakecut.cake import (
     Allocation,
@@ -32,6 +32,7 @@ from cakecut.cake import (
     PiecewiseConstantValuation,
     Profile,
     RationalLike,
+    Record,
     ZERO,
     frac,
 )
@@ -51,8 +52,7 @@ class InfeasibleParameters(ValueError):
     """Chain parameters violate an exact feasibility constraint."""
 
 
-@dataclass(frozen=True)
-class ChainParameters:
+class ChainParameters(Record):
     """Targets for the approximation thresholds plus optional delta choices.
 
     eps1 bounds tolerated manipulation gain, eps2 tolerated proportionality
@@ -60,10 +60,9 @@ class ChainParameters:
     feasibility interval.
     """
 
-    n: int
-    eps1: Fraction = ZERO
-    eps2: Fraction = ZERO
-    overrides: tuple[tuple[str, Fraction], ...] = ()
+    def __init__(self, n: int, eps1: Fraction = ZERO, eps2: Fraction = ZERO,
+                 overrides: tuple[tuple[str, Fraction], ...] = ()) -> None:
+        self.__dict__.update(n=n, eps1=eps1, eps2=eps2, overrides=overrides)
 
     @staticmethod
     def of(n: int, eps1: RationalLike = 0, eps2: RationalLike = 0,
@@ -79,20 +78,17 @@ class ChainParameters:
             raise InfeasibleParameters(
                 f"{chain} reads only the deltas {list(names)}; got {unknown}")
 
-    def override(self, name: str) -> Optional[Fraction]:
+    def override(self, name: str) -> Fraction | None:
         for key, value in self.overrides:
             if key == name:
                 return value
         return None
 
 
-class Violation(NamedTuple):
-    """The certificate kind (as in JSON) a witness of one violation needs and
-    ``holds(certificate, allocation, epsilon)``, its predicate; `allocation`
-    is what a report certificate measures (None for a gain certificate)."""
-
-    kind: str
-    holds: Callable[[Certificate, Optional[Allocation], Fraction], bool]
+# The certificate kind (as in JSON) a witness of one violation needs and
+# ``holds(certificate, allocation, epsilon)``, its predicate; `allocation` is
+# what a report certificate measures (None for a gain certificate).
+Violation = namedtuple("Violation", ["kind", "holds"])
 
 
 # every violation a witness can name, in the order a chain stage checks them
@@ -107,24 +103,24 @@ VIOLATIONS: dict[str, Violation] = {
 }
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(Record):
     """A verified violation produced by a chain."""
 
-    chain: str
-    mechanism: str
-    violated: str          # a VIOLATIONS name
-    epsilon: Fraction      # the threshold the certificate exceeds
-    certificate: Certificate
-    profiles: tuple[Profile, ...]
-    parameters: tuple[tuple[str, Fraction], ...]
+    def __init__(self, chain: str, mechanism: str,
+                 violated: str,          # a VIOLATIONS name
+                 epsilon: Fraction,      # the threshold the certificate exceeds
+                 certificate: Certificate, profiles: tuple[Profile, ...],
+                 parameters: tuple[tuple[str, Fraction], ...]) -> None:
+        self.__dict__.update(chain=chain, mechanism=mechanism, violated=violated,
+                             epsilon=epsilon, certificate=certificate, profiles=profiles,
+                             parameters=parameters)
 
-    def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
+    def verify(self, mechanism: Mechanism | None = None) -> bool:
         mech = mechanism if mechanism is not None else get_mechanism(self.certificate.mechanism)
         fresh, allocation = recompute(self.certificate, mech)
         return fresh == self.certificate and self.holds(fresh, allocation)
 
-    def holds(self, certificate: Certificate, allocation: Optional[Allocation]) -> bool:
+    def holds(self, certificate: Certificate, allocation: Allocation | None) -> bool:
         """Whether `certificate` (measuring `allocation`, if a report) shows
         the violation this witness names."""
         violation = VIOLATIONS.get(self.violated)
@@ -168,7 +164,7 @@ class _ChainRun:
         self.parameters = tuple(parameters)
         self.swap01 = self.mirror = False
         self.profiles: list[Profile] = []
-        self.witness: Optional[ViolationWitness] = None
+        self.witness: ViolationWitness | None = None
 
     def __enter__(self) -> "_ChainRun":
         return self
@@ -192,7 +188,7 @@ class _ChainRun:
                           for i in range(profile_c.n))
 
     def _check(self, violated: str, epsilon: Fraction, certificate: Certificate,
-               allocation: Optional[Allocation] = None) -> None:
+               allocation: Allocation | None = None) -> None:
         if VIOLATIONS[violated].holds(certificate, allocation, epsilon):
             raise _Found(ViolationWitness(
                 self.chain, self.mechanism.name, violated, epsilon, certificate,

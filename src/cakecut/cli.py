@@ -15,8 +15,9 @@ import os
 import re
 import sys
 import time
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from cakecut.cake import Profile
 from cakecut.io import (
@@ -39,6 +40,7 @@ from cakecut.io import (
 )
 from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism, get_mechanism
 
+TYPE_CHECKING = False   # true for type checkers; `typing` is never imported
 if TYPE_CHECKING:
     from cakecut.properties import Certificate, SearchConfig
 
@@ -70,19 +72,15 @@ def _error_line(message: str) -> str:
 # the arguments of each command, for flags and scenario files alike
 
 
-class Arg(NamedTuple):
-    """One command argument: scenario key `name`, flag `flag` (by default `--`
-    plus the name with `-` for `_`; no dashes: positional).  A scenario that
-    omits it, or an optional flag left out, gets `default`."""
-
-    name: str
-    kind: type = str         # int, str, Fraction (read exactly) or dict (deltas)
-    default: Any = None
-    bound: Optional[str] = None   # lower bound on the value: "> 0" or ">= 1"
-    required: bool = False        # the flag must be given
-    nullable: bool = False        # null passes through (max_candidates: no cap)
-    help: Optional[str] = None
-    flag: Optional[str] = None
+# One command argument: scenario key `name`, flag `flag` (by default `--`
+# plus the name with `-` for `_`; no dashes: positional).  A scenario that
+# omits it, or an optional flag left out, gets `default`.  `kind` is int, str,
+# Fraction (read exactly) or dict (deltas); `bound` a lower bound on the
+# value, "> 0" or ">= 1"; `required` says the flag must be given; with
+# `nullable` a null passes through (max_candidates: no cap).
+Arg = namedtuple("Arg", ["name", "kind", "default", "bound", "required", "nullable",
+                         "help", "flag"],
+                 defaults=(str, None, None, False, False, None, None))
 
 
 MECHANISM = Arg("mechanism", default="", required=True, help=", ".join(sorted(MECHANISMS)))
@@ -193,7 +191,7 @@ def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
     }
 
 
-def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
+def do_chain(name: str, mechanism: Mechanism | None, n: int, eps1: Fraction,
              eps2: Fraction, deltas: dict[str, Fraction]) -> dict:
     import cakecut.chains as chains
 
@@ -215,7 +213,7 @@ def do_chain(name: str, mechanism: Optional[Mechanism], n: int, eps1: Fraction,
     return witness_to_json(witness)
 
 
-def do_verify(obj: Any) -> tuple[dict, bool]:
+def do_verify(obj: object) -> tuple[dict, bool]:
     """Re-run the mechanism behind a witness/certificate, once on each profile
     the certificate names, and compare values byte-for-byte with the stored
     ones; a witness must also still show its violation.  A report envelope as
@@ -257,15 +255,10 @@ def _certificate_values(certificate: Certificate) -> dict:
 # scenario files
 
 
-class Scenario(NamedTuple):
-    version: int
-    command: str
-    arguments: dict
-    profile: Optional[Profile]
-    seed: Optional[int]
+Scenario = namedtuple("Scenario", ["version", "command", "arguments", "profile", "seed"])
 
 
-def parse_scenario(obj: Any, base_dir: str = ".") -> Scenario:
+def parse_scenario(obj: object, base_dir: str = ".") -> Scenario:
     require_keys(obj, {"version", "command"}, {"arguments", "profile", "seed"},
                  "scenario")
     if type(obj["version"]) is not int or obj["version"] != 1:
@@ -291,7 +284,7 @@ def parse_scenario(obj: Any, base_dir: str = ".") -> Scenario:
     return Scenario(1, obj["command"], _normalize_json(arguments), profile, seed)
 
 
-def _normalize_json(value: Any) -> Any:
+def _normalize_json(value: object) -> object:
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, dict):
@@ -324,7 +317,7 @@ def load_profile(path: str) -> Profile:
     return profile_from_json(load_json(path), "profile")
 
 
-def _need_profile(profile: Optional[Profile], agent: int = 0) -> Profile:
+def _need_profile(profile: Profile | None, agent: int = 0) -> Profile:
     """The profile a command runs on, which must hold `agent`."""
     if profile is None:
         raise FormatError("this command needs a profile (--profile or scenario field)")
@@ -333,7 +326,7 @@ def _need_profile(profile: Optional[Profile], agent: int = 0) -> Profile:
     return profile
 
 
-def _execute(command: str, args: dict, profile: Optional[Profile], seed: int,
+def _execute(command: str, args: dict, profile: Profile | None, seed: int,
              base_dir: str = "") -> tuple[dict, int]:
     """Run `command` on `args`, checked against ARGUMENTS; a witness path is
     read relative to `base_dir`.  Returns (output, exit code)."""
@@ -387,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         for spec in ARGUMENTS[command]:
             flag = spec.flag or "--" + spec.name.replace("_", "-")
-            options: dict[str, Any] = {"help": spec.help}
+            options: dict[str, object] = {"help": spec.help}
             if flag.startswith("-"):
                 options.update(dest=spec.name, required=spec.required)
             if spec.kind is dict:
@@ -423,7 +416,7 @@ def emit_report(report: dict, fmt: str = "json", elapsed_ms: float = 0.0) -> str
         return canonical_dumps(report)
     lines: list[str] = []
 
-    def walk(prefix: str, value: Any) -> None:
+    def walk(prefix: str, value: object) -> None:
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
@@ -435,7 +428,7 @@ def emit_report(report: dict, fmt: str = "json", elapsed_ms: float = 0.0) -> str
     return "\n".join(lines) + "\n"
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

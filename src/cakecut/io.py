@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
 
 from cakecut.cake import (
     Allocation,
@@ -22,6 +21,7 @@ from cakecut.cake import (
     check_decimal_exponent,
 )
 
+TYPE_CHECKING = False   # true for type checkers; `typing` is never imported
 if TYPE_CHECKING:  # the readers below import these when they are called
     from cakecut.chains import ViolationWitness
     from cakecut.properties import (
@@ -35,6 +35,9 @@ class FormatError(ValueError):
 
 # Profiles and `chain --n` above this many agents are refused before any run.
 MAX_AGENTS = 1000
+# A valuation with more breakpoints than this is refused before any rational
+# of it is parsed.
+MAX_BREAKPOINTS = 10 ** 5
 
 
 def _exact(text: str, where: str = "JSON number") -> Fraction:
@@ -58,7 +61,7 @@ def rat_str(x: Fraction) -> str:
                           "lets Python print") from None
 
 
-def as_rational(value: Any, where: str) -> Fraction:
+def as_rational(value: object, where: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
@@ -70,14 +73,14 @@ def as_rational(value: Any, where: str) -> Fraction:
     raise FormatError(f"{where}: expected an exact rational, got {type(value).__name__}")
 
 
-def _field(obj: dict, key: str, kind: type, where: str) -> Any:
+def _field(obj: dict, key: str, kind: type, where: str) -> object:
     """obj[key], which must be a `kind`."""
     if not isinstance(obj[key], kind):
         raise FormatError(f"{where}.{key}: expected {kind.__name__}, got {obj[key]!r}")
     return obj[key]
 
 
-def require_keys(obj: Any, required: set[str], optional: set[str], where: str) -> None:
+def require_keys(obj: object, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object")
     missing = required - obj.keys()
@@ -99,10 +102,13 @@ def valuation_to_json(v: PiecewiseConstantValuation) -> dict:
     }
 
 
-def valuation_from_json(obj: Any, where: str) -> PiecewiseConstantValuation:
+def valuation_from_json(obj: object, where: str) -> PiecewiseConstantValuation:
     require_keys(obj, {"breakpoints", "densities"}, set(), where)
     if not isinstance(obj["breakpoints"], list) or not isinstance(obj["densities"], list):
         raise FormatError(f"{where}: breakpoints and densities must be arrays")
+    for key, most in (("breakpoints", MAX_BREAKPOINTS), ("densities", MAX_BREAKPOINTS + 1)):
+        if len(obj[key]) > most:
+            raise FormatError(f"{where}.{key}: at most {most} {key}, got {len(obj[key])}")
     points = [as_rational(b, f"{where}.breakpoints[{i}]")
               for i, b in enumerate(obj["breakpoints"])]
     densities = [as_rational(d, f"{where}.densities[{i}]")
@@ -117,7 +123,7 @@ def profile_to_json(profile: Profile) -> dict:
     return {"agents": [valuation_to_json(v) for v in profile]}
 
 
-def profile_from_json(obj: Any, where: str = "profile") -> Profile:
+def profile_from_json(obj: object, where: str = "profile") -> Profile:
     require_keys(obj, {"agents"}, set(), where)
     agents = obj["agents"]
     if not isinstance(agents, list) or len(agents) < 2:
@@ -154,7 +160,7 @@ def report_to_json(report: PropertyReport) -> dict:
     }
 
 
-def report_from_json(obj: Any, where: str) -> PropertyReport:
+def report_from_json(obj: object, where: str) -> PropertyReport:
     from cakecut.properties import PropertyReport
 
     require_keys(obj, {"proportionality_deficit", "envy", "wasted_measure",
@@ -189,7 +195,7 @@ def property_certificate_to_json(cert: PropertyCertificate) -> dict:
     }
 
 
-def certificate_from_json(obj: Any, where: str) -> Certificate:
+def certificate_from_json(obj: object, where: str) -> Certificate:
     from cakecut.properties import GainCertificate, PropertyCertificate
 
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -235,7 +241,7 @@ def witness_to_json(witness: ViolationWitness) -> dict:
     }
 
 
-def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
+def witness_from_json(obj: object, where: str = "witness") -> ViolationWitness:
     """Read a witness whose `violated` names a ``chains.VIOLATIONS`` entry,
     whose certificate is of the kind that entry needs and whose mechanism is
     its certificate's."""
@@ -273,11 +279,11 @@ def witness_from_json(obj: Any, where: str = "witness") -> ViolationWitness:
 # canonical JSON plumbing
 
 
-def canonical_dumps(obj: Any) -> str:
+def canonical_dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str) -> object:
     """Load the JSON file at `path` with floats parsed exactly (0.8 becomes
     4/5); a file that cannot be read or is not UTF-8 JSON raises FormatError."""
     fh = None                       # still None if open() itself fails

@@ -37,27 +37,26 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from dataclasses import dataclass, replace
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from cakecut.cake import (
     Allocation,
     Piece,
     PiecewiseConstantValuation,
     Profile,
+    Record,
     ZERO,
     ONE,
     cells,
 )
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(Record):
     """A named deterministic mechanism."""
 
-    name: str
-    run: Callable[[Profile], Allocation]
+    def __init__(self, name: str, run: Callable[[Profile], Allocation]) -> None:
+        self.__dict__.update(name=name, run=run)
 
 
 # A node's cuts as unreduced ``(numerator, denominator, agent)`` triples in
@@ -87,8 +86,8 @@ def _node_step(profile: Profile, a: Fraction, b: Fraction, agents: list[int],
     return cuts
 
 
-def _halving(profile: Profile, share_middle: bool, follow: Optional[int] = None,
-             others: Optional[NodeCuts] = None) -> list[list[Span]]:
+def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
+             others: NodeCuts | None = None) -> list[list[Span]]:
     """Recursive halving; returns each agent's list of ``(lo, hi)`` spans.
     At a node [a, b] the first floor(k/2) agents recurse on [a, d_lo], d_lo
     the floor(k/2)-th smallest cut, and the rest on [d_lo, b].  With
@@ -238,7 +237,7 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
 
 
 EQUAL_SPLIT = Mechanism("equal-split", equal_split_nonwasteful)
-EVEN_PAZ_EXCHANGE = replace(with_zero_piece_exchange(EVEN_PAZ), name="ep-exchange")
+EVEN_PAZ_EXCHANGE = with_zero_piece_exchange(EVEN_PAZ)._replace(name="ep-exchange")
 MODIFIED_EP_EXCHANGE = with_zero_piece_exchange(MODIFIED_EVEN_PAZ)
 
 MECHANISMS: dict[str, Mechanism] = {

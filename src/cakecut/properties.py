@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb
 from random import Random
-from typing import ClassVar, Iterable, Iterator, Optional
 
 from cakecut.cake import (
     Allocation,
     ONE,
     PiecewiseConstantValuation,
     Profile,
+    Record,
     ZERO,
     cell_grid,
 )
@@ -45,8 +45,7 @@ from cakecut.mechanisms import (
 # property checking
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Exact slack of an allocation against the standard properties.
 
     deficit == 0 iff proportional; envy == 0 iff envy-free; wasted_measure
@@ -54,10 +53,10 @@ class PropertyReport:
     density there (or discarded).
     """
 
-    proportionality_deficit: Fraction
-    envy: Fraction
-    wasted_measure: Fraction
-    contiguous: bool
+    def __init__(self, proportionality_deficit: Fraction, envy: Fraction,
+                 wasted_measure: Fraction, contiguous: bool) -> None:
+        self.__dict__.update(proportionality_deficit=proportionality_deficit, envy=envy,
+                             wasted_measure=wasted_measure, contiguous=contiguous)
 
 
 def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
@@ -106,8 +105,7 @@ def check_properties(mechanism: Mechanism, profile: Profile) -> PropertyReport:
 # certificates
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A finding tied to the mechanism and profile it was measured on.
 
     `kind` is the certificate's JSON kind, "gain" or "report"; verify()
@@ -115,16 +113,14 @@ class Certificate:
     certificate names) and reports any mismatch.
     """
 
-    kind: ClassVar[str]
-    mechanism: str
-    profile: Profile
+    def __init__(self, mechanism: str, profile: Profile) -> None:
+        self.__dict__.update(mechanism=mechanism, profile=profile)
 
-    def verify(self, mechanism: Optional[Mechanism] = None) -> bool:
+    def verify(self, mechanism: Mechanism | None = None) -> bool:
         mech = mechanism if mechanism is not None else get_mechanism(self.mechanism)
         return recompute(self, mech)[0] == self
 
 
-@dataclass(frozen=True)
 class GainCertificate(Certificate):
     """A verified manipulation: misreport plus exact before/after values.
 
@@ -133,19 +129,22 @@ class GainCertificate(Certificate):
     """
 
     kind = "gain"
-    agent: int
-    misreport: PiecewiseConstantValuation
-    truthful_value: Fraction
-    deviated_value: Fraction
-    gain: Fraction
+
+    def __init__(self, mechanism: str, profile: Profile, agent: int,
+                 misreport: PiecewiseConstantValuation, truthful_value: Fraction,
+                 deviated_value: Fraction, gain: Fraction) -> None:
+        self.__dict__.update(mechanism=mechanism, profile=profile, agent=agent,
+                             misreport=misreport, truthful_value=truthful_value,
+                             deviated_value=deviated_value, gain=gain)
 
 
-@dataclass(frozen=True)
 class PropertyCertificate(Certificate):
     """A property report of the mechanism's allocation of the profile."""
 
     kind = "report"
-    report: PropertyReport
+
+    def __init__(self, mechanism: str, profile: Profile, report: PropertyReport) -> None:
+        self.__dict__.update(mechanism=mechanism, profile=profile, report=report)
 
 
 def evaluate_misreport(mechanism: Mechanism, profile: Profile, agent: int,
@@ -159,16 +158,16 @@ def evaluate_misreport(mechanism: Mechanism, profile: Profile, agent: int,
 
 
 def recompute(certificate: Certificate, mechanism: Mechanism
-              ) -> tuple[Certificate, Optional[Allocation]]:
+              ) -> tuple[Certificate, Allocation | None]:
     """`certificate` with its values recomputed by running `mechanism` once
     on each profile it names, and the allocation a report certificate
     measures (None for a gain certificate)."""
     if certificate.kind == "gain":
         fresh = evaluate_misreport(mechanism, certificate.profile, certificate.agent,
                                    certificate.misreport)
-        return replace(fresh, mechanism=certificate.mechanism), None
+        return fresh._replace(mechanism=certificate.mechanism), None
     allocation = mechanism.run(certificate.profile)
-    return replace(certificate, report=report_for(certificate.profile, allocation)), allocation
+    return certificate._replace(report=report_for(certificate.profile, allocation)), allocation
 
 
 def _encoding(v: PiecewiseConstantValuation) -> tuple:
@@ -179,8 +178,7 @@ def _encoding(v: PiecewiseConstantValuation) -> tuple:
 # grid search over misreports
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Budget knobs for the grid engine.
 
     Breakpoint candidates come from the agents' true breakpoints and the cut
@@ -190,13 +188,12 @@ class SearchConfig:
     so every candidate misreport is normalized by construction.
     """
 
-    mass_denominator: int = 4
-    max_breakpoints: int = 2
-    offset_rounds: int = 1
-    max_candidates: Optional[int] = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(self, mass_denominator: int = 4, max_breakpoints: int = 2,
+                 offset_rounds: int = 1, max_candidates: int | None = 64,
+                 seed: int = 0) -> None:
+        self.__dict__.update(mass_denominator=mass_denominator, max_breakpoints=max_breakpoints,
+                             offset_rounds=offset_rounds, max_candidates=max_candidates,
+                             seed=seed)
         # below these bounds a search tries no misreport but the truthful one
         # (or fails midway), and its gain of 0 would read as "none found"
         for name, least in (("mass_denominator", 1), ("max_breakpoints", 0),
@@ -409,7 +406,7 @@ def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Span
 
 def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int,
                               cfg: SearchConfig = SearchConfig(),
-                              grid_certificate: Optional[GainCertificate] = None
+                              grid_certificate: GainCertificate | None = None
                               ) -> GainCertificate:
     """Best response for the recursive-halving family via path enumeration.
 

@@ -19,9 +19,8 @@ revelation mechanism lifts it into the query model with at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from cakecut.cake import (
     Allocation,
@@ -29,6 +28,7 @@ from cakecut.cake import (
     PiecewiseConstantValuation,
     Profile,
     RationalLike,
+    Record,
     ZERO,
     frac,
 )
@@ -79,14 +79,13 @@ class RWOracle:
         return self._ask("cut", x, r)
 
 
-@dataclass(frozen=True)
-class LearnedValuation:
+class LearnedValuation(Record):
     """Result of the cut-query learner: a unit-mass approximation."""
 
-    valuation: PiecewiseConstantValuation
-    queries_used: int
-    epsilon: Fraction
-    k: int
+    def __init__(self, valuation: PiecewiseConstantValuation, queries_used: int,
+                 epsilon: Fraction, k: int) -> None:
+        self.__dict__.update(valuation=valuation, queries_used=queries_used,
+                             epsilon=epsilon, k=k)
 
 
 def query_budget(k: int, epsilon: Fraction) -> int:
@@ -131,20 +130,16 @@ def approximate_valuation(oracle: RWOracle, k: int,
     return LearnedValuation(w, used, epsilon, k)
 
 
-@dataclass(frozen=True)
-class LiftRun:
-    allocation: Allocation
-    learned: Profile
-    queries: int
+class LiftRun(Record):
+    def __init__(self, allocation: Allocation, learned: Profile, queries: int) -> None:
+        self.__dict__.update(allocation=allocation, learned=learned, queries=queries)
 
 
-@dataclass(frozen=True)
-class LiftedMechanism:
+class LiftedMechanism(Record):
     """A query-model mechanism: learn every agent, then run the base."""
 
-    base: Mechanism
-    k: int
-    epsilon: Fraction
+    def __init__(self, base: Mechanism, k: int, epsilon: Fraction) -> None:
+        self.__dict__.update(base=base, k=k, epsilon=epsilon)
 
     def _learn(self, oracles: Sequence[RWOracle]) -> Profile:
         return Profile.of(

@@ -1,14 +1,207 @@
 """Helpers shared by the reference checks in the tests."""
 
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import ClassVar, Optional
 
-from cakecut.cake import ONE, ZERO, InfeasibleCutError, Interval, Piece, frac
+from cakecut import cake
+from cakecut.cake import ONE, ZERO, InfeasibleCutError, _inexact, frac
 
 
 def support(v, positive=True):
     """The piece on which v's density is strictly positive, or with
     ``positive=False`` the piece on which it is zero."""
-    return Piece.of(Interval(a, b) for a, b, d in v.segments() if (d > 0) == positive)
+    return cake.Piece.of(cake.Interval(a, b) for a, b, d in v.segments()
+                         if (d > 0) == positive)
+
+
+# Reference records: the package's value classes as they were defined with
+# ``@dataclass(frozen=True)`` (``order=True`` for Interval), with their
+# fields, defaults, checks and custom reprs but none of their other methods.
+# Each carries its package twin's name, so reprs compare as they are; the
+# records of cakecut.cake.Record must match them in ==, hash, repr, ordering
+# and every error.
+
+
+@dataclass(frozen=True, order=True)
+class Interval:
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        lo, hi = self.lo, self.hi       # compared as ints: denominators are positive
+        try:
+            within = (0 <= lo.numerator and hi.numerator <= hi.denominator
+                      and lo.numerator * hi.denominator <= hi.numerator * lo.denominator)
+        except AttributeError:
+            raise _inexact((lo, hi)) from None
+        if not within:
+            raise ValueError(f"interval [{lo}, {hi}] not within [0, 1]")
+
+    def __repr__(self) -> str:
+        return f"[{self.lo}, {self.hi}]"
+
+
+@dataclass(frozen=True)
+class Piece:
+    intervals: tuple[Interval, ...] = ()
+
+    def __repr__(self) -> str:
+        if not self.intervals:
+            return "{}"
+        return " ∪ ".join(repr(iv) for iv in self.intervals)
+
+
+@dataclass(frozen=True)
+class PiecewiseConstantValuation:
+    bounds: tuple[Fraction, ...]
+    densities: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        # every check runs on the integer image, which is kept for the walks
+        try:
+            lcm_b = math.lcm(*(b.denominator for b in self.bounds))
+            lcm_d = math.lcm(*(d.denominator for d in self.densities))
+        except AttributeError:
+            raise _inexact(chain(self.bounds, self.densities)) from None
+        bounds = tuple([b.numerator * (lcm_b // b.denominator) for b in self.bounds])
+        densities = tuple([d.numerator * (lcm_d // d.denominator) for d in self.densities])
+        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != lcm_b:
+            raise ValueError("bounds must run from 0 to 1")
+        if len(densities) != len(bounds) - 1:
+            raise ValueError("need one density per segment")
+        for a, b in zip(bounds, bounds[1:]):
+            if not a < b:
+                raise ValueError("bounds must be strictly increasing")
+        if any(d < 0 for d in densities):
+            raise ValueError("densities must be non-negative")
+        # canonical form: no adjacent segments with the same density
+        for d, e in zip(densities, densities[1:]):
+            if d == e:
+                raise ValueError("adjacent equal densities; construct via of()")
+        total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities))
+        if total != lcm_b * lcm_d:
+            raise ValueError(f"valuation has total mass {Fraction(total, lcm_b * lcm_d)}, "
+                             "expected exactly 1")
+        object.__setattr__(self, "integer_image", (lcm_b, lcm_d, bounds, densities))
+
+
+@dataclass(frozen=True)
+class Profile:
+    valuations: tuple[PiecewiseConstantValuation, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.valuations) < 2:
+            raise ValueError("a profile needs at least two agents")
+
+
+@dataclass(frozen=True)
+class Allocation:
+    pieces: tuple[Piece, ...]
+    discarded: Piece
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    name: str
+    run: Callable[[Profile], Allocation]
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    proportionality_deficit: Fraction
+    envy: Fraction
+    wasted_measure: Fraction
+    contiguous: bool
+
+
+@dataclass(frozen=True)
+class Certificate:
+    kind: ClassVar[str]
+    mechanism: str
+    profile: Profile
+
+
+@dataclass(frozen=True)
+class GainCertificate(Certificate):
+    kind = "gain"
+    agent: int
+    misreport: PiecewiseConstantValuation
+    truthful_value: Fraction
+    deviated_value: Fraction
+    gain: Fraction
+
+
+@dataclass(frozen=True)
+class PropertyCertificate(Certificate):
+    kind = "report"
+    report: PropertyReport
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    mass_denominator: int = 4
+    max_breakpoints: int = 2
+    offset_rounds: int = 1
+    max_candidates: Optional[int] = 64
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, least in (("mass_denominator", 1), ("max_breakpoints", 0),
+                            ("offset_rounds", 0), ("max_candidates", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"SearchConfig.{name} must be at least {least}, got {value}")
+
+
+@dataclass(frozen=True)
+class ChainParameters:
+    n: int
+    eps1: Fraction = ZERO
+    eps2: Fraction = ZERO
+    overrides: tuple[tuple[str, Fraction], ...] = ()
+
+
+@dataclass(frozen=True)
+class ViolationWitness:
+    chain: str
+    mechanism: str
+    violated: str
+    epsilon: Fraction
+    certificate: Certificate
+    profiles: tuple[Profile, ...]
+    parameters: tuple[tuple[str, Fraction], ...]
+
+
+@dataclass(frozen=True)
+class LearnedValuation:
+    valuation: PiecewiseConstantValuation
+    queries_used: int
+    epsilon: Fraction
+    k: int
+
+
+@dataclass(frozen=True)
+class LiftRun:
+    allocation: Allocation
+    learned: Profile
+    queries: int
+
+
+@dataclass(frozen=True)
+class LiftedMechanism:
+    base: Mechanism
+    k: int
+    epsilon: Fraction
+
+
+RECORDS = {cls.__name__: cls for cls in (
+    Interval, Piece, PiecewiseConstantValuation, Profile, Allocation, Mechanism,
+    PropertyReport, Certificate, GainCertificate, PropertyCertificate, SearchConfig,
+    ChainParameters, ViolationWitness, LearnedValuation, LiftRun, LiftedMechanism)}
 
 
 def check_valuation(bounds, densities):

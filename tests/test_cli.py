@@ -22,7 +22,8 @@ from cakecut.properties import SearchConfig, best_response_gain, ep_cutpoint_bes
 from cakecut.sampling import random_profile
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
 from cakecut import cake, io
-from cakecut.io import MAX_AGENTS, FormatError, as_rational, canonical_dumps, load_json
+from cakecut.io import (
+    MAX_AGENTS, MAX_BREAKPOINTS, FormatError, as_rational, canonical_dumps, load_json)
 
 UNIFORM_PAIR = {"agents": [
     {"breakpoints": [], "densities": ["1"]},
@@ -445,12 +446,16 @@ import contextlib, io, json, sys
 import cakecut.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cakecut.cli.main(sys.argv[1:])
+assert not {"dataclasses", "inspect", "typing"} & sys.modules.keys(), sorted(
+    {"dataclasses", "inspect", "typing"} & sys.modules.keys())
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cakecut"))]))
 """
 
 
 class TestImportSets:
-    """Each command loads only the cakecut modules it runs."""
+    """Each command loads only the cakecut modules it runs, and none of
+    ``dataclasses``, ``inspect`` or ``typing``: the child starts with
+    ``python -S``, so no site-packages ``.pth`` file imports them first."""
 
     BASE = ["cakecut", "cakecut.cake", "cakecut.cli", "cakecut.io", "cakecut.mechanisms"]
 
@@ -480,7 +485,7 @@ class TestImportSets:
                 MECHANISMS["modified-ep"], profile)))))
         argv = [a.format(profile=exchange_profile, witness=witness, scenario=scenario,
                          report=report) for a in argv]
-        child = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+        child = subprocess.run([sys.executable, "-S", "-c", _LOADED_AFTER_MAIN, *argv],
                                capture_output=True, text=True, cwd=tmp_path,
                                env=_child_env())
         assert child.returncode == 0, child.stderr
@@ -650,6 +655,17 @@ class TestUnreadableInput:
         (json.dumps(UNIFORM_PAIR).encode(),
          ("gain", "--mechanism", "even-paz", "--agent", "0", "--rounds", "65",
           "--profile", "{path}"), "argument 'rounds': at most 64, got 65"),
+        # counted before any rational is parsed
+        (json.dumps({"agents": [{"breakpoints": ["x"] * (MAX_BREAKPOINTS + 1),
+                                 "densities": ["1"]}, UNIFORM_PAIR["agents"][0]]}).encode(),
+         ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         f"profile.agents[0].breakpoints: at most {MAX_BREAKPOINTS} breakpoints, "
+         f"got {MAX_BREAKPOINTS + 1}"),
+        (json.dumps({"agents": [{"breakpoints": [], "densities": ["x"] * (MAX_BREAKPOINTS + 2)},
+                                UNIFORM_PAIR["agents"][0]]}).encode(),
+         ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
+         f"profile.agents[0].densities: at most {MAX_BREAKPOINTS + 1} densities, "
+         f"got {MAX_BREAKPOINTS + 2}"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -662,7 +678,8 @@ class TestUnreadableInput:
             "scenario-profile-file-array", "scenario-version-true", "scenario-version-1.0",
             "chain-n-above-cap", "profile-agents-above-cap", "scenario-profile-file-newline",
             "scenario-profile-file-nul", "argparse-newline", "argparse-nul",
-            "scenario-command-array", "echoed-array-cut", "gain-rounds-above-cap"])
+            "scenario-command-array", "echoed-array-cut", "gain-rounds-above-cap",
+            "breakpoints-above-cap", "densities-above-cap"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -675,6 +692,15 @@ class TestUnreadableInput:
         assert err[:-1].isprintable()
         assert len(err.encode()) <= 300
         assert names.replace("{dir}", str(tmp_path)) in err
+
+    def test_breakpoint_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(io, "MAX_BREAKPOINTS", 2)
+        v = io.valuation_from_json({"breakpoints": ["1/3", "2/3"],
+                                    "densities": ["1/2", "1", "3/2"]}, "v")
+        assert len(v.breakpoints) == 2
+        with pytest.raises(FormatError, match=r"^v\.breakpoints: at most 2 breakpoints, got 3$"):
+            io.valuation_from_json({"breakpoints": ["1/4", "1/2", "3/4"],
+                                    "densities": ["1"] * 4}, "v")
 
 
 class TestGainAtScale:
@@ -887,8 +913,8 @@ class TestBoundaryFuzz:
             "version", "seed", "file", "witness", "output", "name", "n", "k", "eps",
             "rounds", "max_candidates", "mass_denominator", "max_breakpoints", "x"]
     NUMBERS = [-1, -10 ** 6, 0, 1, 2, 3, MAX_AGENTS + 1, cakecut.cli.MAX_QUERY_BUDGET + 1,
-               cakecut.cli.MAX_OFFSET_ROUNDS + 1, Raw(f"1e{cake.MAX_DECIMAL_EXPONENT + 1}"),
-               Raw(f"-1E+{cake.MAX_DECIMAL_EXPONENT + 1}"),
+               cakecut.cli.MAX_OFFSET_ROUNDS + 1, MAX_BREAKPOINTS + 1,
+               Raw(f"1e{cake.MAX_DECIMAL_EXPONENT + 1}"), Raw(f"-1E+{cake.MAX_DECIMAL_EXPONENT + 1}"),
                Raw(f"2.5e-{cake.MAX_DECIMAL_EXPONENT + 1}"), Raw("1" * 4301), Raw("0.5"),
                Raw("-2.5")]
     STRINGS = ["", "x", "1/0", "-1/2", "3/2", "0.1", "1e1001", "1" * 4301, "a\nb",

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -372,7 +371,7 @@ class TestNodeCutMemo:
         best_response_gain(EVEN_PAZ, profile, 0, cfg)
         ep_cutpoint_best_response(MODIFIED_EVEN_PAZ, profile, 0, cfg)
         witness = thm1_chain(EVEN_PAZ, ChainParameters.of(3))
-        fields = {f.name for f in dataclasses.fields(PCV)}
+        fields = set(PCV._fields)
         assert all("integer_image" in vars(w) for w in profile)
         for w in [*profile, *(u for p in witness.profiles for u in p)]:
             assert vars(w).keys() - fields <= {"integer_image"}

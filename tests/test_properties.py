@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -140,7 +139,7 @@ class TestPropertyCertificate:
         cert = PropertyCertificate("modified-ep", profile,
                                    check_properties(MODIFIED_EVEN_PAZ, profile))
         assert cert.verify()
-        forged = replace(cert, report=replace(cert.report, envy=cert.report.envy + 1))
+        forged = cert._replace(report=cert.report._replace(envy=cert.report.envy + 1))
         assert not forged.verify()
 
 
