@@ -446,8 +446,8 @@ import contextlib, io, json, sys
 import cakecut.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cakecut.cli.main(sys.argv[1:])
-assert not {"dataclasses", "inspect", "typing"} & sys.modules.keys(), sorted(
-    {"dataclasses", "inspect", "typing"} & sys.modules.keys())
+heavy = {"dataclasses", "inspect", "typing"} & sys.modules.keys()
+assert not heavy, sorted(heavy)
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cakecut"))]))
 """
 
