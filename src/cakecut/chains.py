@@ -78,12 +78,6 @@ class ChainParameters(Record):
             raise InfeasibleParameters(
                 f"{chain} reads only the deltas {list(names)}; got {unknown}")
 
-    def override(self, name: str) -> Fraction | None:
-        for key, value in self.overrides:
-            if key == name:
-                return value
-        return None
-
 
 # The certificate kind (as in JSON) a witness of one violation needs and
 # ``holds(certificate, allocation, epsilon)``, its predicate; `allocation` is
@@ -244,9 +238,7 @@ def thm1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
     if not 3 * eps1 + eps2 < Fraction(1, n):
         raise InfeasibleParameters("need 3*eps1 + eps2 < 1/n")
     bound = thm1_delta_bound(n, eps1, eps2)
-    delta = params.override("delta")
-    if delta is None:
-        delta = bound / 2
+    delta = dict(params.overrides).get("delta", bound / 2)
     if not ZERO < delta < bound:
         raise InfeasibleParameters(f"delta must lie in (0, {bound})")
 
@@ -408,9 +400,7 @@ def thm2_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitnes
     if not 0 <= eps < Fraction(1, n):
         raise InfeasibleParameters("need 0 <= eps < 1/n")
     t = Fraction(1, n) - eps
-    delta = params.override("delta")
-    if delta is None:
-        delta = t / 2
+    delta = dict(params.overrides).get("delta", t / 2)
     if not ZERO < delta < t:
         raise InfeasibleParameters(f"delta must lie in (0, {t})")
 

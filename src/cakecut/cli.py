@@ -69,56 +69,66 @@ def _error_line(message: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the arguments of each command, for flags and scenario files alike
+# each command's help line and arguments, for flags and scenario files alike
 
 
 # One command argument: scenario key `name`, flag `flag` (by default `--`
 # plus the name with `-` for `_`; no dashes: positional).  A scenario that
-# omits it, or an optional flag left out, gets `default`.  `kind` is int, str,
-# Fraction (read exactly) or dict (deltas); `bound` a lower bound on the
-# value, "> 0" or ">= 1"; `required` says the flag must be given; with
-# `nullable` a null passes through (max_candidates: no cap).
-Arg = namedtuple("Arg", ["name", "kind", "default", "bound", "required", "nullable",
-                         "help", "flag"],
-                 defaults=(str, None, None, False, False, None, None))
+# omits it, or an optional flag left out, gets `default`; one with no default
+# that is not `nullable` is required, as a flag and in a scenario.  `kind` is
+# int, str, Fraction (read exactly) or dict (deltas); `bound` a lower bound
+# on the value, "> 0" or ">= 1"; with `nullable` a null passes through
+# (max_candidates: no cap).
+Arg = namedtuple("Arg", ["name", "kind", "default", "bound", "nullable", "help", "flag"],
+                 defaults=(str, None, None, False, None, None))
 
 
-MECHANISM = Arg("mechanism", default="", required=True, help=", ".join(sorted(MECHANISMS)))
-AGENT = Arg("agent", int, 0, required=True, help="agent index")
+def _required(spec: Arg) -> bool:
+    return spec.default is None and not spec.nullable
 
-ARGUMENTS: dict[str, tuple[Arg, ...]] = {
-    "allocate": (MECHANISM,),
-    "check": (MECHANISM,),
-    "gain": (MECHANISM, AGENT,
-             Arg("engine", default="grid", help="grid or ep-exact"),
-             Arg("rounds", int, 1, ">= 0", help="offset refinement rounds"),
-             Arg("mass_denominator", int, 4, ">= 1"),
-             Arg("max_breakpoints", int, 2, ">= 0"),
-             Arg("max_candidates", int, 64, ">= 1", nullable=True)),
-    "learn": (AGENT,
-              Arg("k", int, 1, "> 0", required=True,
-                  help="upper bound on the agent's breakpoint count"),
-              Arg("eps", Fraction, "1", "> 0", required=True,
-                  help="approximation target, e.g. 1/5")),
-    "chain": (Arg("name", default="", help="thm1, prop1, thm2 or discussion"),
-              Arg("mechanism", nullable=True, help="the mechanism to drive"),
-              Arg("n", int, 2),
-              Arg("eps1", Fraction, "0"),
-              Arg("eps2", Fraction, "0"),
-              Arg("deltas", dict, {}, flag="--delta",
-                  help="override a delta (a bare value sets 'delta')")),
-    "verify": (Arg("witness", object, flag="witness", help="witness JSON file"),),
+
+MECHANISM = Arg("mechanism", help=", ".join(sorted(MECHANISMS)))
+AGENT = Arg("agent", int, help="agent index")
+
+COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
+    "allocate": ("run a mechanism on a profile", (MECHANISM,)),
+    "check": ("measure properties of a mechanism run", (MECHANISM,)),
+    "gain": ("search for a profitable misreport",
+             (MECHANISM, AGENT,
+              Arg("engine", default="grid", help="grid or ep-exact"),
+              Arg("rounds", int, 1, ">= 0", help="offset refinement rounds"),
+              Arg("mass_denominator", int, 4, ">= 1"),
+              Arg("max_breakpoints", int, 2, ">= 0"),
+              Arg("max_candidates", int, 64, ">= 1", nullable=True))),
+    "learn": ("learn a valuation through cut queries",
+              (AGENT,
+               Arg("k", int, None, "> 0", help="upper bound on the agent's breakpoint count"),
+               Arg("eps", Fraction, None, "> 0", help="approximation target, e.g. 1/5"))),
+    "chain": ("run a counterexample chain",
+              (Arg("name", default="", help="thm1, prop1, thm2 or discussion"),
+               Arg("mechanism", nullable=True, help="the mechanism to drive"),
+               Arg("n", int, 2),
+               Arg("eps1", Fraction, "0"),
+               Arg("eps2", Fraction, "0"),
+               Arg("deltas", dict, {}, flag="--delta",
+                   help="override a delta (a bare value sets 'delta')"))),
+    "verify": ("re-verify a witness or certificate file",
+               (Arg("witness", object, flag="witness", help="witness JSON file"),)),
 }
 
 
 def _checked(command: str, args: dict) -> dict:
-    """Every argument of `command`: `args` checked against ARGUMENTS, with
-    defaults for the missing ones; Fraction arguments are read exactly."""
-    specs = ARGUMENTS[command]
+    """Every argument of `command`: `args` checked against COMMANDS, with
+    defaults for the optional ones that are missing; a required one that is
+    missing is an error.  Fraction arguments are read exactly."""
+    specs = COMMANDS[command][1]
     unknown = sorted(args.keys() - {spec.name for spec in specs})
     if unknown:
         raise FormatError(f"unknown argument(s) {unknown} for {command}; "
                           f"known: {[spec.name for spec in specs]}")
+    missing = sorted(spec.name for spec in specs if _required(spec) and spec.name not in args)
+    if missing:
+        raise FormatError(f"missing argument(s) {missing} for {command}")
     checked = {}
     for spec in specs:
         value = checked[spec.name] = args.get(spec.name, spec.default)
@@ -202,7 +212,7 @@ def do_chain(name: str, mechanism: Mechanism | None, n: int, eps1: Fraction,
     if name == "discussion":
         return witness_to_json(chains.discussion_example()[1])
     if mechanism is None:
-        raise FormatError("--mechanism is required for this chain")
+        raise FormatError(f"argument 'mechanism' is required for chain {name!r}")
     try:
         witness = getattr(chains, f"{name}_chain")(mechanism, chains.ChainParameters(
             n, eps1, eps2, tuple(sorted(deltas.items()))))
@@ -225,10 +235,8 @@ def do_verify(obj: object) -> tuple[dict, bool]:
     if isinstance(obj, dict) and "chain" in obj:
         checked = witness_from_json(obj)
         certificate = checked.certificate
-    elif isinstance(obj, dict) and obj.get("kind") in ("gain", "report"):
-        checked = certificate = certificate_from_json(obj, "certificate")
     else:
-        raise FormatError("expected a witness or certificate JSON object")
+        checked = certificate = certificate_from_json(obj, "certificate")
     fresh, allocation = recompute(certificate, _resolve(certificate.mechanism))
     stored, recomputed = _certificate_values(certificate), _certificate_values(fresh)
     verified = stored == recomputed and (checked is certificate
@@ -263,7 +271,7 @@ def parse_scenario(obj: object, base_dir: str = ".") -> Scenario:
                  "scenario")
     if type(obj["version"]) is not int or obj["version"] != 1:
         raise FormatError(f"scenario.version: expected the integer 1, got {obj['version']!r}")
-    if not isinstance(obj["command"], str) or obj["command"] not in ARGUMENTS:
+    if not isinstance(obj["command"], str) or obj["command"] not in COMMANDS:
         raise FormatError(f"scenario.command: unknown command {obj['command']!r}")
     profile = None
     if "profile" in obj:
@@ -328,7 +336,7 @@ def _need_profile(profile: Profile | None, agent: int = 0) -> Profile:
 
 def _execute(command: str, args: dict, profile: Profile | None, seed: int,
              base_dir: str = "") -> tuple[dict, int]:
-    """Run `command` on `args`, checked against ARGUMENTS; a witness path is
+    """Run `command` on `args`, checked against COMMANDS; a witness path is
     read relative to `base_dir`.  Returns (output, exit code)."""
     a = _checked(command, args)
     mechanism = _resolve(a["mechanism"]) if a.get("mechanism") is not None else None
@@ -371,18 +379,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cakecut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in (("allocate", "run a mechanism on a profile"),
-                          ("check", "measure properties of a mechanism run"),
-                          ("gain", "search for a profitable misreport"),
-                          ("learn", "learn a valuation through cut queries"),
-                          ("chain", "run a counterexample chain"),
-                          ("verify", "re-verify a witness or certificate file")):
+    for command, (text, specs) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        for spec in ARGUMENTS[command]:
+        for spec in specs:
             flag = spec.flag or "--" + spec.name.replace("_", "-")
             options: dict[str, object] = {"help": spec.help}
             if flag.startswith("-"):
-                options.update(dest=spec.name, required=spec.required)
+                options.update(dest=spec.name, required=_required(spec))
             if spec.kind is dict:
                 options.update(action="append", type=_override, default=[], metavar="NAME=P/Q")
             else:
@@ -440,7 +443,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             report, code = run_scenario(ns.scenario)
         else:
             args = {}
-            for spec in ARGUMENTS[ns.command]:
+            for spec in COMMANDS[ns.command][1]:
                 value = getattr(ns, spec.name)
                 if value is not None:
                     args[spec.name] = dict(value) if spec.kind is dict else value

@@ -63,11 +63,8 @@ class RWOracle:
         return self._memo[key]
 
     def eval(self, x: RationalLike, y: RationalLike) -> Fraction:
-        """Exact value of [x, y]."""
-        x, y = frac(x), frac(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise ValueError(f"eval range [{x}, {y}] not within [0, 1]")
-        return self._ask("eval", x, y)
+        """Exact value of [x, y]; ValueError unless 0 <= x <= y <= 1."""
+        return self._ask("eval", frac(x), frac(y))
 
     def cut(self, x: RationalLike, r: RationalLike) -> Fraction:
         """Leftmost y with value of [x, y] equal to r; cut(x, 0) == x.

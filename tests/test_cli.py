@@ -434,6 +434,26 @@ class TestChainErrors:
                        "known: ('thm1', 'prop1', 'thm2', 'discussion')\n")
 
 
+class TestHelp:
+    """`--help` names every command with its help line, and each command's
+    `--help` every flag of its arguments.  Presence only: argparse's layout
+    differs across Python versions."""
+
+    def test_commands_and_flags_listed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")   # no wrapped help lines
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        commands = {**{command: text for command, (text, _) in cakecut.cli.COMMANDS.items()},
+                    "run": "execute a scenario file"}
+        for command, text in commands.items():
+            assert re.search(rf"^ +{command} +{re.escape(text)}$", out, re.M), command
+        for command, (_, specs) in cakecut.cli.COMMANDS.items():
+            code, out, _ = run_cli(capsys, command, "--help")
+            assert code == 0
+            flags = {spec.flag or "--" + spec.name.replace("_", "-") for spec in specs}
+            assert {flag for flag in flags if re.search(rf"^ +{flag}\b", out, re.M)} == flags
+
+
 def _child_env() -> dict:
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cakecut.__file__))
@@ -515,6 +535,15 @@ class TestScenarioArgumentTypes:
         ("chain", {"name": "thm1", "mechanism": "equal-split", "verify": "w.json"},
          "verify"),
         ("learn", {"agent": 0, "k": 2, "eps": "1/100000000"}, "eps"),
+        # a required argument left out, as argparse refuses a missing flag
+        ("allocate", {}, "mechanism"),
+        ("check", {}, "mechanism"),
+        ("gain", {"agent": 0}, "mechanism"),
+        ("gain", {"mechanism": "even-paz"}, "agent"),
+        ("learn", {"k": 2, "eps": "1/5"}, "agent"),
+        ("learn", {"agent": 0, "eps": "1/5"}, "k"),
+        ("learn", {"agent": 0, "k": 2}, "eps"),
+        ("verify", {}, "witness"),
     ])
     def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
                                             arguments, field):
@@ -547,6 +576,25 @@ class TestScenarioArgumentTypes:
         assert child.stdout == ""
         assert "Traceback" not in child.stderr
         assert child.stderr.startswith("cakecut: error: ") and child.stderr.count("\n") == 1
+
+    def test_required_flags_are_required_scenario_arguments(self, capsys, tmp_path):
+        """For each command, the flags argparse reports as required are the
+        arguments a scenario without arguments is reported to miss."""
+        path = tmp_path / "s.json"
+        flags, arguments = {}, {}
+        for command in ("allocate", "check", "gain", "learn", "chain", "verify"):
+            _, _, err = run_cli(capsys, command)
+            named = re.search(r"the following arguments are required: (.*)$", err)
+            flags[command] = ({flag.lstrip("-").replace("-", "_")
+                               for flag in named[1].split(", ")} - {"profile"}
+                              if named else set())
+            path.write_text(json.dumps({"version": 1, "command": command,
+                                        "profile": EXCHANGE_PAIR}))
+            _, _, err = run_cli(capsys, "run", str(path))
+            named = re.search(r"missing argument\(s\) \[(.*)\] for ", err)
+            arguments[command] = set(re.findall(r"'(\w+)'", named[1])) if named else set()
+        assert flags == arguments
+        assert flags["learn"] == {"agent", "k", "eps"}
 
 
 def _discussion_witness(edit=lambda witness: None) -> bytes:
@@ -666,6 +714,10 @@ class TestUnreadableInput:
          ("allocate", "--mechanism", "even-paz", "--profile", "{path}"),
          f"profile.agents[0].densities: at most {MAX_BREAKPOINTS + 1} densities, "
          f"got {MAX_BREAKPOINTS + 2}"),
+        # named as a scenario argument, not as a flag
+        (_allocate_scenario(command="chain", arguments={"name": "thm1"}), ("run", "{path}"),
+         "argument 'mechanism' is required for chain 'thm1'"),
+        (b"[1]", ("verify", "{path}"), "certificate: expected a certificate object with a kind"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -679,7 +731,8 @@ class TestUnreadableInput:
             "chain-n-above-cap", "profile-agents-above-cap", "scenario-profile-file-newline",
             "scenario-profile-file-nul", "argparse-newline", "argparse-nul",
             "scenario-command-array", "echoed-array-cut", "gain-rounds-above-cap",
-            "breakpoints-above-cap", "densities-above-cap"])
+            "breakpoints-above-cap", "densities-above-cap",
+            "scenario-chain-without-mechanism", "verify-not-a-certificate"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -925,6 +978,11 @@ class TestBoundaryFuzz:
     values = (scalars | st.lists(scalars, max_size=3)
               | st.dictionaries(st.sampled_from(KEYS), scalars, max_size=2))
 
+    # the arguments each command requires, as a flag and in a scenario
+    REQUIRED = {"allocate": {"mechanism"}, "check": {"mechanism"},
+                "gain": {"mechanism", "agent"}, "learn": {"agent", "k", "eps"},
+                "chain": set(), "verify": {"witness"}}
+
     @staticmethod
     def seed_document(data):
         """(document, argv) from TestJsonRoundTrip's generators; "{path}" in
@@ -1052,6 +1110,9 @@ class TestBoundaryFuzz:
                 assert err[:-1].isprintable() and len(err.encode()) <= 300
                 return
             report = json.loads(out)
+            if argv[0] == "run":
+                assert (self.REQUIRED[report["command"]]
+                        <= report["inputs"].get("arguments", {}).keys())
             assert code in (0, 1, 2)
             assert (code == 2) == (report["command"] == "chain")
             output = report["output"]

@@ -53,6 +53,12 @@ class TestOracle:
     def test_eval_past_support(self):
         assert RWOracle(FRONT).eval("1/4", 1) == F(1, 2)
 
+    def test_eval_outside_cake_is_refused_unlogged(self):
+        o = RWOracle(U)
+        with pytest.raises(ValueError, match=r"^interval \[1/2, 3/2\] not within \[0, 1\]$"):
+            o.eval("1/2", "3/2")
+        assert o.log == [] and o.query_count == 0
+
     def test_cut_median(self):
         assert RWOracle(U).cut(0, "1/2") == F(1, 2)
 
