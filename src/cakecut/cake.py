@@ -8,9 +8,11 @@ counterexample chains downstream is an exact decision.  The cell sweep
 common denominator, the lcm of the endpoints' denominators, so it sorts,
 indexes and measures cells with plain ints and still decides exactly; the
 segment walks do the same on a valuation's ``integer_image`` and build one
-``Fraction`` per result.  The public walks are the two Robertson-Webb
-queries, ``value_between`` (eval) and ``cut_point`` (cut), which read their
-arguments through :func:`frac`, and ``value``, eval summed over a piece.
+``Fraction`` per result, and the step-function builders check bound order,
+and ``from_masses`` builds each density, on the bounds' integer keys.  The
+public walks are the two Robertson-Webb queries, ``value_between`` (eval) and
+``cut_point`` (cut), which read their arguments through :func:`frac`, and
+``value``, eval summed over a piece.
 The halving recursion's node cuts come from one private walk, as int pairs.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
@@ -273,6 +275,18 @@ class Piece(Record):
         return " ∪ ".join(repr(iv) for iv in self.intervals)
 
 
+def _bound_keys(bounds: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(L, keys)`` for the bounds of a step function: L the lcm of their
+    denominators and each key the bound times L, as ints.  Raises ValueError
+    unless the keys strictly increase."""
+    scale = math.lcm(*(b.denominator for b in bounds))
+    keys = [b.numerator * (scale // b.denominator) for b in bounds]
+    for a, b in zip(keys, keys[1:]):
+        if not a < b:
+            raise ValueError("bounds must be strictly increasing")
+    return scale, keys
+
+
 class PiecewiseConstantValuation(Record):
     """A normalized step-function density over the cake.
 
@@ -323,15 +337,16 @@ class PiecewiseConstantValuation(Record):
     @staticmethod
     def of(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
            ) -> "PiecewiseConstantValuation":
-        """Build from interior breakpoints and per-segment densities."""
-        bounds = [ZERO] + [frac(b) for b in breakpoints] + [ONE]
+        """Build from interior breakpoints and per-segment densities, merging
+        neighbouring segments of equal density.  This is the one builder of a
+        step function; the others hand their densities to it.  Bound order is
+        checked on the bounds' integer keys, before merging, which would hide
+        a repeated or out-of-order breakpoint between equal densities."""
+        bounds = [ZERO, *map(frac, breakpoints), ONE]
         dens = [frac(d) for d in densities]
         if len(dens) != len(bounds) - 1:
             raise ValueError("need one density per segment")
-        # checked before merging, which would hide a repeated or
-        # out-of-order breakpoint between equal densities
-        if not all(a < b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("bounds must be strictly increasing")
+        _bound_keys(bounds)
         merged_b = [bounds[0]]
         merged_d: list[Fraction] = []
         for b, d in zip(bounds[1:], dens):
@@ -345,10 +360,19 @@ class PiecewiseConstantValuation(Record):
     @staticmethod
     def from_masses(points: Sequence[RationalLike], masses: Sequence[RationalLike]
                     ) -> "PiecewiseConstantValuation":
-        """Build from interior breakpoints and per-segment total masses."""
-        bounds = [ZERO] + [frac(p) for p in points] + [ONE]
-        dens = [frac(m) / (b - a) for a, b, m in zip(bounds, bounds[1:], masses)]
-        return PiecewiseConstantValuation.of(bounds[1:-1], dens)
+        """Build from interior breakpoints and per-segment total masses, one
+        mass per segment.  With the bounds' integer keys over L, the lcm of
+        their denominators, a segment's density is its mass times L over its
+        key width, built as one ``Fraction`` of ints; :meth:`of` then merges
+        equal neighbours."""
+        bounds = [ZERO, *map(frac, points), ONE]
+        masses = [frac(m) for m in masses]
+        if len(masses) != len(bounds) - 1:
+            raise ValueError("need one mass per segment")
+        scale, keys = _bound_keys(bounds)
+        return PiecewiseConstantValuation.of(bounds[1:-1], [
+            Fraction(m.numerator * scale, m.denominator * (b - a))
+            for a, b, m in zip(keys, keys[1:], masses)])
 
     @staticmethod
     def from_chunks(chunks: Iterable[tuple[Fraction, Fraction, Fraction]]

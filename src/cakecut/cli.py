@@ -105,7 +105,7 @@ COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
                Arg("k", int, None, "> 0", help="upper bound on the agent's breakpoint count"),
                Arg("eps", Fraction, None, "> 0", help="approximation target, e.g. 1/5"))),
     "chain": ("run a counterexample chain",
-              (Arg("name", default="", help="thm1, prop1, thm2 or discussion"),
+              (Arg("name", help="thm1, prop1, thm2 or discussion"),
                Arg("mechanism", nullable=True, help="the mechanism to drive"),
                Arg("n", int, 2),
                Arg("eps1", Fraction, "0"),

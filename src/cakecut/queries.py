@@ -6,7 +6,10 @@ accumulating a target value).  The oracles here answer those queries exactly
 from a backing step function and count them.  Query accounting counts
 distinct oracle queries: repeats of an already-answered query are served from
 a memo and not recounted, while any cuts the center computes for itself are
-free.
+free.  The memo is keyed on the kind and the numerators and denominators of
+the two arguments, plain ints: a ``Fraction`` is always in lowest terms, so
+one value in any spelling is one query, and no ``Fraction`` is hashed.  The
+log keeps the arguments and answers as ``Fraction``s.
 
 On top of the oracle sits the valuation learner: with ``floor(2k/eps)`` cut
 queries it builds a unit-mass step function w whose value differs from the
@@ -45,22 +48,24 @@ class RWOracle:
     def __init__(self, hidden: PiecewiseConstantValuation):
         self.hidden = hidden
         self.log: list[tuple[str, tuple[Fraction, ...], Fraction]] = []
-        self._memo: dict[tuple[str, Fraction, Fraction], Fraction] = {}
+        self._memo: dict[tuple[str, int, int, int, int], Fraction] = {}
 
     @property
     def query_count(self) -> int:
         return len(self.log)
 
     def _ask(self, kind: str, x: Fraction, y: Fraction) -> Fraction:
-        key = (kind, x, y)
-        if key not in self._memo:
+        # a Fraction is in lowest terms, so equal values give equal int keys
+        key = (kind, x.numerator, x.denominator, y.numerator, y.denominator)
+        answer = self._memo.get(key)
+        if answer is None:
             if kind == "eval":
                 answer = self.hidden.value_between(x, y)
             else:
                 answer = self.hidden.cut_point(x, y)
             self._memo[key] = answer
             self.log.append((kind, (x, y), answer))
-        return self._memo[key]
+        return answer
 
     def eval(self, x: RationalLike, y: RationalLike) -> Fraction:
         """Exact value of [x, y]; ValueError unless 0 <= x <= y <= 1."""
@@ -110,9 +115,11 @@ def approximate_valuation(oracle: RWOracle, k: int,
     before = oracle.query_count
     xs = [ZERO]
     for _ in range(n_queries):
-        x = oracle.cut(xs[-1], slice_mass)
-        if not x > xs[-1]:
-            raise AssertionError(f"cut did not advance past {xs[-1]}")
+        last = xs[-1]
+        x = oracle.cut(last, slice_mass)
+        # compared as ints: denominators are positive
+        if not x.numerator * last.denominator > last.numerator * x.denominator:
+            raise AssertionError(f"cut did not advance past {last}")
         xs.append(x)
     points = xs[1:]
     masses = [slice_mass] * n_queries

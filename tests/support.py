@@ -224,6 +224,39 @@ def check_valuation(bounds, densities):
         raise ValueError(f"valuation has total mass {total}, expected exactly 1")
 
 
+# Reference step-function builders on Fraction arithmetic: the earlier bodies
+# of PiecewiseConstantValuation.of and from_masses.  The builders on integer
+# keys must agree with them, except that from_masses now refuses a mass past
+# the last segment, which zip dropped, and a segment of zero width, which
+# divided by zero.
+
+
+def of(breakpoints, densities):
+    """Build from interior breakpoints and per-segment densities."""
+    bounds = [ZERO] + [frac(b) for b in breakpoints] + [ONE]
+    dens = [frac(d) for d in densities]
+    if len(dens) != len(bounds) - 1:
+        raise ValueError("need one density per segment")
+    if not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError("bounds must be strictly increasing")
+    merged_b = [bounds[0]]
+    merged_d = []
+    for b, d in zip(bounds[1:], dens):
+        if merged_d and d == merged_d[-1]:
+            merged_b[-1] = b
+        else:
+            merged_b.append(b)
+            merged_d.append(d)
+    return cake.PiecewiseConstantValuation(tuple(merged_b), tuple(merged_d))
+
+
+def from_masses(points, masses):
+    """Build from interior breakpoints and per-segment total masses."""
+    bounds = [ZERO] + [frac(p) for p in points] + [ONE]
+    dens = [frac(m) / (b - a) for a, b, m in zip(bounds, bounds[1:], masses)]
+    return of(bounds[1:-1], dens)
+
+
 # Reference segment walks on Fraction arithmetic: the earlier bodies of
 # PiecewiseConstantValuation.value_between and cut_point, with ``self`` as
 # ``v``, and of the one-pass node cut that mechanisms._node_step now takes

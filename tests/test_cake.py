@@ -251,6 +251,75 @@ class TestValuationConstruction:
         assert v.value(Piece.interval("1/4", "1/2")) == 0
 
 
+@st.composite
+def step_inputs(draw, masses):
+    """``(points, values)`` for ``from_masses`` (``masses=True``) or ``of``:
+    points on a 1/12 grid, in order or sometimes repeated, out of order or
+    off the cake; small int weights, zeros and equal neighbours included,
+    rescaled to unit total mass or, sometimes, not; sometimes one value too
+    few or too many; each number spelled as an int, a string or a Fraction."""
+    if draw(st.booleans()):
+        points = sorted(draw(st.sets(st.integers(1, 11), max_size=4)))
+    else:
+        points = draw(st.lists(st.integers(-1, 13), max_size=4))
+    points = [F(p, 12) for p in points]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(points) + 1,
+                            max_size=len(points) + 1))
+    if draw(st.booleans()):                 # equal-density neighbours
+        j = draw(st.integers(0, len(points)))
+        weights = weights[:j] + [weights[j - 1] if j else 1] + weights[j + 1:]
+    bounds = [F(0), *points, F(1)]
+    widths = [b - a for a, b in zip(bounds, bounds[1:])]
+    if masses:
+        values = [F(w * x) for w, x in zip(weights, widths)]
+    else:
+        values = [F(w) for w in weights]
+    total = sum(w * x for w, x in zip(weights, widths))
+    if total > 0 and draw(st.integers(0, 4)):
+        values = [v / total for v in values]
+    values = draw(st.sampled_from([values, values[:-1], values + [F(0)], values + [F(1, 3)]])
+                  if draw(st.integers(0, 3)) == 0 else st.just(values))
+    spell = st.sampled_from([lambda f: f, str, as_int])
+    return ([draw(spell)(p) for p in points], [draw(spell)(v) for v in values])
+
+
+def built(builder, *args):
+    """The valuation `builder` returns, or the class of its error."""
+    try:
+        return builder(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestStepBuilders:
+    """``of`` and ``from_masses`` on integer keys against their earlier
+    ``Fraction`` bodies: an equal valuation or the same error class."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=step_inputs(masses=False))
+    def test_of_matches_fraction_reference(self, args):
+        assert built(PCV.of, *args) == built(reference.of, *args)
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=step_inputs(masses=True))
+    def test_from_masses_matches_fraction_reference(self, args):
+        points, masses = args
+        expected = built(reference.from_masses, points, masses)
+        if expected is ZeroDivisionError or len(masses) > len(points) + 1:
+            expected = ValueError           # refused now, see the tests below
+        assert built(PCV.from_masses, points, masses) == expected
+
+    def test_from_masses_refuses_a_mass_past_the_last_segment(self):
+        with pytest.raises(ValueError, match="^need one mass per segment$"):
+            PCV.from_masses(["1/2"], ["1/2", "1/2", "1/3"])
+
+    @pytest.mark.parametrize("points", [["1/3", "1/3"], ["0", "1/2"], ["1/2", "1"]],
+                             ids=["repeated", "at-zero", "at-one"])
+    def test_from_masses_refuses_a_repeated_point(self, points):
+        with pytest.raises(ValueError, match="^bounds must be strictly increasing$"):
+            PCV.from_masses(points, ["1/2", "0", "1/2"])
+
+
 class TestFromChunks:
     def test_unsorted_chunks(self):
         v = PCV.from_chunks([(F(3, 4), F(1), F(2)), (F(0), F(1, 4), F(2))])

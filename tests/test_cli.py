@@ -212,7 +212,7 @@ class TestChainAndVerify:
         witness = json.loads(out)["output"]
         path = tmp_path / "w.json"
         path.write_text(json.dumps(witness))
-        code, out, err = run_cli(capsys, "chain", "--verify", str(path))
+        code, out, err = run_cli(capsys, "chain", "--name", "prop1", "--verify", str(path))
         # `verify` is the one re-verification route; the flag is unknown
         assert (code, out) == (1, "")
         assert err.startswith("cakecut: error: ") and err.count("\n") == 1
@@ -544,6 +544,8 @@ class TestScenarioArgumentTypes:
         ("learn", {"agent": 0, "eps": "1/5"}, "k"),
         ("learn", {"agent": 0, "k": 2}, "eps"),
         ("verify", {}, "witness"),
+        ("chain", {}, "name"),
+        ("chain", {"mechanism": "even-paz", "n": 3}, "name"),
     ])
     def test_bad_argument_is_one_line_error(self, capsys, tmp_path, command,
                                             arguments, field):
@@ -595,6 +597,7 @@ class TestScenarioArgumentTypes:
             arguments[command] = set(re.findall(r"'(\w+)'", named[1])) if named else set()
         assert flags == arguments
         assert flags["learn"] == {"agent", "k", "eps"}
+        assert flags["chain"] == {"name"}
 
 
 def _discussion_witness(edit=lambda witness: None) -> bytes:
@@ -981,7 +984,7 @@ class TestBoundaryFuzz:
     # the arguments each command requires, as a flag and in a scenario
     REQUIRED = {"allocate": {"mechanism"}, "check": {"mechanism"},
                 "gain": {"mechanism", "agent"}, "learn": {"agent", "k", "eps"},
-                "chain": set(), "verify": {"witness"}}
+                "chain": {"name"}, "verify": {"witness"}}
 
     @staticmethod
     def seed_document(data):
@@ -1036,10 +1039,17 @@ class TestBoundaryFuzz:
         """`document` with one node deleted, added to, replaced by a value of
         any type or by a number beyond a cap, or grown into a list of 2-50;
         or with a rational respelled unreduced, which leaves it valid, or
-        moved by 1/7, which a verify must not accept as a stored value."""
-        op = data.draw(st.sampled_from(
-            ["delete", "add", "swap", "number", "grow", "respell", "tamper"]))
+        moved by 1/7, which a verify must not accept as a stored value.  Half
+        the mutations of a scenario delete one of its arguments, so a
+        required one is often missing."""
         nodes = list(_nodes(document))
+        arguments = [(path, node) for path, node in nodes
+                     if len(path) == 2 and path[0] == "arguments"]
+        if arguments and data.draw(st.booleans()):
+            op, nodes = "delete", arguments
+        else:
+            op = data.draw(st.sampled_from(
+                ["delete", "add", "swap", "number", "grow", "respell", "tamper"]))
         if op in ("respell", "tamper"):
             nodes = [(path, node) for path, node in nodes
                      if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node)]

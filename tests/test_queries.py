@@ -81,6 +81,35 @@ class TestOracle:
         assert o.query_count == 2
         assert len(o.log) == 2
 
+    @pytest.mark.parametrize("spellings", [
+        (F(1, 2), "2/4", "0.5", F(2, 4), "1/2"),
+        (0, F(0), "0", "0/3", "0.0"),
+    ], ids=["half", "zero"])
+    def test_one_value_in_any_spelling_is_one_query(self, spellings):
+        o = RWOracle(U)
+        evals = {o.eval(x, 1) for x in spellings}
+        cuts = {o.cut(x, "1/4") for x in spellings}
+        assert len(evals) == len(cuts) == 1
+        assert o.query_count == 2
+        assert [kind for kind, _, _ in o.log] == ["eval", "cut"]
+
+    def test_eval_and_cut_on_the_same_numbers_are_two_queries(self):
+        o = RWOracle(U)
+        assert (o.eval("1/4", "1/2"), o.cut("1/4", "1/2")) == (F(1, 4), F(3, 4))
+        assert (o.eval("1/4", "1/2"), o.cut("1/4", "1/2")) == (F(1, 4), F(3, 4))
+        assert o.log == [("eval", (F(1, 4), F(1, 2)), F(1, 4)),
+                         ("cut", (F(1, 4), F(1, 2)), F(3, 4))]
+
+    def test_log_holds_fraction_triples(self):
+        o = RWOracle(FRONT)
+        o.eval(0, "1/2")
+        o.cut("0.25", 0)
+        o.eval(F(1, 4), 1)
+        assert o.log == [("eval", (F(0), F(1, 2)), F(1)),
+                         ("cut", (F(1, 4), F(0)), F(1, 4)),
+                         ("eval", (F(1, 4), F(1)), F(1, 2))]
+        assert all(type(v) is F for _, args, answer in o.log for v in (*args, answer))
+
     def test_log_consistent_with_hidden(self):
         rng = random.Random(20)
         o = RWOracle(random_valuation(rng, 3))
