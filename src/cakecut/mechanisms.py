@@ -11,26 +11,22 @@ node's agents.  The gain engines and the CLI read the table.  One node
 step, :func:`_node_step`, puts a node's ``Fraction`` ends over one
 denominator, takes each agent's cut as an unreduced int pair from one walk
 over its segments and sorts the cuts on exact int keys; the recursion and
-the cut-point planner both use it.  A node's sorted cuts come from a table
-keyed by the ints of its ends and its agents' bitmask, the only cache of
-node cuts: a full run keeps its own and follows nobody.  With ``follow=i`` the table holds the other
-agents' cuts, shared by all walks of a gain search, i's cut is placed
-among them by bisection on integer cross-products, and only i's path (in
-modified Even-Paz, also the middles on it) is walked, which is all a
-search needs to score a misreport of agent i.  A ``Fraction`` is built
-only for the cuts that split a node and for the leaves.
+the cut-point planner both use it, and both read a node's split from
+:func:`_split` and place one agent's cut among the others' by
+:func:`_rank`, which state the tie-break and the split rule once.  A node's
+sorted cuts come from a table keyed by the ints of its ends and its agents'
+bitmask, the only cache of node cuts: a full run keeps its own and follows
+nobody.  With ``follow=i`` the table holds the other agents' cuts, shared
+by all walks of a gain search, and only i's path (in modified Even-Paz,
+also the middles on it) is walked, which is all a search needs to score a
+misreport of agent i.  A ``Fraction`` is built only for the cuts that split
+a node and for the leaves.
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep
 of :func:`cakecut.cake.cells`), through :meth:`cakecut.cake.Piece.ordered`,
 which merges touching neighbours and never sorts; the discarded piece is
 collected the same way instead of being inferred by a complement.
-
-Tie handling in the halving recursion: cut points are ordered with the agent
-index as a secondary key, and exactly the first floor(k/2) agents of that
-total order recurse left.  This keeps the left/right group sizes correct
-even when several agents report the same cut point, and agrees with the
-plain rule whenever cut points are distinct.
 """
 
 from __future__ import annotations
@@ -86,21 +82,44 @@ def _node_step(profile: Profile, a: Fraction, b: Fraction, agents: list[int],
     return cuts
 
 
+def _rank(cuts: Cuts, num: int, den: int, agent: int) -> int:
+    """How many of the sorted `cuts` precede `agent`'s cut num/den: cuts are
+    ordered by value, compared by integer cross-multiplication (so unreduced
+    spellings of one point are equal), and among equal cuts the lower agent
+    index goes first."""
+    return bisect(cuts, (0, agent), key=lambda cut: (cut[0] * den - num * cut[1], cut[2]))
+
+
+def _split(cuts: Cuts, share_middle: bool) -> tuple[Fraction, Fraction, list[int], list[int]]:
+    """``(d_lo, d_hi, left, right)`` for a node whose k agents cut at the
+    sorted `cuts`: the first floor(k/2) agents (`left`) recurse on [a, d_lo],
+    d_lo the floor(k/2)-th cut, and the others (`right`) on [d_hi, b].  d_hi
+    is d_lo itself, the same object, unless `share_middle` and the next cut
+    lies beyond d_lo; then d_hi is that cut, and the middle [d_lo, d_hi] of
+    positive length is halved among all k agents without sharing."""
+    half = len(cuts) // 2
+    lo_num, lo_den, _ = cuts[half - 1]
+    d_lo = d_hi = Fraction(lo_num, lo_den)
+    if share_middle:
+        hi_num, hi_den, _ = cuts[half]
+        if lo_num * hi_den < hi_num * lo_den:
+            d_hi = Fraction(hi_num, hi_den)
+    agents = [cut[2] for cut in cuts]
+    return d_lo, d_hi, agents[:half], agents[half:]
+
+
 def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
              others: NodeCuts | None = None) -> list[list[Span]]:
     """Recursive halving; returns each agent's list of ``(lo, hi)`` spans.
-    At a node [a, b] the first floor(k/2) agents recurse on [a, d_lo], d_lo
-    the floor(k/2)-th smallest cut, and the rest on [d_lo, b].  With
-    `share_middle` the rest recurse on [d_hi, b], d_hi the next cut, and the
-    middle [d_lo, d_hi] is halved among all k agents without sharing.  The
-    sorted cuts of a node's agents but `follow` are read from, or computed
-    into, `others` (a fresh table if None).  With `follow` that agent's cut
-    is placed among them by integer cross-multiplication, with the same
-    agent-index tie-break, and only the children holding it are descended
-    (a middle holds them all), so only its list is filled.  The cuts depend
-    only on the node's ends, its agents and their valuations, so a search
-    that varies only the followed agent's report walks all its candidates
-    through one table; the table must not outlive that search.
+    Each node [a, b] is split by :func:`_split` and its children are solved
+    left, middle (where there is one), right.  The sorted cuts of a node's
+    agents but `follow` are read from, or computed into, `others` (a fresh
+    table if None).  With `follow` that agent's cut is placed among them by
+    :func:`_rank`, and only the children holding it are descended (a middle
+    holds them all), so only its list is filled.  The cuts depend only on
+    the node's ends, its agents and their valuations, so a search that
+    varies only the followed agent's report walks all its candidates through
+    one table; the table must not outlive that search.
 
     Cuts stay int pairs; only d_lo, d_hi (where a middle is shared) and so
     the leaves' ends become ``Fraction``s.  Children are visited left,
@@ -121,7 +140,6 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
             if an * bd < bn * ad:
                 pieces[agents[0]].append((a, b))
             return
-        half = k // 2
         key = (an, ad, bn, bd, sum(1 << i for i in agents))
         cuts = others.get(key)
         if cuts is None:    # a new node; k >= 2, so it has an agent but `follow`
@@ -129,16 +147,9 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
                 profile, a, b, [i for i in agents if i != follow], k)
         if follow is not None:
             num, den, _ = own = _node_step(profile, a, b, [follow], k)[0]
-            at = bisect(cuts, (0, follow),
-                        key=lambda cut: (cut[0] * den - num * cut[1], cut[2]))
-            cuts = cuts[:at] + [own] + cuts[at:]
-        lo_num, lo_den, _ = cuts[half - 1]
-        d_lo = d_hi = Fraction(lo_num, lo_den)
-        if share_middle:
-            hi_num, hi_den, _ = cuts[half]
-            if lo_num * hi_den < hi_num * lo_den:
-                d_hi = Fraction(hi_num, hi_den)
-        left, right = [cut[2] for cut in cuts[:half]], [cut[2] for cut in cuts[half:]]
+            cuts = cuts.copy()
+            cuts.insert(_rank(cuts, num, den, follow), own)
+        d_lo, d_hi, left, right = _split(cuts, share_middle)
         if follow not in right:
             solve(a, d_lo, left, share_middle)
         if d_hi is not d_lo:    # a shared middle of positive length
@@ -158,24 +169,15 @@ def _halving_allocation(profile: Profile, share_middle: bool) -> Allocation:
 
 
 def even_paz(profile: Profile) -> Allocation:
-    """Recursive halving.  Contiguous and exactly proportional.
-
-    Each agent of a node reports the point splitting its value of the node
-    sub-cake in the floor(k/2) : ceil(k/2) ratio; the lower half of the
-    agents recurses on the cake left of the floor(k/2)-th cut, the upper
-    half on the cake right of it.
-    """
+    """Recursive halving, each node split by :func:`_split` with no shared
+    middle.  Contiguous and exactly proportional."""
     return _halving_allocation(profile, share_middle=False)
 
 
 def modified_even_paz(profile: Profile) -> Allocation:
-    """Recursive halving with the middle piece shared at every node.
-
-    As :func:`even_paz`, except the cake between the floor(k/2)-th and the
-    next cut is split proportionally among all k agents of the node (by
-    plain Even-Paz restricted to that piece) instead of going to the right
-    group.  Exactly proportional; allocations need not be contiguous.
-    """
+    """Recursive halving, each node split by :func:`_split` with its middle
+    shared among all the node's agents.  Exactly proportional; allocations
+    need not be contiguous."""
     return _halving_allocation(profile, share_middle=True)
 
 

@@ -38,7 +38,8 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import (
-    SHARES_MIDDLE, Mechanism, NodeCuts, Span, _halving, _node_step, get_mechanism)
+    SHARES_MIDDLE, Cuts, Mechanism, NodeCuts, Span, _halving, _node_step, _rank, _split,
+    get_mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +323,11 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
 # cut-point best response for the recursive-halving family
 
 
-def _node_candidates(a: Fraction, b: Fraction, others: list[tuple[Fraction, int]],
+def _node_candidates(a: Fraction, b: Fraction, others: Cuts,
                      own: PiecewiseConstantValuation,
                      own_cut: Fraction) -> list[Fraction]:
     anchors = {a, b, own_cut}
-    anchors.update(c for c, _ in others)
+    anchors.update(Fraction(num, den) for num, den, _ in others)
     anchors.update(p for p in own.bounds if a < p < b)
     pts = sorted(anchors)
     cands: set[Fraction] = set(pts)
@@ -344,39 +345,41 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     """(value, steps, leaf): the best true value the manipulator can steer
     its recursion piece to, its left steps as (share, rest_lo, hi), its leaf span.
 
-    At each node the manipulator either pins the left boundary to a candidate
-    cut of its own (left branch; realizable exactly) or joins the right
-    group (right branch; no step: its realized cut may drift inside the right
-    piece without changing the split).  With `middles` (the middle-sharing
-    mechanism) the manipulator's plan places no mass on middle pieces, so
-    middle shares contribute nothing to the planned value, and the
-    right branch requires another agent between it and the middle.
+    At each node the manipulator either pins d_lo to a candidate cut of its
+    own (left branch; realizable exactly), kept when :func:`_rank` places it
+    at d_lo, or joins the right group (right branch; no step: its realized
+    cut may drift inside the right piece without changing the split).  Both
+    branches take the split from :func:`_split` on the other agents' cuts
+    with the manipulator's placed among them.  With `middles` (the
+    middle-sharing mechanism) the manipulator's plan places no mass on
+    middle pieces, so middle shares contribute nothing to the planned value,
+    and the right branch requires another agent between it and the middle.
     """
     true_v = profile[agent]
     if len(agents) == 1:
         return true_v.value_between(a, b), [], (a, b)
     k = len(agents)
-    half = k // 2
-    share = Fraction(half, k)
-    others = [(Fraction(num, den), i) for num, den, i
-              in _node_step(profile, a, b, [i for i in agents if i != agent], k)]
+    share = Fraction(k // 2, k)
+    rank = k // 2 - 1               # the manipulator's rank when its cut is d_lo
+    others = _node_step(profile, a, b, [i for i in agents if i != agent], k)
 
     plans = []
     own_cut = Fraction(*_node_step(profile, a, b, [agent], k)[0][:2])
     for c in _node_candidates(a, b, others, true_v, own_cut):
-        if bisect(others, (c, agent)) != half - 1:
+        num, den = c.as_integer_ratio()
+        if _rank(others, num, den, agent) != rank:
             continue  # manipulator does not pin the boundary; drift would move it
-        left = [i for _, i in others[:half - 1]] + [agent]
-        rest_lo = others[half - 1][0] if middles else c
+        placed = others.copy()
+        placed.insert(rank, (num, den, agent))
+        _, rest_lo, left, _ = _split(placed, middles)
         value, steps, leaf = _dp_best_path(profile, agent, a, c, left, middles)
         plans.append((value, [(share, rest_lo, b)] + steps, leaf))
 
     # single right branch: the manipulator sits beyond the split however it
-    # reports, so only the resulting child matters
-    if not middles or k - half >= 2:
-        d = others[half if middles else half - 1][0]
-        right = [agent] + [i for _, i in others[half:]]
-        plans.append(_dp_best_path(profile, agent, d, b, right, middles))
+    # reports (its cut placed last), so only the resulting child matters
+    if not middles or k - k // 2 >= 2:
+        _, d_hi, _, right = _split(others + [(b.numerator, b.denominator, agent)], middles)
+        plans.append(_dp_best_path(profile, agent, d_hi, b, right, middles))
 
     if not plans:
         raise AssertionError(f"no plan for agent {agent} at node [{a}, {b}]")

@@ -1038,10 +1038,12 @@ class TestBoundaryFuzz:
     def mutate(self, document, data):
         """`document` with one node deleted, added to, replaced by a value of
         any type or by a number beyond a cap, or grown into a list of 2-50;
-        or with a rational respelled unreduced, which leaves it valid, or
-        moved by 1/7, which a verify must not accept as a stored value.  Half
-        the mutations of a scenario delete one of its arguments, so a
-        required one is often missing."""
+        or with a list of 2 or more reversed or rotated (breakpoints,
+        densities, a profile's agents, a witness's profiles); or with a
+        rational respelled unreduced, which leaves it valid, or moved by
+        1/7, which a verify must not accept as a stored value.  Half the
+        mutations of a scenario delete one of its arguments, so a required
+        one is often missing."""
         nodes = list(_nodes(document))
         arguments = [(path, node) for path, node in nodes
                      if len(path) == 2 and path[0] == "arguments"]
@@ -1049,14 +1051,20 @@ class TestBoundaryFuzz:
             op, nodes = "delete", arguments
         else:
             op = data.draw(st.sampled_from(
-                ["delete", "add", "swap", "number", "grow", "respell", "tamper"]))
+                ["delete", "add", "swap", "number", "grow", "reorder", "respell", "tamper"]))
         if op in ("respell", "tamper"):
             nodes = [(path, node) for path, node in nodes
                      if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node)]
-            if not nodes:
-                return document
+        elif op == "reorder":
+            nodes = [(path, node) for path, node in nodes
+                     if isinstance(node, list) and len(node) >= 2]
+        if not nodes:
+            return document
         path, node = data.draw(st.sampled_from(nodes))
-        if op == "respell":
+        if op == "reorder":     # a shift of 0 reverses
+            shift = data.draw(st.integers(0, len(node) - 1))
+            new = node[shift:] + node[:shift] if shift else node[::-1]
+        elif op == "respell":
             value = Fraction(node)
             new = f"{value.numerator * 3}/{value.denominator * 3}"
         elif op == "tamper":

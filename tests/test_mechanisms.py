@@ -1,4 +1,5 @@
 import random
+from bisect import bisect
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from cakecut.cake import (
 from cakecut.mechanisms import (
     _halving,
     _node_step,
+    _rank,
+    _split,
     EVEN_PAZ,
     EVEN_PAZ_EXCHANGE,
     MECHANISMS,
@@ -308,6 +311,50 @@ class TestHalvingOrder:
         for spans in _halving(profile, SHARES_MIDDLE[name]):
             assert all(lo < hi for lo, hi in spans)
             assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+class TestSplitRule:
+    # the two node rules the run and the planner share, against the
+    # statements they replaced: the planner's bisect over (Fraction, agent)
+    # pairs, and the reference's split (support.halving)
+    @staticmethod
+    def spelled(data):
+        """A point of the 1/4 grid as an int pair, reduced or not (1/2 or 2/4)."""
+        value = F(data.draw(st.integers(0, 4)), 4)
+        factor = data.draw(st.integers(1, 3))
+        return value.numerator * factor, value.denominator * factor
+
+    def sorted_cuts(self, data, k):
+        """k cuts of the agents of range(k) in (cut, agent) order; on the 1/4
+        grid they repeat, and in several spellings."""
+        agents = data.draw(st.permutations(range(k)))
+        cuts = [(*self.spelled(data), i) for i in agents]
+        return sorted(cuts, key=lambda cut: (F(cut[0], cut[1]), cut[2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 8), data=st.data())
+    def test_rank_is_the_bisect_over_fraction_pairs(self, k, data):
+        cuts = self.sorted_cuts(data, k)
+        _, _, agent = cuts.pop(data.draw(st.integers(0, k - 1)))
+        num, den = self.spelled(data)
+        pairs = [(F(n, d), i) for n, d, i in cuts]
+        assert _rank(cuts, num, den, agent) == bisect(pairs, (F(num, den), agent))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 8), share_middle=st.booleans(), data=st.data())
+    def test_split_is_the_reference_rule(self, k, share_middle, data):
+        cuts = self.sorted_cuts(data, k)
+        half = k // 2
+        lo, hi = F(*cuts[half - 1][:2]), F(*cuts[half][:2])
+        d_lo, d_hi, left, right = _split(cuts, share_middle)
+        assert type(d_lo) is type(d_hi) is Fraction
+        assert d_lo == lo
+        assert left == [i for _, _, i in cuts[:half]]
+        assert right == [i for _, _, i in cuts[half:]]
+        if share_middle and lo < hi:
+            assert d_hi == hi and d_hi is not d_lo
+        else:
+            assert d_hi is d_lo
 
 
 class TestNodeCutMemo:

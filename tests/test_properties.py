@@ -424,6 +424,30 @@ class TestCertificateBytes:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestPlannerBytes:
+    # the cut-point planner's own (value, steps, leaf), winning or not, on 96
+    # seeded profiles: Even-Paz at n = 2..8 and modified Even-Paz at n = 2..6,
+    # small denominators and copied agents so that cuts tie; the digest was
+    # taken before the run and the planner shared one split rule
+    DIGEST = "4c00a456582f041eb340487637b50affdc2d6deab0ebd3da99b299ee1e0bdf5b"
+
+    def test_plans_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        for name, sizes in (("even-paz", range(2, 9)), ("modified-ep", range(2, 7))):
+            for n in sizes:
+                rng = random.Random(f"{name}-{n}")
+                for denom in (2, 3, 4, 12) * 2:
+                    agents = list(random_profile(rng, n, max_breakpoints=3, denom=denom))
+                    if rng.randrange(2):
+                        agents[rng.randrange(n)] = agents[rng.randrange(n)]
+                    agent = rng.randrange(n)
+                    value, steps, leaf = properties._dp_best_path(
+                        Profile.of(agents), agent, ZERO, F(1), range(n), SHARES_MIDDLE[name])
+                    text = f"{value} {[tuple(map(str, step)) for step in steps]} {leaf[0]} {leaf[1]}"
+                    digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
 # ---------------------------------------------------------------------------
 # the cell sweep against the pairwise and midpoint formulas it replaced
 
