@@ -13,7 +13,8 @@ and ``from_masses`` builds each density, on the bounds' integer keys.  The
 public walks are the two Robertson-Webb queries, ``value_between`` (eval) and
 ``cut_point`` (cut), which read their arguments through :func:`frac`, and
 ``value``, eval summed over a piece.
-The halving recursion's node cuts come from one private walk, as int pairs.
+The halving recursion's node cuts come from one private walk, as int pairs,
+and a gain search scores a halving walk's int-pair spans by one private sum.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -512,6 +513,19 @@ class PiecewiseConstantValuation(Record):
         unit, overlaps = self._overlaps(aq, bq, q)
         rest = num * sum(mass for _, _, mass in overlaps)   # over s * unit * M
         return self._cut(overlaps, unit, s, rest) if rest else None
+
+    def _spans_value(self, spans: Sequence[tuple[tuple[int, int], tuple[int, int]]]
+                     ) -> Fraction:
+        """Exact value of the spans ``((x_num, x_den), (y_num, y_den))``, 0 <=
+        x <= y <= 1, as one ``Fraction``: the ends go over q, the lcm of their
+        denominators, and the overlaps' masses are summed in ints."""
+        q = math.lcm(*(den for span in spans for _, den in span))
+        total = 0
+        for (xn, xd), (yn, yd) in spans:
+            _, overlaps = self._overlaps(xn * (q // xd), yn * (q // yd), q)
+            total += sum(mass for _, _, mass in overlaps)
+        lcm_b, lcm_d, _, _ = self.integer_image
+        return Fraction(total, lcm_b * q * lcm_d)
 
 
 def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]

@@ -7,20 +7,20 @@ produce allocations that pass :func:`cakecut.cake.validate_allocation`.
 Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
 ``SHARES_MIDDLE`` table names this recursive-halving family and whether each
 member shares the cake between a node's two median cuts among all of the
-node's agents.  The gain engines and the CLI read the table.  One node
-step, :func:`_node_step`, puts a node's ``Fraction`` ends over one
-denominator, takes each agent's cut as an unreduced int pair from one walk
-over its segments and sorts the cuts on exact int keys; the recursion and
-the cut-point planner both use it, and both read a node's split from
-:func:`_split` and place one agent's cut among the others' by
-:func:`_rank`, which state the tie-break and the split rule once.  A node's
-sorted cuts come from a table keyed by the ints of its ends and its agents'
-bitmask, the only cache of node cuts: a full run keeps its own and follows
-nobody.  With ``follow=i`` the table holds the other agents' cuts, shared
-by all walks of a gain search, and only i's path (in modified Even-Paz,
-also the middles on it) is walked, which is all a search needs to score a
-misreport of agent i.  A ``Fraction`` is built only for the cuts that split
-a node and for the leaves.
+node's agents.  The gain engines and the CLI read the table.  The recursion
+carries each node's ends as reduced ``(numerator, denominator)`` int pairs.
+One node step, :func:`_node_step`, puts a node's ends over one denominator,
+takes each agent's cut as an unreduced int pair from one walk over its
+segments and sorts the cuts on exact int keys; the recursion and the
+cut-point planner both use it, and both read a node's split from
+:func:`_split` and place one agent's cut among the others' by :func:`_rank`,
+which state the tie-break and the split rule once.  A node's sorted cuts
+come from a table keyed by the ints of its ends and its agents' bitmask,
+the only cache of node cuts: a full run keeps its own and follows nobody.
+With ``follow=i`` the table holds the other agents' cuts, shared by all
+walks of a gain search, and only i's path (in modified Even-Paz, also the
+middles on it) is walked, which is all a search needs to score a misreport
+of agent i.  A ``Fraction`` is built only for the leaves of a full run.
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep
@@ -42,8 +42,6 @@ from cakecut.cake import (
     PiecewiseConstantValuation,
     Profile,
     Record,
-    ZERO,
-    ONE,
     cells,
 )
 
@@ -55,25 +53,26 @@ class Mechanism(Record):
         self.__dict__.update(name=name, run=run)
 
 
+# A point of the cake as a reduced ``(numerator, denominator)`` int pair.
+Point = tuple[int, int]
 # A node's cuts as unreduced ``(numerator, denominator, agent)`` triples in
 # (cut, agent) order.
 Cuts = list[tuple[int, int, int]]
 # A halving run's sorted cuts at each node it visits, without the followed
-# agent's, keyed (a.numerator, a.denominator, b.numerator, b.denominator,
-# the node's agents as a bitmask): see _halving.
+# agent's, keyed (a's numerator, a's denominator, b's numerator, b's
+# denominator, the node's agents as a bitmask): see _halving.
 NodeCuts = dict[tuple[int, int, int, int, int], Cuts]
-Span = tuple[Fraction, Fraction]
 
 
-def _node_step(profile: Profile, a: Fraction, b: Fraction, agents: list[int],
-               k: int) -> Cuts:
+def _node_step(profile: Profile, a: Point, b: Point, agents: list[int], k: int) -> Cuts:
     """The cuts of `agents` at the node [a, b] of k agents, each the leftmost
     point where the agent's value reaches the floor(k/2)/k share of its value
     for the node, taken over q, the lcm of the ends' denominators, and sorted
     on the exact int keys ``(numerator * (D // denominator), agent)``, D the
     lcm of the cuts' denominators."""
-    q = math.lcm(a.denominator, b.denominator)
-    aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    (an, ad), (bn, bd) = a, b
+    q = math.lcm(ad, bd)
+    aq, bq = an * (q // ad), bn * (q // bd)
     half = k // 2
     cuts = [(*(profile[i]._share_cut(aq, bq, q, half, k) or (aq, q)), i) for i in agents]
     if len(cuts) > 1:
@@ -90,26 +89,32 @@ def _rank(cuts: Cuts, num: int, den: int, agent: int) -> int:
     return bisect(cuts, (0, agent), key=lambda cut: (cut[0] * den - num * cut[1], cut[2]))
 
 
-def _split(cuts: Cuts, share_middle: bool) -> tuple[Fraction, Fraction, list[int], list[int]]:
+def _lowest(num: int, den: int) -> Point:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _split(cuts: Cuts, share_middle: bool) -> tuple[Point, Point, list[int], list[int]]:
     """``(d_lo, d_hi, left, right)`` for a node whose k agents cut at the
     sorted `cuts`: the first floor(k/2) agents (`left`) recurse on [a, d_lo],
     d_lo the floor(k/2)-th cut, and the others (`right`) on [d_hi, b].  d_hi
     is d_lo itself, the same object, unless `share_middle` and the next cut
     lies beyond d_lo; then d_hi is that cut, and the middle [d_lo, d_hi] of
-    positive length is halved among all k agents without sharing."""
+    positive length is halved among all k agents without sharing.  Both are
+    reduced int pairs."""
     half = len(cuts) // 2
     lo_num, lo_den, _ = cuts[half - 1]
-    d_lo = d_hi = Fraction(lo_num, lo_den)
+    d_lo = d_hi = _lowest(lo_num, lo_den)
     if share_middle:
         hi_num, hi_den, _ = cuts[half]
         if lo_num * hi_den < hi_num * lo_den:
-            d_hi = Fraction(hi_num, hi_den)
+            d_hi = _lowest(hi_num, hi_den)
     agents = [cut[2] for cut in cuts]
     return d_lo, d_hi, agents[:half], agents[half:]
 
 
 def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
-             others: NodeCuts | None = None) -> list[list[Span]]:
+             others: NodeCuts | None = None) -> list[list[tuple[Point, Point]]]:
     """Recursive halving; returns each agent's list of ``(lo, hi)`` spans.
     Each node [a, b] is split by :func:`_split` and its children are solved
     left, middle (where there is one), right.  The sorted cuts of a node's
@@ -121,21 +126,20 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
     varies only the followed agent's report walks all its candidates through
     one table; the table must not outlive that search.
 
-    Cuts stay int pairs; only d_lo, d_hi (where a middle is shared) and so
-    the leaves' ends become ``Fraction``s.  Children are visited left,
-    middle, right and a leaf appends only a positive-length span, so every
-    list is strictly increasing and feeds :meth:`Piece.ordered` directly.
-    The leaves partition the cake.
+    Node ends, and so the spans' ends, are reduced int pairs; no
+    ``Fraction`` is built.  Children are visited left, middle, right and a
+    leaf appends only a positive-length span, so every list is strictly
+    increasing.  The leaves partition the cake.
     """
-    pieces: list[list[Span]] = [[] for _ in range(profile.n)]
+    pieces: list[list[tuple[Point, Point]]] = [[] for _ in range(profile.n)]
     if others is None:
         others = {}
 
-    def solve(a: Fraction, b: Fraction, agents: list[int], share_middle: bool) -> None:
+    def solve(a: Point, b: Point, agents: list[int], share_middle: bool) -> None:
         if not agents:
             raise AssertionError("recursed on an empty agent set")
         k = len(agents)
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        (an, ad), (bn, bd) = a, b
         if k == 1:
             if an * bd < bn * ad:
                 pieces[agents[0]].append((a, b))
@@ -157,15 +161,19 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
         if follow not in left:
             solve(d_hi, b, right, share_middle)
 
-    solve(ZERO, ONE, list(range(profile.n)), share_middle)
+    solve((0, 1), (1, 1), list(range(profile.n)), share_middle)
     return pieces
 
 
 def _halving_allocation(profile: Profile, share_middle: bool) -> Allocation:
-    """The full run's allocation: the leaves cover the cake, so nothing is
-    discarded."""
-    return Allocation(tuple(map(Piece.ordered, _halving(profile, share_middle))),
-                      Piece.empty())
+    """The full run's allocation, with one ``Fraction`` per distinct leaf
+    end, fed to :meth:`Piece.ordered`; the leaves cover the cake, so nothing
+    is discarded."""
+    spans = _halving(profile, share_middle)
+    ends = {end for agent in spans for span in agent for end in span}
+    point = {end: Fraction(*end) for end in ends}
+    return Allocation(tuple(Piece.ordered([(point[lo], point[hi]) for lo, hi in agent])
+                            for agent in spans), Piece.empty())
 
 
 def even_paz(profile: Profile) -> Allocation:

@@ -13,10 +13,13 @@ engine numbers the misreports of a breakpoint/mass grid and builds only a
 seeded sample of them, so its cost follows the budget.  The cut-point
 engine, specific to the recursive-halving mechanisms, enumerates where the
 manipulator's report can sit relative to the other agents' (fixed) cuts at
-every recursion node, takes the best path by dynamic programming, and then
-builds an actual misreport realizing that path.  Candidate evaluation is
-embarrassingly parallel in principle; selection is a pure reduction (max
-gain, ties broken by the lexicographically smallest misreport encoding).
+every recursion node, building candidate cuts only inside the rank window
+where its cut splits the node, takes the best path by dynamic programming,
+and then builds an actual misreport realizing that path.  Both engines
+collect candidate points on integer keys, so neither hashes a ``Fraction``.
+Candidate evaluation is embarrassingly parallel in principle; selection is a
+pure reduction (max gain, ties broken by the lexicographically smallest
+misreport encoding).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 from bisect import bisect
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from random import Random
 
 from cakecut.cake import (
@@ -38,7 +41,7 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import (
-    SHARES_MIDDLE, Cuts, Mechanism, NodeCuts, Span, _halving, _node_step, _rank, _split,
+    SHARES_MIDDLE, Cuts, Mechanism, NodeCuts, Point, _halving, _node_step, _rank, _split,
     get_mechanism)
 
 
@@ -206,20 +209,24 @@ class SearchConfig(Record):
 
 def _candidate_points(profile: Profile, truthful: Allocation,
                       cfg: SearchConfig) -> list[Fraction]:
-    base: set[Fraction] = set()
-    for v in profile:
-        base.update(v.breakpoints)
-    base.update(p for p in truthful.boundaries() if ZERO < p < ONE)
-    anchored = sorted(base | {ZERO, ONE})
-    gamma = min(q - p for p, q in zip(anchored, anchored[1:])) / 64
+    """The grid pool, in increasing order: see :class:`SearchConfig`.  The
+    points are integer keys over the lcm of their denominators times
+    2**(6 + offset_rounds), on which every offset is an exact int, and a
+    ``Fraction`` is built only for the sorted pool."""
+    ends = [x for v in profile for x in v.breakpoints]
+    ends.extend(x for piece in truthful.pieces for x in piece.boundaries())
+    scale = lcm(*(x.denominator for x in ends)) << (6 + cfg.offset_rounds)
+    base = {key for x in ends if 0 < (key := x.numerator * (scale // x.denominator)) < scale}
+    anchored = sorted(base | {0, scale})
+    gamma = min(q - p for p, q in zip(anchored, anchored[1:])) // 64
     points = set(base)
     for _ in range(cfg.offset_rounds):
-        for p in list(base):
+        for p in base:
             for off in (p - gamma, p + gamma):
-                if ZERO < off < ONE:
+                if 0 < off < scale:
                     points.add(off)
-        gamma /= 2
-    return sorted(points)
+        gamma //= 2
+    return [Fraction(key, scale) for key in sorted(points)]
 
 
 def _unrank(n: int, size: int, rank: int) -> list[int]:
@@ -306,7 +313,7 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
 
     def path_walk(cand: PiecewiseConstantValuation) -> Fraction:
         walk = _halving(profile.replace(agent, cand), middle, follow=agent, others=others)
-        return sum((true_v.value_between(lo, hi) for lo, hi in walk[agent]), ZERO)
+        return true_v._spans_value(walk[agent])
 
     score = full_run if middle is None else path_walk
     scored, winner = min(((score(cand), cand) for cand in candidates),
@@ -322,21 +329,43 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
 # ---------------------------------------------------------------------------
 # cut-point best response for the recursive-halving family
 
+Span = tuple[Fraction, Fraction]
 
-def _node_candidates(a: Fraction, b: Fraction, others: Cuts,
-                     own: PiecewiseConstantValuation,
-                     own_cut: Fraction) -> list[Fraction]:
-    anchors = {a, b, own_cut}
-    anchors.update(Fraction(num, den) for num, den, _ in others)
-    anchors.update(p for p in own.bounds if a < p < b)
-    pts = sorted(anchors)
-    cands: set[Fraction] = set(pts)
-    for p, q in zip(pts, pts[1:]):
-        gap = q - p
-        cands.add(p + gap / 2)
-        cands.add(q - gap / 64)
-    cands.discard(b)
-    return sorted(cands)
+
+def _node_candidates(a: Fraction, b: Fraction, others: Cuts, rank: int, agent: int,
+                     own: PiecewiseConstantValuation, own_cut: Point) -> list[Fraction]:
+    """The manipulator's candidate cuts at the node [a, b] that :func:`_rank`
+    places at `rank` among the other agents' sorted cuts `others`, in
+    increasing order.
+
+    They lie in the rank window [lo, hi]: lo is the cut before that rank
+    (a at rank 0) and hi the cut at it.  The candidates are the window's
+    anchors (its ends, and the manipulator's cut `own_cut` and breakpoints
+    where they fall in it) and, between each two neighbouring anchors p <
+    q, the midpoint and ``q - (q - p)/64``; b is never one.  An offset lies
+    strictly between its anchors, so one inside the window comes from
+    anchors inside it.  The anchors are integer keys over one scale, the
+    lcm of their denominators times 128, on which both offsets are exact
+    ints.  Only a candidate at a window end can tie with another agent's
+    cut, so only those are tested by :func:`_rank`, and a ``Fraction`` is
+    built only for a kept candidate.
+    """
+    lo = others[rank - 1][:2] if rank else (a.numerator, a.denominator)
+    hi = others[rank][:2]
+    lcm_b, _, bounds, _ = own.integer_image
+    scale = lcm(lo[1], hi[1], own_cut[1], lcm_b) * 128
+    lo_key, hi_key, own_key = (num * (scale // den) for num, den in (lo, hi, own_cut))
+    step = scale // lcm_b
+    keys = {key for key in (lo_key, hi_key, own_key, *(x * step for x in bounds))
+            if lo_key <= key <= hi_key}
+    anchors = sorted(keys)
+    for p, q in zip(anchors, anchors[1:]):
+        keys.add((p + q) // 2)
+        keys.add(q - (q - p) // 64)
+    if hi[0] * b.denominator == b.numerator * hi[1]:
+        keys.discard(hi_key)
+    return [Fraction(key, scale) for key in sorted(keys)
+            if lo_key < key < hi_key or _rank(others, key, scale, agent) == rank]
 
 
 def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
@@ -346,9 +375,10 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     its recursion piece to, its left steps as (share, rest_lo, hi), its leaf span.
 
     At each node the manipulator either pins d_lo to a candidate cut of its
-    own (left branch; realizable exactly), kept when :func:`_rank` places it
-    at d_lo, or joins the right group (right branch; no step: its realized
-    cut may drift inside the right piece without changing the split).  Both
+    own (left branch; realizable exactly), taken only from the rank window
+    where :func:`_rank` places it at d_lo (:func:`_node_candidates`), or
+    joins the right group (right branch; no step: its realized cut may
+    drift inside the right piece without changing the split).  Both
     branches take the split from :func:`_split` on the other agents' cuts
     with the manipulator's placed among them.  With `middles` (the
     middle-sharing mechanism) the manipulator's plan places no mass on
@@ -361,25 +391,24 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     k = len(agents)
     share = Fraction(k // 2, k)
     rank = k // 2 - 1               # the manipulator's rank when its cut is d_lo
-    others = _node_step(profile, a, b, [i for i in agents if i != agent], k)
+    ends = (a.numerator, a.denominator), (b.numerator, b.denominator)
+    others = _node_step(profile, *ends, [i for i in agents if i != agent], k)
 
     plans = []
-    own_cut = Fraction(*_node_step(profile, a, b, [agent], k)[0][:2])
-    for c in _node_candidates(a, b, others, true_v, own_cut):
-        num, den = c.as_integer_ratio()
-        if _rank(others, num, den, agent) != rank:
-            continue  # manipulator does not pin the boundary; drift would move it
+    own_cut = _node_step(profile, *ends, [agent], k)[0][:2]
+    for c in _node_candidates(a, b, others, rank, agent, true_v, own_cut):
         placed = others.copy()
-        placed.insert(rank, (num, den, agent))
-        _, rest_lo, left, _ = _split(placed, middles)
+        placed.insert(rank, (c.numerator, c.denominator, agent))
+        d_lo, d_hi, left, _ = _split(placed, middles)
+        rest_lo = c if d_hi is d_lo else Fraction(*d_hi)
         value, steps, leaf = _dp_best_path(profile, agent, a, c, left, middles)
         plans.append((value, [(share, rest_lo, b)] + steps, leaf))
 
     # single right branch: the manipulator sits beyond the split however it
     # reports (its cut placed last), so only the resulting child matters
     if not middles or k - k // 2 >= 2:
-        _, d_hi, _, right = _split(others + [(b.numerator, b.denominator, agent)], middles)
-        plans.append(_dp_best_path(profile, agent, d_hi, b, right, middles))
+        _, d_hi, _, right = _split(others + [(*ends[1], agent)], middles)
+        plans.append(_dp_best_path(profile, agent, Fraction(*d_hi), b, right, middles))
 
     if not plans:
         raise AssertionError(f"no plan for agent {agent} at node [{a}, {b}]")

@@ -1,6 +1,7 @@
 """Helpers shared by the reference checks in the tests."""
 
 import math
+from bisect import bisect
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,3 +356,46 @@ def halving(profile, share_middle):
 
     solve(ZERO, ONE, list(range(profile.n)), share_middle)
     return spans
+
+
+# Reference candidate sets of the gain engines on Fraction arithmetic: the
+# earlier bodies of properties._candidate_points and _node_candidates, the
+# latter with the planner's earlier rank filter, a bisect over (Fraction,
+# agent) pairs.  The engines now collect both on integer keys, and the
+# planner builds only the candidates of the rank window; they must agree.
+
+
+def candidate_points(profile, truthful, offset_rounds):
+    """The grid engine's sorted pool of breakpoint candidates."""
+    base = set()
+    for v in profile:
+        base.update(v.breakpoints)
+    base.update(p for p in truthful.boundaries() if ZERO < p < ONE)
+    anchored = sorted(base | {ZERO, ONE})
+    gamma = min(q - p for p, q in zip(anchored, anchored[1:])) / 64
+    points = set(base)
+    for _ in range(offset_rounds):
+        for p in list(base):
+            for off in (p - gamma, p + gamma):
+                if ZERO < off < ONE:
+                    points.add(off)
+        gamma /= 2
+    return sorted(points)
+
+
+def node_candidates(a, b, others, rank, agent, own, own_cut):
+    """The planner's candidate cuts at the node [a, b] that the other agents'
+    sorted ``(numerator, denominator, agent)`` cuts `others` place at
+    `rank`, with the manipulator's own cut `own_cut` a ``Fraction``."""
+    anchors = {a, b, own_cut}
+    anchors.update(Fraction(num, den) for num, den, _ in others)
+    anchors.update(p for p in own.bounds if a < p < b)
+    pts = sorted(anchors)
+    cands = set(pts)
+    for p, q in zip(pts, pts[1:]):
+        gap = q - p
+        cands.add(p + gap / 2)
+        cands.add(q - gap / 64)
+    cands.discard(b)
+    pairs = [(Fraction(num, den), i) for num, den, i in others]
+    return [c for c in sorted(cands) if bisect(pairs, (c, agent)) == rank]

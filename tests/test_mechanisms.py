@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect
 from fractions import Fraction
@@ -47,6 +48,16 @@ D2_LIE = PCV.of(["1/2", "4/5"], ["2/5", 1, "5/2"])
 
 # near-worst-case manipulation fixture: half the mass in a thin front spike
 SPIKE = PCV.of(["1/100", "1/2"], [50, 1, "1/50"])
+
+
+def fraction_spans(spans):
+    """_halving's spans, whose ends are reduced int pairs, as Fraction spans."""
+    return [(F(*lo), F(*hi)) for lo, hi in spans]
+
+
+def reduced_pair(x):
+    return (type(x) is tuple and len(x) == 2 and all(type(i) is int for i in x)
+            and x[1] > 0 and math.gcd(*x) == 1)
 
 
 class TestEvenPaz:
@@ -237,7 +248,7 @@ class TestPathWalk:
         full = MECHANISMS[name].run(profile)
         for i in range(n):
             walk = _halving(profile, SHARES_MIDDLE[name], follow=i)
-            assert Piece.ordered(walk[i]) == full.pieces[i]
+            assert Piece.ordered(fraction_spans(walk[i])) == full.pieces[i]
             assert not any(walk[j] for j in range(n) if j != i)
 
     @settings(max_examples=60, deadline=None)
@@ -255,7 +266,8 @@ class TestPathWalk:
         for lie in lies:
             deviated = profile.replace(agent, lie)
             walk = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)
-            assert Piece.ordered(walk[agent]) == MECHANISMS[name].run(deviated).pieces[agent]
+            assert (Piece.ordered(fraction_spans(walk[agent]))
+                    == MECHANISMS[name].run(deviated).pieces[agent])
         # keyed on the ends' numerators and denominators and the agents' bitmask
         assert (0, 1, 1, 1, 2 ** n - 1) in others
         for (a_num, a_den, b_num, b_den, mask), cuts in others.items():
@@ -265,6 +277,26 @@ class TestPathWalk:
             assert [(F(num, den), i) for num, den, i in cuts] == sorted(
                 (profile[i].cut_point(a, F(k // 2, k) * profile[i].value_between(a, b)), i)
                 for i in agents if i != agent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(SHARES_MIDDLE)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 7), denom=st.sampled_from([2, 3, 4, 12]))
+    def test_walk_score_is_the_full_runs_value(self, name, seed, n, denom):
+        # a gain search scores a walk by one integer sum over its int-pair
+        # spans; modified-ep's walks hold middles
+        rng = random.Random(seed)
+        profile = random_profile(rng, n, max_breakpoints=3, denom=denom)
+        agent = rng.randrange(n)
+        true_v = profile[agent]
+        others = {}
+        for lie in [profile[agent], *(random_valuation(rng, max_breakpoints=3, denom=denom)
+                                      for _ in range(4))]:
+            deviated = profile.replace(agent, lie)
+            spans = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)[agent]
+            score = true_v._spans_value(spans)
+            assert type(score) is Fraction
+            assert score == true_v.value(Piece.ordered(fraction_spans(spans)))
+            assert score == true_v.value(MECHANISMS[name].run(deviated).pieces[agent])
 
 
 class TestPaperReference:
@@ -284,11 +316,11 @@ class TestPaperReference:
         share_middle = SHARES_MIDDLE[name]
         expected = reference.halving(profile, share_middle)
         full = _halving(profile, share_middle)
-        assert full == expected
-        assert all(type(x) is Fraction for spans in full for span in spans for x in span)
+        assert list(map(fraction_spans, full)) == expected
+        assert all(reduced_pair(x) for spans in full for span in spans for x in span)
         assert MECHANISMS[name].run(profile).pieces == tuple(map(Piece.ordered, expected))
         for i in range(n):
-            assert _halving(profile, share_middle, follow=i)[i] == expected[i]
+            assert fraction_spans(_halving(profile, share_middle, follow=i)[i]) == expected[i]
         # misreports of one agent walk through one table, as in a gain search
         agent = rng.randrange(n)
         others = {}
@@ -297,8 +329,9 @@ class TestPaperReference:
         for lie in lies:
             deviated = profile.replace(agent, lie)
             walk = _halving(deviated, share_middle, follow=agent, others=others)
-            assert walk[agent] == reference.halving(deviated, share_middle)[agent]
-            assert all(type(x) is Fraction for span in walk[agent] for x in span)
+            assert (fraction_spans(walk[agent])
+                    == reference.halving(deviated, share_middle)[agent])
+            assert all(reduced_pair(x) for span in walk[agent] for x in span)
 
 
 class TestHalvingOrder:
@@ -308,7 +341,7 @@ class TestHalvingOrder:
     def test_every_list_strictly_increasing(self, name, seed, n, denom):
         # ties and zero densities give zero-length leaves, which are skipped
         profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
-        for spans in _halving(profile, SHARES_MIDDLE[name]):
+        for spans in map(fraction_spans, _halving(profile, SHARES_MIDDLE[name])):
             assert all(lo < hi for lo, hi in spans)
             assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
@@ -347,12 +380,12 @@ class TestSplitRule:
         half = k // 2
         lo, hi = F(*cuts[half - 1][:2]), F(*cuts[half][:2])
         d_lo, d_hi, left, right = _split(cuts, share_middle)
-        assert type(d_lo) is type(d_hi) is Fraction
-        assert d_lo == lo
+        assert reduced_pair(d_lo) and reduced_pair(d_hi)
+        assert F(*d_lo) == lo
         assert left == [i for _, _, i in cuts[:half]]
         assert right == [i for _, _, i in cuts[half:]]
         if share_middle and lo < hi:
-            assert d_hi == hi and d_hi is not d_lo
+            assert F(*d_hi) == hi and d_hi is not d_lo
         else:
             assert d_hi is d_lo
 
@@ -366,7 +399,8 @@ class TestNodeCutMemo:
         v = random_valuation(random.Random(seed), max_breakpoints=4, denom=24)
         a, b = F(min(ends), 24), F(max(ends), 24)
         expected = v.cut_point(a, F(k // 2, k) * v.value_between(a, b))
-        [(num, den, _)] = _node_step(Profile.of([v, U]), a, b, [0], k)
+        [(num, den, _)] = _node_step(Profile.of([v, U]), a.as_integer_ratio(),
+                                     b.as_integer_ratio(), [0], k)
         assert F(num, den) == expected
 
     @settings(max_examples=300, deadline=None)
@@ -388,7 +422,8 @@ class TestNodeCutMemo:
                                     unique=True))
         k = data.draw(st.integers(max(2, len(agents)), 9))
         share = F(k // 2, k)
-        cuts = [(F(num, den), i) for num, den, i in _node_step(profile, a, b, agents, k)]
+        cuts = [(F(num, den), i) for num, den, i in _node_step(
+            profile, a.as_integer_ratio(), b.as_integer_ratio(), agents, k)]
         assert cuts == sorted((reference.node_cut(profile[i], a, b, share), i)
                               for i in agents)
         for cut, i in cuts:
@@ -404,7 +439,8 @@ class TestNodeCutMemo:
     def test_one_pass_cut_edge_cases(self, a, b, share, cut):
         a, b, share = F(a), F(b), F(share)
         k = share.denominator                       # share == F(k // 2, k)
-        [(num, den, _)] = _node_step(Profile.of([D1, U]), a, b, [0], k)
+        [(num, den, _)] = _node_step(Profile.of([D1, U]), a.as_integer_ratio(),
+                                     b.as_integer_ratio(), [0], k)
         assert F(num, den) == F(cut)
         assert D1.cut_point(a, share * D1.value_between(a, b)) == F(cut)
 

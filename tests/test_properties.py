@@ -27,6 +27,7 @@ from cakecut.mechanisms import (
     MODIFIED_EVEN_PAZ,
     SHARES_MIDDLE,
     Mechanism,
+    _node_step,
 )
 from cakecut.properties import (
     GainCertificate,
@@ -38,7 +39,8 @@ from cakecut.properties import (
     evaluate_misreport,
     report_for,
 )
-from cakecut.sampling import random_profile
+from cakecut.sampling import random_profile, random_valuation
+import support as reference
 from support import support
 
 F = Fraction
@@ -335,7 +337,7 @@ class TestEveryCertificateVerifies:
     def test_wrong_path_walk_is_caught(self, monkeypatch):
         def whole_cake(profile, share_middle, follow=None, others=None):
             pieces = [[] for _ in range(profile.n)]
-            pieces[follow].append((ZERO, F(1)))
+            pieces[follow].append(((0, 1), (1, 1)))
             return pieces
 
         monkeypatch.setattr(properties, "_halving", whole_cake)
@@ -446,6 +448,92 @@ class TestPlannerBytes:
                     text = f"{value} {[tuple(map(str, step)) for step in steps]} {leaf[0]} {leaf[1]}"
                     digest.update(text.encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestIntegerSearch:
+    # the gain engines collect their candidate points on integer keys, and
+    # the planner only those of the rank window; support holds the earlier
+    # Fraction-set bodies they must agree with, in order
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(SHARES_MIDDLE)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 8), denom=st.sampled_from([2, 3, 4, 12]),
+           copies=st.integers(0, 3))
+    def test_rank_window_is_the_old_planners_kept_list(self, name, seed, n, denom, copies):
+        # every node the planner visits (k = 2..n), with copied agents so
+        # that cuts tie at the window ends
+        rng = random.Random(seed)
+        agents = list(random_profile(rng, n, max_breakpoints=3, denom=denom))
+        for _ in range(copies):
+            agents[rng.randrange(n)] = agents[rng.randrange(n)]
+        window = properties._node_candidates
+        nodes = []
+
+        def checked(a, b, others, rank, agent, own, own_cut):
+            kept = window(a, b, others, rank, agent, own, own_cut)
+            assert kept == reference.node_candidates(a, b, others, rank, agent, own,
+                                                     F(*own_cut))
+            assert all(type(c) is Fraction for c in kept)
+            nodes.append(len(others) + 1)
+            return kept
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(properties, "_node_candidates", checked)
+            properties._dp_best_path(Profile.of(agents), rng.randrange(n), ZERO, F(1),
+                                     range(n), SHARES_MIDDLE[name])
+        assert nodes[0] == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8), data=st.data())
+    def test_rank_window_on_drawn_nodes(self, seed, k, data):
+        # nodes on the valuations' bounds and the 1/12 grid, a == b and
+        # zero-mass nodes included, with copied agents so that cuts tie
+        rng = random.Random(seed)
+        agents = [random_valuation(rng, max_breakpoints=3, denom=12)]
+        while len(agents) < k:
+            agents.append(rng.choice(agents) if rng.randrange(3) == 0
+                          else random_valuation(rng, max_breakpoints=3, denom=12))
+        profile = Profile.of(agents)
+        bounds = sorted({x for v in profile for x in v.bounds})
+        point = st.sampled_from(bounds) | st.integers(0, 12).map(lambda i: F(i, 12))
+        a, b = sorted(data.draw(st.tuples(point, point)))
+        agent = data.draw(st.integers(0, k - 1))
+        ends = a.as_integer_ratio(), b.as_integer_ratio()
+        others = _node_step(profile, *ends, [i for i in range(k) if i != agent], k)
+        own_cut = _node_step(profile, *ends, [agent], k)[0][:2]
+        rank = k // 2 - 1
+        assert (properties._node_candidates(a, b, others, rank, agent, profile[agent], own_cut)
+                == reference.node_candidates(a, b, others, rank, agent, profile[agent],
+                                             F(*own_cut)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(MECHANISMS)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 6), denom=st.sampled_from([2, 3, 4, 12, 96]),
+           rounds=st.integers(0, 3))
+    def test_grid_pool_is_the_old_pool(self, name, seed, n, denom, rounds):
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
+        truthful = MECHANISMS[name].run(profile)
+        cfg = SearchConfig(offset_rounds=rounds)
+        pool = properties._candidate_points(profile, truthful, cfg)
+        assert pool == reference.candidate_points(profile, truthful, rounds)
+        assert all(type(p) is Fraction for p in pool)
+
+    def test_gain_search_hashes_no_fraction(self, monkeypatch):
+        def unhashable(self):
+            raise AssertionError(f"hashed the Fraction {self}")
+
+        rng = random.Random(23)
+        searches = [(random_profile(rng, n, max_breakpoints=2, denom=12), n)
+                    for n in range(2, 7) for _ in range(3)]
+        monkeypatch.setattr(Fraction, "__hash__", unhashable)
+        with pytest.raises(AssertionError, match="hashed the Fraction"):
+            hash(F(1, 3))
+        for profile, n in searches:
+            agent = rng.randrange(n)
+            for name in sorted(SHARES_MIDDLE):
+                grid = best_response_gain(MECHANISMS[name], profile, agent)
+                ep_cutpoint_best_response(MECHANISMS[name], profile, agent,
+                                          grid_certificate=grid)
 
 
 # ---------------------------------------------------------------------------
