@@ -591,12 +591,6 @@ class Allocation(Record):
     def is_contiguous(self) -> bool:
         return all(p.is_contiguous for p in self.pieces)
 
-    def boundaries(self) -> list[Fraction]:
-        pts = {ZERO, ONE}
-        for p in self.pieces:
-            pts.update(p.boundaries())
-        return sorted(pts)
-
 
 CellGrid = tuple[list[Fraction], list[int], int, list[list[int]],
                  list[list[tuple[int, int, Fraction]]]]

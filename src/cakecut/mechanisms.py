@@ -12,15 +12,16 @@ carries each node's ends as reduced ``(numerator, denominator)`` int pairs.
 One node step, :func:`_node_step`, puts a node's ends over one denominator,
 takes each agent's cut as an unreduced int pair from one walk over its
 segments and sorts the cuts on exact int keys; the recursion and the
-cut-point planner both use it, and both read a node's split from
-:func:`_split` and place one agent's cut among the others' by :func:`_rank`,
-which state the tie-break and the split rule once.  A node's sorted cuts
-come from a table keyed by the ints of its ends and its agents' bitmask,
-the only cache of node cuts: a full run keeps its own and follows nobody.
-With ``follow=i`` the table holds the other agents' cuts, shared by all
-walks of a gain search, and only i's path (in modified Even-Paz, also the
-middles on it) is walked, which is all a search needs to score a misreport
-of agent i.  A ``Fraction`` is built only for the leaves of a full run.
+cut-point planner both use it on these pairs, and both read a node's split
+from :func:`_split` and place one agent's cut among the others' by
+:func:`_rank`, which state the tie-break and the split rule once.  A node's
+sorted cuts come from a table keyed by the ints of its ends and its agents'
+bitmask, the only cache of node cuts: a full run keeps its own and follows
+nobody.  With ``follow=i`` the table holds the other agents' cuts, shared
+by all walks of a gain search, and only i's path (in modified Even-Paz,
+also the middles on it) is walked, which is all a search needs to score a
+misreport of agent i.  A ``Fraction`` is built only for the leaves of a
+full run, and by the planner only when it realizes a plan as a misreport.
 
 Every mechanism builds its allocation from spans it already produces in
 increasing order (the recursion's left-middle-right leaves, the cell sweep

@@ -14,9 +14,10 @@ seeded sample of them, so its cost follows the budget.  The cut-point
 engine, specific to the recursive-halving mechanisms, enumerates where the
 manipulator's report can sit relative to the other agents' (fixed) cuts at
 every recursion node, building candidate cuts only inside the rank window
-where its cut splits the node, takes the best path by dynamic programming,
-and then builds an actual misreport realizing that path.  Both engines
-collect candidate points on integer keys, so neither hashes a ``Fraction``.
+where its cut splits the node, takes the best path by dynamic programming
+on the recursion's int-pair node ends, and builds ``Fraction``s only to
+realize that path as an actual misreport.  Both engines collect candidate
+points on integer keys, so neither hashes a ``Fraction``.
 Candidate evaluation is embarrassingly parallel in principle; selection is a
 pure reduction (max gain, ties broken by the lexicographically smallest
 misreport encoding).
@@ -33,7 +34,6 @@ from random import Random
 
 from cakecut.cake import (
     Allocation,
-    ONE,
     PiecewiseConstantValuation,
     Profile,
     Record,
@@ -41,8 +41,8 @@ from cakecut.cake import (
     cell_grid,
 )
 from cakecut.mechanisms import (
-    SHARES_MIDDLE, Cuts, Mechanism, NodeCuts, Point, _halving, _node_step, _rank, _split,
-    get_mechanism)
+    SHARES_MIDDLE, Cuts, Mechanism, NodeCuts, Point, _halving, _lowest, _node_step, _rank,
+    _split, get_mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,7 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
     seen: set[tuple] = set()
     candidates = [profile[agent]]
     for points, masses in _descriptors(pool, cfg):
-        try:
-            cand = PiecewiseConstantValuation.from_masses(
-                points, [Fraction(m, d) for m in masses])
-        except (ValueError, ZeroDivisionError):
-            continue
+        cand = PiecewiseConstantValuation.from_masses(points, [Fraction(m, d) for m in masses])
         if cand.integer_image not in seen:     # equal images, equal valuations
             seen.add(cand.integer_image)
             candidates.append(cand)
@@ -316,8 +312,10 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
         return true_v._spans_value(walk[agent])
 
     score = full_run if middle is None else path_walk
-    scored, winner = min(((score(cand), cand) for cand in candidates),
-                         key=lambda pair: (-pair[0], _encoding(pair[1])))
+    scores = [score(cand) for cand in candidates]
+    scored = max(scores)
+    winner = min((cand for value, cand in zip(scores, candidates) if value == scored),
+                 key=_encoding)
     deviated = scored if middle is None else full_run(winner)
     if deviated != scored:
         raise AssertionError(
@@ -329,11 +327,8 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
 # ---------------------------------------------------------------------------
 # cut-point best response for the recursive-halving family
 
-Span = tuple[Fraction, Fraction]
-
-
-def _node_candidates(a: Fraction, b: Fraction, others: Cuts, rank: int, agent: int,
-                     own: PiecewiseConstantValuation, own_cut: Point) -> list[Fraction]:
+def _node_candidates(a: Point, b: Point, others: Cuts, rank: int, agent: int,
+                     own: PiecewiseConstantValuation, own_cut: Point) -> list[Point]:
     """The manipulator's candidate cuts at the node [a, b] that :func:`_rank`
     places at `rank` among the other agents' sorted cuts `others`, in
     increasing order.
@@ -347,10 +342,10 @@ def _node_candidates(a: Fraction, b: Fraction, others: Cuts, rank: int, agent: i
     anchors inside it.  The anchors are integer keys over one scale, the
     lcm of their denominators times 128, on which both offsets are exact
     ints.  Only a candidate at a window end can tie with another agent's
-    cut, so only those are tested by :func:`_rank`, and a ``Fraction`` is
-    built only for a kept candidate.
+    cut, so only those are tested by :func:`_rank`, and a kept candidate
+    is returned as a reduced int pair.
     """
-    lo = others[rank - 1][:2] if rank else (a.numerator, a.denominator)
+    lo = others[rank - 1][:2] if rank else a
     hi = others[rank][:2]
     lcm_b, _, bounds, _ = own.integer_image
     scale = lcm(lo[1], hi[1], own_cut[1], lcm_b) * 128
@@ -362,17 +357,18 @@ def _node_candidates(a: Fraction, b: Fraction, others: Cuts, rank: int, agent: i
     for p, q in zip(anchors, anchors[1:]):
         keys.add((p + q) // 2)
         keys.add(q - (q - p) // 64)
-    if hi[0] * b.denominator == b.numerator * hi[1]:
+    if hi[0] * b[1] == b[0] * hi[1]:
         keys.discard(hi_key)
-    return [Fraction(key, scale) for key in sorted(keys)
+    return [_lowest(key, scale) for key in sorted(keys)
             if lo_key < key < hi_key or _rank(others, key, scale, agent) == rank]
 
 
-def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
-                  agents: list[int], middles: bool
-                  ) -> tuple[Fraction, list[tuple[Fraction, Fraction, Fraction]], Span]:
+def _dp_best_path(profile: Profile, agent: int, a: Point, b: Point, agents: list[int],
+                  middles: bool) -> tuple[Fraction, list[tuple[Fraction, Point, Point]],
+                                          tuple[Point, Point]]:
     """(value, steps, leaf): the best true value the manipulator can steer
-    its recursion piece to, its left steps as (share, rest_lo, hi), its leaf span.
+    its recursion piece to, its left steps as (share, rest_lo, hi), its leaf
+    span; ends are reduced int pairs, as in the recursion.
 
     At each node the manipulator either pins d_lo to a candidate cut of its
     own (left branch; realizable exactly), taken only from the rank window
@@ -387,35 +383,33 @@ def _dp_best_path(profile: Profile, agent: int, a: Fraction, b: Fraction,
     """
     true_v = profile[agent]
     if len(agents) == 1:
-        return true_v.value_between(a, b), [], (a, b)
+        return true_v._spans_value([(a, b)]), [], (a, b)
     k = len(agents)
     share = Fraction(k // 2, k)
     rank = k // 2 - 1               # the manipulator's rank when its cut is d_lo
-    ends = (a.numerator, a.denominator), (b.numerator, b.denominator)
-    others = _node_step(profile, *ends, [i for i in agents if i != agent], k)
+    others = _node_step(profile, a, b, [i for i in agents if i != agent], k)
 
     plans = []
-    own_cut = _node_step(profile, *ends, [agent], k)[0][:2]
+    own_cut = _node_step(profile, a, b, [agent], k)[0][:2]
     for c in _node_candidates(a, b, others, rank, agent, true_v, own_cut):
         placed = others.copy()
-        placed.insert(rank, (c.numerator, c.denominator, agent))
-        d_lo, d_hi, left, _ = _split(placed, middles)
-        rest_lo = c if d_hi is d_lo else Fraction(*d_hi)
+        placed.insert(rank, (*c, agent))
+        _, d_hi, left, _ = _split(placed, middles)     # d_lo is c
         value, steps, leaf = _dp_best_path(profile, agent, a, c, left, middles)
-        plans.append((value, [(share, rest_lo, b)] + steps, leaf))
+        plans.append((value, [(share, d_hi, b)] + steps, leaf))
 
     # single right branch: the manipulator sits beyond the split however it
     # reports (its cut placed last), so only the resulting child matters
     if not middles or k - k // 2 >= 2:
-        _, d_hi, _, right = _split(others + [(*ends[1], agent)], middles)
-        plans.append(_dp_best_path(profile, agent, Fraction(*d_hi), b, right, middles))
+        _, d_hi, _, right = _split(others + [(*b, agent)], middles)
+        plans.append(_dp_best_path(profile, agent, d_hi, b, right, middles))
 
     if not plans:
         raise AssertionError(f"no plan for agent {agent} at node [{a}, {b}]")
     return max(plans, key=lambda plan: plan[0])
 
 
-def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Span
+def _realize_path(steps: list[tuple[Fraction, Point, Point]], leaf: tuple[Point, Point]
                   ) -> PiecewiseConstantValuation:
     """Build a misreport whose node cuts walk the planned path exactly.
 
@@ -424,10 +418,12 @@ def _realize_path(steps: list[tuple[Fraction, Fraction, Fraction]], leaf: Span
     child's right edge) and spreads the remainder on [rest_lo, hi], beyond
     the recursion boundary; right steps leave the child mass alone.
     """
-    if not leaf[0] < leaf[1]:
+    lo, hi = (Fraction(*end) for end in leaf)
+    if not lo < hi:
         raise ValueError("cannot realize a path ending in a null piece")
-    chunks: list[tuple[Fraction, Fraction, Fraction]] = [(*leaf, Fraction(1))]
+    chunks: list[tuple[Fraction, Fraction, Fraction]] = [(lo, hi, Fraction(1))]
     for share, rest_lo, hi in reversed(steps):
+        rest_lo, hi = Fraction(*rest_lo), Fraction(*hi)
         if not rest_lo < hi:
             raise AssertionError("left step has nowhere to park the rest mass")
         chunks = [(lo, top, m * share) for lo, top, m in chunks]
@@ -461,7 +457,7 @@ def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int
         raise ValueError("grid_certificate belongs to another mechanism, agent or profile")
     certificates = [grid_certificate]
     planned, steps, leaf = _dp_best_path(
-        profile, agent, ZERO, ONE, list(range(profile.n)), middles)
+        profile, agent, (0, 1), (1, 1), list(range(profile.n)), middles)
     if planned > grid_certificate.truthful_value:
         cert = evaluate_misreport(mechanism, profile, agent, _realize_path(steps, leaf))
         if cert.deviated_value < planned:

@@ -19,6 +19,21 @@ def support(v, positive=True):
                          if (d > 0) == positive)
 
 
+def reduced_pair(x):
+    """Whether x is a point as the halving recursion carries it: a reduced
+    ``(numerator, denominator)`` int pair."""
+    return (type(x) is tuple and len(x) == 2 and all(type(i) is int for i in x)
+            and x[1] > 0 and math.gcd(*x) == 1)
+
+
+def boundaries(allocation):
+    """0, 1 and the ends of every allocated interval, sorted and distinct."""
+    points = {ZERO, ONE}
+    for piece in allocation.pieces:
+        points.update(piece.boundaries())
+    return sorted(points)
+
+
 # Reference records: the package's value classes as they were defined with
 # ``@dataclass(frozen=True)`` (``order=True`` for Interval), with their
 # fields, defaults, checks and custom reprs but none of their other methods.
@@ -370,7 +385,7 @@ def candidate_points(profile, truthful, offset_rounds):
     base = set()
     for v in profile:
         base.update(v.breakpoints)
-    base.update(p for p in truthful.boundaries() if ZERO < p < ONE)
+    base.update(p for p in boundaries(truthful) if ZERO < p < ONE)
     anchored = sorted(base | {ZERO, ONE})
     gamma = min(q - p for p, q in zip(anchored, anchored[1:])) / 64
     points = set(base)

@@ -1,4 +1,3 @@
-import math
 import random
 from bisect import bisect
 from fractions import Fraction
@@ -35,7 +34,7 @@ from cakecut.properties import (
     SearchConfig, best_response_gain, ep_cutpoint_best_response, report_for)
 from cakecut.sampling import random_profile, random_valuation
 import support as reference
-from support import support
+from support import reduced_pair, support
 
 F = Fraction
 U = PCV.uniform()
@@ -53,11 +52,6 @@ SPIKE = PCV.of(["1/100", "1/2"], [50, 1, "1/50"])
 def fraction_spans(spans):
     """_halving's spans, whose ends are reduced int pairs, as Fraction spans."""
     return [(F(*lo), F(*hi)) for lo, hi in spans]
-
-
-def reduced_pair(x):
-    return (type(x) is tuple and len(x) == 2 and all(type(i) is int for i in x)
-            and x[1] > 0 and math.gcd(*x) == 1)
 
 
 class TestEvenPaz:
@@ -94,7 +88,7 @@ class TestEvenPaz:
         rng = random.Random(5)
         for _ in range(50):
             profile = random_profile(rng, 5)
-            pts = even_paz(profile).boundaries()
+            pts = reference.boundaries(even_paz(profile))
             assert pts == sorted(pts)
 
     def test_deterministic(self):

@@ -41,7 +41,7 @@ from cakecut.properties import (
 )
 from cakecut.sampling import random_profile, random_valuation
 import support as reference
-from support import support
+from support import reduced_pair, support
 
 F = Fraction
 U = PCV.uniform()
@@ -241,6 +241,24 @@ class TestGridSampling:
                         for masses in compositions(d, size + 1)]
         cfg = SearchConfig(mass_denominator=d, max_breakpoints=max_size, max_candidates=None)
         assert list(properties._descriptors(pool, cfg)) == materialized
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(MECHANISMS)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 5), denom=st.sampled_from([2, 3, 4, 12, 96]),
+           d=st.integers(1, 6), max_size=st.integers(0, 3), rounds=st.integers(0, 2),
+           budget=st.sampled_from([1, 16, 64]))
+    def test_every_descriptor_builds(self, name, seed, n, denom, d, max_size, rounds, budget):
+        # the pool is strictly increasing inside (0, 1) and the masses are a
+        # composition of d, so every drawn misreport is a valid valuation
+        profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
+        cfg = SearchConfig(d, max_size, rounds, budget, seed)
+        pool = properties._candidate_points(profile, MECHANISMS[name].run(profile), cfg)
+        assert all(0 < p < 1 for p in pool)
+        assert all(p < q for p, q in zip(pool, pool[1:]))
+        for points, masses in properties._descriptors(pool, cfg):
+            assert len(masses) == len(points) + 1 and sum(masses) == d
+            v = PCV.from_masses(points, [F(m, d) for m in masses])
+            assert v.value_between(0, 1) == 1
 
     def test_wide_search_builds_at_most_max_candidates(self, monkeypatch):
         built = self.built(monkeypatch)
@@ -444,7 +462,9 @@ class TestPlannerBytes:
                         agents[rng.randrange(n)] = agents[rng.randrange(n)]
                     agent = rng.randrange(n)
                     value, steps, leaf = properties._dp_best_path(
-                        Profile.of(agents), agent, ZERO, F(1), range(n), SHARES_MIDDLE[name])
+                        Profile.of(agents), agent, (0, 1), (1, 1), range(n), SHARES_MIDDLE[name])
+                    steps = [(share, F(*rest_lo), F(*hi)) for share, rest_lo, hi in steps]
+                    leaf = F(*leaf[0]), F(*leaf[1])
                     text = f"{value} {[tuple(map(str, step)) for step in steps]} {leaf[0]} {leaf[1]}"
                     digest.update(text.encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
@@ -471,15 +491,15 @@ class TestIntegerSearch:
 
         def checked(a, b, others, rank, agent, own, own_cut):
             kept = window(a, b, others, rank, agent, own, own_cut)
-            assert kept == reference.node_candidates(a, b, others, rank, agent, own,
-                                                     F(*own_cut))
-            assert all(type(c) is Fraction for c in kept)
+            assert [F(*c) for c in kept] == reference.node_candidates(
+                F(*a), F(*b), others, rank, agent, own, F(*own_cut))
+            assert all(reduced_pair(c) for c in kept)
             nodes.append(len(others) + 1)
             return kept
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(properties, "_node_candidates", checked)
-            properties._dp_best_path(Profile.of(agents), rng.randrange(n), ZERO, F(1),
+            properties._dp_best_path(Profile.of(agents), rng.randrange(n), (0, 1), (1, 1),
                                      range(n), SHARES_MIDDLE[name])
         assert nodes[0] == n
 
@@ -502,9 +522,9 @@ class TestIntegerSearch:
         others = _node_step(profile, *ends, [i for i in range(k) if i != agent], k)
         own_cut = _node_step(profile, *ends, [agent], k)[0][:2]
         rank = k // 2 - 1
-        assert (properties._node_candidates(a, b, others, rank, agent, profile[agent], own_cut)
-                == reference.node_candidates(a, b, others, rank, agent, profile[agent],
-                                             F(*own_cut)))
+        kept = properties._node_candidates(*ends, others, rank, agent, profile[agent], own_cut)
+        assert [F(*c) for c in kept] == reference.node_candidates(
+            a, b, others, rank, agent, profile[agent], F(*own_cut))
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(MECHANISMS)), seed=st.integers(0, 2**32 - 1),
@@ -564,7 +584,7 @@ def reference_grid(profile, allocation=None):
     for v in profile:
         points.update(v.bounds)
     if allocation is not None:
-        points.update(allocation.boundaries())
+        points.update(reference.boundaries(allocation))
         points.update(allocation.discarded.boundaries())
     return sorted(points)
 
