@@ -8,13 +8,13 @@ counterexample chains downstream is an exact decision.  The cell sweep
 common denominator, the lcm of the endpoints' denominators, so it sorts,
 indexes and measures cells with plain ints and still decides exactly; the
 segment walks do the same on a valuation's ``integer_image`` and build one
-``Fraction`` per result, and the step-function builders check bound order,
-and ``from_masses`` builds each density, on the bounds' integer keys.  The
-public walks are the two Robertson-Webb queries, ``value_between`` (eval) and
-``cut_point`` (cut), which read their arguments through :func:`frac`, and
-``value``, eval summed over a piece.
-The halving recursion's node cuts come from one private walk, as int pairs,
-and a gain search scores a halving walk's int-pair spans by one private sum.
+``Fraction`` per result; the step-function builders key their bounds, and
+check their order, by one rule each.  The public walks are the two
+Robertson-Webb queries, ``value_between`` (eval) and ``cut_point`` (cut),
+which read their arguments through :func:`frac`, and ``value``, eval over a
+piece; eval, ``value`` and a gain search's score of a halving walk are one
+integer sum over spans.  The halving recursion's node cuts come from one
+private walk, as int pairs, and :func:`cells` alone decides who wants a cell.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -47,7 +47,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import total_ordering
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 
 RationalLike = Fraction | int | str
 
@@ -276,16 +276,18 @@ class Piece(Record):
         return " ∪ ".join(repr(iv) for iv in self.intervals)
 
 
-def _bound_keys(bounds: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(L, keys)`` for the bounds of a step function: L the lcm of their
-    denominators and each key the bound times L, as ints.  Raises ValueError
-    unless the keys strictly increase."""
-    scale = math.lcm(*(b.denominator for b in bounds))
-    keys = [b.numerator * (scale // b.denominator) for b in bounds]
+def _keys(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(L, keys)``: L the lcm of the values' denominators and each key the
+    value times L, as ints."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, tuple([x.numerator * (scale // x.denominator) for x in values])
+
+
+def _increasing(keys: Sequence[int]) -> None:
+    """Raise ValueError unless the bound keys strictly increase."""
     for a, b in zip(keys, keys[1:]):
         if not a < b:
             raise ValueError("bounds must be strictly increasing")
-    return scale, keys
 
 
 class PiecewiseConstantValuation(Record):
@@ -309,20 +311,15 @@ class PiecewiseConstantValuation(Record):
                  ) -> None:
         self.__dict__.update(bounds=bounds, densities=densities)
         # every check runs on the integer image, which is kept for the walks
-        try:
-            lcm_b = math.lcm(*(b.denominator for b in bounds))
-            lcm_d = math.lcm(*(d.denominator for d in densities))
+        try:        # both sides are keyed before either name is rebound
+            (lcm_b, bounds), (lcm_d, densities) = _keys(bounds), _keys(densities)
         except AttributeError:
             raise _inexact(chain(bounds, densities)) from None
-        bounds = tuple([b.numerator * (lcm_b // b.denominator) for b in bounds])
-        densities = tuple([d.numerator * (lcm_d // d.denominator) for d in densities])
         if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != lcm_b:
             raise ValueError("bounds must run from 0 to 1")
         if len(densities) != len(bounds) - 1:
             raise ValueError("need one density per segment")
-        for a, b in zip(bounds, bounds[1:]):
-            if not a < b:
-                raise ValueError("bounds must be strictly increasing")
+        _increasing(bounds)
         if any(d < 0 for d in densities):
             raise ValueError("densities must be non-negative")
         # canonical form: no adjacent segments with the same density
@@ -347,7 +344,7 @@ class PiecewiseConstantValuation(Record):
         dens = [frac(d) for d in densities]
         if len(dens) != len(bounds) - 1:
             raise ValueError("need one density per segment")
-        _bound_keys(bounds)
+        _increasing(_keys(bounds)[1])
         merged_b = [bounds[0]]
         merged_d: list[Fraction] = []
         for b, d in zip(bounds[1:], dens):
@@ -370,7 +367,8 @@ class PiecewiseConstantValuation(Record):
         masses = [frac(m) for m in masses]
         if len(masses) != len(bounds) - 1:
             raise ValueError("need one mass per segment")
-        scale, keys = _bound_keys(bounds)
+        scale, keys = _keys(bounds)
+        _increasing(keys)
         return PiecewiseConstantValuation.of(bounds[1:-1], [
             Fraction(m.numerator * scale, m.denominator * (b - a))
             for a, b, m in zip(keys, keys[1:], masses)])
@@ -462,19 +460,15 @@ class PiecewiseConstantValuation(Record):
         return None
 
     def value_between(self, x: RationalLike, y: RationalLike) -> Fraction:
-        """Exact value of the interval [x, y], summed in ints on the integer
-        image with x and y over the lcm of their denominators."""
-        x, y = frac(x), frac(y)
-        q = math.lcm(x.denominator, y.denominator)
-        xq, yq = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
-        if not 0 <= xq <= yq <= q:
-            raise ValueError(f"interval [{x}, {y}] not within [0, 1]")
-        unit, overlaps = self._overlaps(xq, yq, q)
-        return Fraction(sum(mass for _, _, mass in overlaps), unit * self.integer_image[1])
+        """Exact value of the interval [x, y], which :class:`Interval` checks
+        lies within the cake: :meth:`_spans_value` of that one span."""
+        iv = Interval(frac(x), frac(y))
+        return self._spans_value([(iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio())])
 
     def value(self, piece: Piece) -> Fraction:
-        """Exact value of a piece; additive over its intervals."""
-        return sum((self.value_between(iv.lo, iv.hi) for iv in piece.intervals), ZERO)
+        """Exact value of a piece: :meth:`_spans_value` of its intervals."""
+        return self._spans_value([(iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio())
+                                  for iv in piece.intervals])
 
     def cut_point(self, x: RationalLike, r: RationalLike) -> Fraction:
         """Leftmost y >= x with value_between(x, y) == r.
@@ -641,22 +635,26 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
 def cells(profile: Profile, allocation: Allocation | None = None) -> Iterator[tuple]:
     """Sweep the merged grid of every agent's bounds and, given an allocation,
     its piece and discarded endpoints once, yielding for each cell
-    ``(lo, hi, holders, discarded, densities)``: the agents whose piece covers
+    ``(lo, hi, holders, discarded, wanting)``: the agents whose piece covers
     it in ascending order (several only where pieces overlap), whether the
-    discarded piece covers it, and every agent's density, constant on the
-    cell.  The cells come from :func:`cell_grid`, which sorts and matches the
-    endpoints as exact integer numerators over the lcm of their
-    denominators, so no float enters and no ``Fraction`` is compared or
-    hashed; ``lo`` and ``hi`` are the original ``Fraction`` endpoints.  The
-    sweep is linear in the cells covered.
+    discarded piece covers it, and the agents who want it (positive density
+    there) in ascending order.  The cells come from :func:`cell_grid`, which
+    sorts and matches the endpoints as exact integer numerators over the lcm
+    of their denominators, so no float enters and no ``Fraction`` is
+    compared or hashed; ``lo`` and ``hi`` are the original ``Fraction``
+    endpoints.  The sweep is linear in the cells covered.
     """
     points, _, _, owners, segments = cell_grid(profile, allocation)
     discard = allocation.n if allocation is not None else -1
-    columns = [list(chain.from_iterable(repeat(d, hi - lo) for lo, hi, d in agent))
-               for agent in segments]
-    for lo, hi, held, dens in zip(points, points[1:], owners, zip(*columns)):
+    wanting: list[list[int]] = [[] for _ in owners]
+    for i, agent in enumerate(segments):
+        for lo, hi, d in agent:
+            if d:                       # densities are non-negative
+                for k in range(lo, hi):
+                    wanting[k].append(i)
+    for lo, hi, held, want in zip(points, points[1:], owners, wanting):
         discarded = bool(held) and held[-1] == discard
-        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, dens
+        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, tuple(want)
 
 
 def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
@@ -673,13 +671,12 @@ def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     overlaps: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
     missing: list[tuple[Fraction, Fraction]] = []
     wanted: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
-    for lo, hi, holders, discarded, densities in cells(profile, allocation):
+    for lo, hi, holders, discarded, wanting in cells(profile, allocation):
         for pair in combinations(holders, 2):
             overlaps.setdefault(pair, []).append((lo, hi))
         if discarded:
-            for i, d in enumerate(densities):
-                if d > 0:
-                    wanted[i].append((lo, hi))
+            for i in wanting:
+                wanted[i].append((lo, hi))
         elif not holders:
             missing.append((lo, hi))
     problems = [f"overlap between agents {i} and {j} on {Piece.ordered(overlaps[i, j])}"

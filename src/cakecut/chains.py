@@ -307,7 +307,8 @@ def _prop1_validate(c1: Fraction, eps1: Fraction, eps2: Fraction,
         d["delta1"] < d["delta4"] < d["delta5"] < c1 - eps1 - d["delta3"],
     ]
     if not all(checks):
-        raise InfeasibleParameters(f"delta choices {d} violate the exact constraints")
+        choices = ", ".join(f"{k}={v}" for k, v in d.items())
+        raise InfeasibleParameters(f"delta choices {choices} violate the exact constraints")
 
 
 def prop1_chain(mechanism: Mechanism, params: ChainParameters) -> ViolationWitness:

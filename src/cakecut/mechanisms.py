@@ -209,14 +209,12 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
     def run(profile: Profile) -> Allocation:
         held: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
         free: list[tuple[Fraction, Fraction]] = []
-        for lo, hi, holders, _, densities in cells(profile, mechanism.run(profile)):
+        for lo, hi, holders, _, wanting in cells(profile, mechanism.run(profile)):
             if not holders:
                 free.append((lo, hi))
                 continue
-            if densities[holders[0]] == 0:
-                taker = next((j for j, d in enumerate(densities) if d > 0), None)
-                if taker is not None:
-                    holders = (taker, *holders[1:])
+            if wanting and holders[0] not in wanting:
+                holders = (wanting[0], *holders[1:])
             for i in holders:
                 held[i].append((lo, hi))
         return Allocation(tuple(Piece.ordered(p) for p in held), Piece.ordered(free))
@@ -232,8 +230,7 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
     """
     held: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
     free: list[tuple[Fraction, Fraction]] = []
-    for lo, hi, _, _, densities in cells(profile):
-        desirers = [i for i, d in enumerate(densities) if d > 0]
+    for lo, hi, _, _, desirers in cells(profile):
         if not desirers:
             free.append((lo, hi))
             continue

@@ -464,4 +464,5 @@ def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int
             raise AssertionError(
                 f"realized value {cert.deviated_value} below planned {planned}")
         certificates.append(cert)
-    return min(certificates, key=lambda c: (-c.gain, _encoding(c.misreport)))
+    best = max(c.gain for c in certificates)
+    return min((c for c in certificates if c.gain == best), key=lambda c: _encoding(c.misreport))

@@ -386,6 +386,27 @@ class TestChainErrors:
         assert (code, out) == (1, "")
         assert err == "cakecut: error: need 3*eps1 + eps2 < 1/n\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (["thm1", "--mechanism", "equal-split", "--n", "1"], "need n >= 2"),
+        (["thm1", "--mechanism", "equal-split", "--n", "2", "--eps1", "1/2"],
+         "need 0 <= eps1, eps2 < 1/n"),
+        (["prop1", "--mechanism", "even-paz", "--eps1", "1/2"],
+         "need 0 <= eps1, eps2 < 1/2"),
+        (["prop1", "--mechanism", "even-paz", "--eps1", "1/4", "--eps2", "1/4"],
+         "need eps1 + eps2 < 1/2"),
+        (["prop1", "--mechanism", "even-paz", "--delta", "delta1=1/2"],
+         "delta choices delta1=1/2, delta2=1/4, delta3=1/8, delta4=3/16, delta5=1/4 "
+         "violate the exact constraints"),
+        (["thm2", "--mechanism", "even-paz", "--n", "3", "--eps2", "1/3"],
+         "need 0 <= eps < 1/n"),
+        (["thm2", "--mechanism", "even-paz", "--n", "3", "--delta", "1"],
+         "delta must lie in (0, 1/3)"),
+    ], ids=["thm1-n", "thm1-eps", "prop1-eps", "prop1-eps-sum", "prop1-deltas",
+            "thm2-eps", "thm2-delta"])
+    def test_infeasible_parameters_exact_line(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, "chain", "--name", *argv)
+        assert (code, out, err) == (1, "", f"cakecut: error: {line}\n")
+
     def test_infeasible_scenario_one_line(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"version": 1, "command": "chain", "arguments": {
@@ -579,6 +600,14 @@ class TestScenarioArgumentTypes:
         assert "Traceback" not in child.stderr
         assert child.stderr.startswith("cakecut: error: ") and child.stderr.count("\n") == 1
 
+    def test_json_float_argument_is_read_exactly(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": "learn", "profile": UNIFORM_PAIR,
+                                    "arguments": {"agent": 0, "k": 2, "eps": 0.2}}))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inputs"]["arguments"] == {"agent": 0, "k": 2, "eps": "1/5"}
+
     def test_required_flags_are_required_scenario_arguments(self, capsys, tmp_path):
         """For each command, the flags argparse reports as required are the
         arguments a scenario without arguments is reported to miss."""
@@ -721,6 +750,17 @@ class TestUnreadableInput:
         (_allocate_scenario(command="chain", arguments={"name": "thm1"}), ("run", "{path}"),
          "argument 'mechanism' is required for chain 'thm1'"),
         (b"[1]", ("verify", "{path}"), "certificate: expected a certificate object with a kind"),
+        (json.dumps(UNIFORM_PAIR).encode(),
+         ("gain", "--mechanism", "even-paz", "--agent", "5", "--profile", "{path}"),
+         "agent index 5 out of range for 2 agents"),
+        (json.dumps(UNIFORM_PAIR).encode(),
+         ("gain", "--mechanism", "even-paz", "--agent", "-1", "--profile", "{path}"),
+         "agent index -1 out of range for 2 agents"),
+        (json.dumps(UNIFORM_PAIR).encode(),
+         ("gain", "--mechanism", "even-paz", "--agent", "0", "--engine", "foo",
+          "--profile", "{path}"), "unknown engine 'foo'"),
+        (_allocate_scenario(arguments=[1]), ("run", "{path}"),
+         "scenario.arguments: expected an object"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -735,7 +775,9 @@ class TestUnreadableInput:
             "scenario-profile-file-nul", "argparse-newline", "argparse-nul",
             "scenario-command-array", "echoed-array-cut", "gain-rounds-above-cap",
             "breakpoints-above-cap", "densities-above-cap",
-            "scenario-chain-without-mechanism", "verify-not-a-certificate"])
+            "scenario-chain-without-mechanism", "verify-not-a-certificate",
+            "gain-agent-above-range", "gain-agent-negative", "gain-unknown-engine",
+            "scenario-arguments-array"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -895,6 +937,13 @@ class TestScenarios:
         assert (code, out) == (1, "")
         assert err == ("cakecut: error: unknown mechanism 'nope'; known: ['ep-exchange', "
                        "'equal-split', 'even-paz', 'modified-ep', 'modified-ep-exchange']\n")
+
+    def test_profile_required(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "command": "allocate",
+                                    "arguments": {"mechanism": "even-paz"}}))
+        assert run_cli(capsys, "run", str(path)) == (
+            1, "", "cakecut: error: this command needs a profile (--profile or scenario field)\n")
 
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

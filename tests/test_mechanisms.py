@@ -18,6 +18,7 @@ from cakecut.mechanisms import (
     _rank,
     _split,
     EVEN_PAZ,
+    EQUAL_SPLIT,
     EVEN_PAZ_EXCHANGE,
     MECHANISMS,
     MODIFIED_EP_EXCHANGE,
@@ -164,6 +165,15 @@ class TestZeroPieceExchange:
         for _ in range(60):
             profile = random_profile(rng, 3, hungry=True)
             assert wrapped.run(profile) == EVEN_PAZ.run(profile)
+
+    def test_cake_nobody_wants_stays_discarded(self):
+        # both agents report zero on [1/2, 1], which equal-split discards
+        profile = Profile.of([PCV.of(["1/2"], [2, 0]), PCV.of(["1/4", "1/2"], [1, 3, 0])])
+        base = EQUAL_SPLIT.run(profile)
+        after = with_zero_piece_exchange(EQUAL_SPLIT).run(profile)
+        assert base.discarded == Piece.interval("1/2", 1)
+        assert after == base
+        assert validate_allocation(after, profile) == []
 
     @settings(max_examples=150, deadline=None)
     @given(pair=st.sampled_from([(EVEN_PAZ, EVEN_PAZ_EXCHANGE),
