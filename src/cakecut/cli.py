@@ -33,8 +33,8 @@ from cakecut.io import (
     profile_from_json,
     profile_to_json,
     rat_str,
+    record_to_json,
     report_to_json,
-    valuation_to_json,
     witness_from_json,
     witness_to_json,
 )
@@ -192,13 +192,7 @@ def do_learn(profile: Profile, agent: int, k: int, eps: Fraction) -> dict:
         raise FormatError(f"arguments 'k' and 'eps': query budget floor(2k/eps) = "
                           f"{query_budget(k, eps)} exceeds {MAX_QUERY_BUDGET}")
     learned = approximate_valuation(RWOracle(profile[agent]), k, eps)
-    return {
-        "agent": agent,
-        "k": learned.k,
-        "epsilon": rat_str(learned.epsilon),
-        "queries_used": learned.queries_used,
-        "valuation": valuation_to_json(learned.valuation),
-    }
+    return {"agent": agent, **record_to_json(learned)}
 
 
 def do_chain(name: str, mechanism: Mechanism | None, n: int, eps1: Fraction,

@@ -18,6 +18,7 @@ from cakecut.cake import (
     Piece,
     PiecewiseConstantValuation,
     Profile,
+    Record,
     check_decimal_exponent,
 )
 
@@ -71,13 +72,6 @@ def as_rational(value: object, where: str) -> Fraction:
     if isinstance(value, str):
         return _exact(value, where)
     raise FormatError(f"{where}: expected an exact rational, got {type(value).__name__}")
-
-
-def _field(obj: dict, key: str, kind: type, where: str) -> object:
-    """obj[key], which must be a `kind`."""
-    if not isinstance(obj[key], kind):
-        raise FormatError(f"{where}.{key}: expected {kind.__name__}, got {obj[key]!r}")
-    return obj[key]
 
 
 def require_keys(obj: object, required: set[str], optional: set[str], where: str) -> None:
@@ -148,131 +142,132 @@ def allocation_to_json(allocation: Allocation, profile: Profile) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reports, certificates, witnesses
+# reports, certificates, witnesses and learned valuations: each field of the
+# record is one JSON key, read and written through its FIELDS codec
+
+
+def record_to_json(record: Record) -> dict:
+    """Each of the record's fields through its FIELDS writer, and a
+    certificate's kind."""
+    out = {f: FIELDS[f][0](getattr(record, f)) for f in record._fields}
+    if hasattr(record, "kind"):
+        out["kind"] = record.kind
+    return out
+
+
+def record_from_json(cls: type, obj: object, where: str,
+                     extra: tuple[str, ...] = ()) -> Record:
+    """A `cls` from the JSON object of its fields and the `extra` keys: each
+    field is read through its FIELDS reader, in ``cls._fields`` order, so the
+    first field at fault is the one reported."""
+    require_keys(obj, {*cls._fields, *extra}, set(), where)
+    return cls(*(FIELDS[f][1](obj[f], f"{where}.{f}") for f in cls._fields))
 
 
 def report_to_json(report: PropertyReport) -> dict:
-    return {
-        "proportionality_deficit": rat_str(report.proportionality_deficit),
-        "envy": rat_str(report.envy),
-        "wasted_measure": rat_str(report.wasted_measure),
-        "contiguous": report.contiguous,
-    }
+    return record_to_json(report)
 
 
 def report_from_json(obj: object, where: str) -> PropertyReport:
     from cakecut.properties import PropertyReport
 
-    require_keys(obj, {"proportionality_deficit", "envy", "wasted_measure",
-                       "contiguous"}, set(), where)
-    return PropertyReport(
-        as_rational(obj["proportionality_deficit"], f"{where}.proportionality_deficit"),
-        as_rational(obj["envy"], f"{where}.envy"),
-        as_rational(obj["wasted_measure"], f"{where}.wasted_measure"),
-        _field(obj, "contiguous", bool, where),
-    )
+    return record_from_json(PropertyReport, obj, where)
 
 
 def gain_certificate_to_json(cert: GainCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "mechanism": cert.mechanism,
-        "profile": profile_to_json(cert.profile),
-        "agent": cert.agent,
-        "misreport": valuation_to_json(cert.misreport),
-        "truthful_value": rat_str(cert.truthful_value),
-        "deviated_value": rat_str(cert.deviated_value),
-        "gain": rat_str(cert.gain),
-    }
+    return record_to_json(cert)
 
 
 def property_certificate_to_json(cert: PropertyCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "mechanism": cert.mechanism,
-        "profile": profile_to_json(cert.profile),
-        "report": report_to_json(cert.report),
-    }
+    return record_to_json(cert)
 
 
 def certificate_from_json(obj: object, where: str) -> Certificate:
+    """Read a certificate of the class its kind names; a gain certificate's
+    agent must be below its profile's n."""
     from cakecut.properties import GainCertificate, PropertyCertificate
 
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f"{where}: expected a certificate object with a kind")
-    if obj["kind"] == "gain":
-        require_keys(obj, {"kind", "mechanism", "profile", "agent", "misreport",
-                           "truthful_value", "deviated_value", "gain"}, set(), where)
-        profile = profile_from_json(obj["profile"], f"{where}.profile")
-        agent = obj["agent"]
-        if type(agent) is not int or not 0 <= agent < profile.n:
-            raise FormatError(f"{where}.agent: expected an agent index below {profile.n}, "
-                              f"got {agent!r}")
-        return GainCertificate(
-            _field(obj, "mechanism", str, where),
-            profile,
-            agent,
-            valuation_from_json(obj["misreport"], f"{where}.misreport"),
-            as_rational(obj["truthful_value"], f"{where}.truthful_value"),
-            as_rational(obj["deviated_value"], f"{where}.deviated_value"),
-            as_rational(obj["gain"], f"{where}.gain"),
-        )
-    if obj["kind"] == "report":
-        require_keys(obj, {"kind", "mechanism", "profile", "report"}, set(), where)
-        return PropertyCertificate(
-            _field(obj, "mechanism", str, where),
-            profile_from_json(obj["profile"], f"{where}.profile"),
-            report_from_json(obj["report"], f"{where}.report"),
-        )
-    raise FormatError(f"{where}.kind: unknown certificate kind {obj['kind']!r}")
+    # compared with ==, not looked up: a kind read from JSON may be unhashable
+    cls = next((c for c in (GainCertificate, PropertyCertificate) if obj["kind"] == c.kind),
+               None)
+    if cls is None:
+        raise FormatError(f"{where}.kind: unknown certificate kind {obj['kind']!r}")
+    cert = record_from_json(cls, obj, where, ("kind",))
+    if cls is GainCertificate and (type(cert.agent) is not int
+                                   or not 0 <= cert.agent < cert.profile.n):
+        raise FormatError(f"{where}.agent: expected an agent index below {cert.profile.n}, "
+                          f"got {cert.agent!r}")
+    return cert
 
 
 def witness_to_json(witness: ViolationWitness) -> dict:
-    write = (gain_certificate_to_json if witness.certificate.kind == "gain"
-             else property_certificate_to_json)
-    return {
-        "chain": witness.chain,
-        "mechanism": witness.mechanism,
-        "violated": witness.violated,
-        "epsilon": rat_str(witness.epsilon),
-        "certificate": write(witness.certificate),
-        "profiles": [profile_to_json(p) for p in witness.profiles],
-        "parameters": {k: rat_str(v) for k, v in witness.parameters},
-    }
+    return record_to_json(witness)
 
 
 def witness_from_json(obj: object, where: str = "witness") -> ViolationWitness:
     """Read a witness whose `violated` names a ``chains.VIOLATIONS`` entry,
-    whose certificate is of the kind that entry needs and whose mechanism is
-    its certificate's."""
+    whose mechanism is its certificate's and whose certificate is of the
+    kind that entry needs."""
     from cakecut.chains import VIOLATIONS, ViolationWitness
 
-    require_keys(obj, {"chain", "mechanism", "violated", "epsilon",
-                       "certificate", "profiles", "parameters"}, set(), where)
-    parameters = tuple(sorted(
-        (k, as_rational(v, f"{where}.parameters.{k}"))
-        for k, v in _field(obj, "parameters", dict, where).items()))
-    chain = _field(obj, "chain", str, where)
-    mechanism = _field(obj, "mechanism", str, where)
-    violated = _field(obj, "violated", str, where)
-    if violated not in VIOLATIONS:
-        raise FormatError(f"{where}.violated: unknown violation {violated!r}; "
-                          f"known: {sorted(VIOLATIONS)}")
-    epsilon = as_rational(obj["epsilon"], f"{where}.epsilon")
-    certificate = certificate_from_json(obj["certificate"], f"{where}.certificate")
+    witness = record_from_json(ViolationWitness, obj, where)
+    mechanism, certificate = witness.mechanism, witness.certificate
     if mechanism != certificate.mechanism:
         raise FormatError(f"{where}.mechanism: {mechanism!r} differs from the "
                           f"certificate's mechanism {certificate.mechanism!r}")
-    kind = VIOLATIONS[violated].kind
+    kind = VIOLATIONS[witness.violated].kind
     if certificate.kind != kind:
-        raise FormatError(f"{where}.violated: {violated!r} needs a {kind!r} certificate, "
-                          f"got {certificate.kind!r}")
-    return ViolationWitness(
-        chain, mechanism, violated, epsilon, certificate,
-        tuple(profile_from_json(p, f"{where}.profiles[{i}]")
-              for i, p in enumerate(_field(obj, "profiles", list, where))),
-        parameters,
-    )
+        raise FormatError(f"{where}.violated: {witness.violated!r} needs a {kind!r} "
+                          f"certificate, got {certificate.kind!r}")
+    return witness
+
+
+def _typed(kind: type):
+    """The reader of a field whose JSON value must be a `kind`, taken as is."""
+    def read(value: object, where: str) -> object:
+        if not isinstance(value, kind):
+            raise FormatError(f"{where}: expected {kind.__name__}, got {value!r}")
+        return value
+    return read
+
+
+def _violation_from_json(value: object, where: str) -> str:
+    from cakecut.chains import VIOLATIONS
+
+    if _typed(str)(value, where) not in VIOLATIONS:
+        raise FormatError(f"{where}: unknown violation {value!r}; known: {sorted(VIOLATIONS)}")
+    return value
+
+
+def _same(value: object, where: str = "") -> object:
+    return value
+
+
+# field name -> (write(value) -> JSON value, read(JSON value, where) -> value),
+# for every field of PropertyReport, GainCertificate, PropertyCertificate,
+# ViolationWitness and LearnedValuation
+FIELDS = {
+    **dict.fromkeys(("proportionality_deficit", "envy", "wasted_measure", "truthful_value",
+                     "deviated_value", "gain", "epsilon"), (rat_str, as_rational)),
+    **dict.fromkeys(("mechanism", "chain"), (_same, _typed(str))),
+    "violated": (_same, _violation_from_json),
+    "contiguous": (_same, _typed(bool)),
+    # a certificate's agent is checked against its profile once both are read
+    **dict.fromkeys(("agent", "k", "queries_used"), (_same, _same)),
+    "profile": (profile_to_json, profile_from_json),
+    **dict.fromkeys(("misreport", "valuation"), (valuation_to_json, valuation_from_json)),
+    "report": (report_to_json, report_from_json),
+    "certificate": (record_to_json, certificate_from_json),
+    "profiles": (lambda profiles: [profile_to_json(p) for p in profiles],
+                 lambda value, where: tuple(profile_from_json(p, f"{where}[{i}]")
+                                            for i, p in enumerate(_typed(list)(value, where)))),
+    "parameters": (lambda parameters: {k: rat_str(v) for k, v in parameters},
+                   lambda value, where: tuple(sorted(
+                       (k, as_rational(v, f"{where}.{k}"))
+                       for k, v in _typed(dict)(value, where).items()))),
+}
 
 
 # ---------------------------------------------------------------------------

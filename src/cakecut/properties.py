@@ -221,10 +221,9 @@ def _candidate_points(profile: Profile, truthful: Allocation,
     gamma = min(q - p for p, q in zip(anchored, anchored[1:])) // 64
     points = set(base)
     for _ in range(cfg.offset_rounds):
+        # both offsets lie in (0, scale): every base key is 64 * gamma or more from each end
         for p in base:
-            for off in (p - gamma, p + gamma):
-                if 0 < off < scale:
-                    points.add(off)
+            points.update((p - gamma, p + gamma))
         gamma //= 2
     return [Fraction(key, scale) for key in sorted(points)]
 

@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import cakecut
 from cakecut.chains import (
-    ChainParameters, discussion_example, prop1_chain, thm1_chain, thm2_chain)
+    ChainParameters, ViolationWitness, discussion_example, prop1_chain, thm1_chain, thm2_chain)
 from cakecut.mechanisms import MECHANISMS, SHARES_MIDDLE, Mechanism
 from cakecut.properties import SearchConfig, best_response_gain, ep_cutpoint_best_response
+from cakecut.queries import LearnedValuation, RWOracle, approximate_valuation
 from cakecut.sampling import random_profile
 from cakecut.cli import main, parse_scenario, run_scenario, scenario_to_json
 from cakecut import cake, io
@@ -761,6 +762,16 @@ class TestUnreadableInput:
           "--profile", "{path}"), "unknown engine 'foo'"),
         (_allocate_scenario(arguments=[1]), ("run", "{path}"),
          "scenario.arguments: expected an object"),
+        # compared with ==: an unhashable kind is refused like any other
+        (json.dumps({"kind": [], "mechanism": "even-paz", "profile": UNIFORM_PAIR}).encode(),
+         ("verify", "{path}"), "certificate.kind: unknown certificate kind []"),
+        # two faults: the first field in the record's field order is reported,
+        # and a rule across fields only once every field reads
+        (_discussion_witness(lambda w: w.update(violated="proportionality", profiles=5)),
+         ("verify", "{path}"), "witness.profiles: expected list, got 5"),
+        (json.dumps({**json.loads(_discussion_witness())["certificate"],
+                     "mechanism": 5, "profile": 5}).encode(),
+         ("verify", "{path}"), "certificate.mechanism: expected str, got 5"),
     ], ids=["not-json", "directory", "verify-not-json", "not-utf8", "too-deep",
             "witness-parameters-array", "witness-mechanism-array",
             "certificate-agent-out-of-range", "certificate-agent-bool",
@@ -777,7 +788,8 @@ class TestUnreadableInput:
             "breakpoints-above-cap", "densities-above-cap",
             "scenario-chain-without-mechanism", "verify-not-a-certificate",
             "gain-agent-above-range", "gain-agent-negative", "gain-unknown-engine",
-            "scenario-arguments-array"])
+            "scenario-arguments-array", "certificate-kind-array",
+            "witness-two-faults-field-before-kind", "certificate-two-faults-field-order"])
     def test_one_line_error(self, capsys, tmp_path, content, argv, names):
         path = tmp_path / "bad.json"
         if content is not None:
@@ -857,6 +869,26 @@ class TestJsonRoundTrip:
     def test_discussion_witness(self):
         _, witness = discussion_example()
         self.assert_round_trip(witness, io.witness_to_json, io.witness_from_json)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           mechanism=st.sampled_from(sorted(MECHANISMS)),
+           eps=st.sampled_from(["1/2", "1/3"]), data=st.data())
+    def test_report_certificates_and_learned_valuations(self, seed, n, mechanism, eps, data):
+        profile = random_profile(random.Random(seed), n, max_breakpoints=4, denom=12)
+        report = cakecut.check_properties(MECHANISMS[mechanism], profile)
+        self.assert_round_trip(cakecut.PropertyCertificate(mechanism, profile, report),
+                               io.property_certificate_to_json,
+                               lambda obj: io.certificate_from_json(obj, "certificate"))
+        v = profile[data.draw(st.integers(0, n - 1))]
+        learned = approximate_valuation(RWOracle(v), max(1, len(v.breakpoints)), eps)
+        self.assert_round_trip(learned, io.record_to_json,
+                               lambda obj: io.record_from_json(LearnedValuation, obj, "learned"))
+
+    def test_every_record_field_has_one_codec(self):
+        records = (cakecut.PropertyReport, cakecut.GainCertificate,
+                   cakecut.PropertyCertificate, ViolationWitness, LearnedValuation)
+        assert io.FIELDS.keys() == {f for record in records for f in record._fields}
 
 
 class _RefuseHugePowers(Fraction):
