@@ -6,15 +6,16 @@ enter any computation, so every comparison made by mechanisms, checkers, and
 counterexample chains downstream is an exact decision.  The cell sweep
 (:func:`cell_grid`) places every endpoint at an exact integer numerator over one
 common denominator, the lcm of the endpoints' denominators, so it sorts,
-indexes and measures cells with plain ints and still decides exactly; the
-segment walks do the same on a valuation's ``integer_image`` and build one
-``Fraction`` per result; the step-function builders key their bounds, and
-check their order, by one rule each.  The public walks are the two
-Robertson-Webb queries, ``value_between`` (eval) and ``cut_point`` (cut),
-which read their arguments through :func:`frac`, and ``value``, eval over a
-piece; eval, ``value`` and a gain search's score of a halving walk are one
-integer sum over spans.  The halving recursion's node cuts come from one
-private walk, as int pairs, and :func:`cells` alone decides who wants a cell.
+indexes and measures cells with plain ints and still decides exactly; eval
+and cut do the same on a valuation's ``integer_image``, one bisection each
+on its prefix masses, and build one ``Fraction`` per result; the
+step-function builders key their bounds, and check their order, by one rule
+each.  The public queries are the Robertson-Webb eval (``value_between``)
+and cut (``cut_point``), which read their arguments through :func:`frac`,
+and ``value``, eval over a piece; eval, ``value`` and a gain search's score
+of a halving walk are one integer sum of P(y) - P(x) over spans, P the
+prefix mass.  The halving recursion's node cuts are int pairs from the same
+bisections, and :func:`cells` alone decides who wants a cell.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -44,10 +45,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect, bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import total_ordering
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 RationalLike = Fraction | int | str
 
@@ -301,16 +303,17 @@ class PiecewiseConstantValuation(Record):
     bound and density is an int or a ``Fraction``; a float is refused.
 
     Construction computes ``integer_image == (L, M, bounds * L, densities *
-    M)`` as plain ints, L the lcm of the bounds' denominators and M of the
-    densities', runs every check on it and keeps it as an attribute that is
-    not a field: it is a pure function of the fields, so it stays out of
-    equality, hashing, ``repr`` and JSON.  The segment walks run on it.
+    M, prefix)`` as plain ints, L the lcm of the bounds' denominators, M of
+    the densities' and ``prefix[j]`` the mass left of bound j over ``L *
+    M``, runs every check on it and keeps it as an attribute that is not a
+    field: it is a pure function of the fields, so it stays out of
+    equality, hashing, ``repr`` and JSON.  Eval and cut run on it.
     """
 
     def __init__(self, bounds: tuple[Fraction, ...], densities: tuple[Fraction, ...]
                  ) -> None:
         self.__dict__.update(bounds=bounds, densities=densities)
-        # every check runs on the integer image, which is kept for the walks
+        # every check runs on the integer image, which is kept for eval and cut
         try:        # both sides are keyed before either name is rebound
             (lcm_b, bounds), (lcm_d, densities) = _keys(bounds), _keys(densities)
         except AttributeError:
@@ -326,11 +329,12 @@ class PiecewiseConstantValuation(Record):
         for d, e in zip(densities, densities[1:]):
             if d == e:
                 raise ValueError("adjacent equal densities; construct via of()")
-        total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities))
-        if total != lcm_b * lcm_d:
-            raise ValueError(f"valuation has total mass {Fraction(total, lcm_b * lcm_d)}, "
+        prefix = tuple(accumulate(
+            (d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities)), initial=0))
+        if prefix[-1] != lcm_b * lcm_d:
+            raise ValueError(f"valuation has total mass {Fraction(prefix[-1], lcm_b * lcm_d)}, "
                              "expected exactly 1")
-        self.__dict__["integer_image"] = (lcm_b, lcm_d, bounds, densities)
+        self.__dict__["integer_image"] = (lcm_b, lcm_d, bounds, densities, prefix)
 
     @staticmethod
     def of(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
@@ -425,39 +429,25 @@ class PiecewiseConstantValuation(Record):
                 return d
         return self.densities[-1]
 
-    def _overlaps(self, x: int, y: int, q: int) -> tuple[int, list[tuple[int, int, int]]]:
-        """``(unit, overlaps)`` for the query [x/q, y/q], 0 <= x <= y <= q: each
-        positive-density segment meeting it in more than a point as ``(lo, d,
-        mass)``, lo its left end clipped to the query over ``unit = L * q``, d
-        its density over M and mass its value on the query over ``unit * M``."""
-        lcm_b, _, bounds, densities = self.integer_image
+    def _mass(self, x: int, q: int) -> int:
+        """P(x/q), the value of [0, x/q] for 0 <= x <= q, over ``L * q * M``:
+        the prefix mass of the segment that holds x, found by one bisection
+        on the bound keys, plus its density times the part of it left of x."""
+        lcm_b, _, bounds, densities, prefix = self.integer_image
         x *= lcm_b
-        y *= lcm_b
-        out = []
-        for lo, hi, d in zip(bounds, bounds[1:], densities):
-            hi *= q
-            if hi <= x:
-                continue
-            lo *= q
-            if lo >= y:
-                break
-            if d:
-                lo = x if lo < x else lo
-                out.append((lo, d, d * ((y if hi > y else hi) - lo)))
-        return lcm_b * q, out
+        j = bisect(bounds, x, 1, len(densities), key=q.__mul__) - 1
+        return prefix[j] * q + densities[j] * (x - bounds[j] * q)
 
-    @staticmethod
-    def _cut(overlaps: list[tuple[int, int, int]], unit: int, s: int,
-             rest: int) -> tuple[int, int] | None:
-        """The leftmost point where the ``overlaps`` of :meth:`_overlaps` reach
-        value ``rest`` > 0 over ``s * unit * M``, as an unreduced ``(numerator,
-        denominator)`` pair; None if they fall short."""
-        for lo, d, mass in overlaps:
-            mass *= s
-            if mass >= rest:
-                return lo * s * d + rest, s * unit * d
-            rest -= mass
-        return None
+    def _inverse(self, target: int, s: int, q: int) -> tuple[int, int]:
+        """The leftmost point whose :meth:`_mass` reaches ``target`` over ``s
+        * L * q * M``, 0 < target <= s * L * q * M, as an unreduced
+        ``(numerator, denominator)`` pair: one bisection finds the first
+        prefix mass that reaches the target, and the segment before it has
+        positive density."""
+        lcm_b, _, bounds, densities, prefix = self.integer_image
+        j = bisect_left(prefix, target, key=(s * q).__mul__) - 1
+        d = densities[j]
+        return target + s * q * (d * bounds[j] - prefix[j]), s * lcm_b * q * d
 
     def value_between(self, x: RationalLike, y: RationalLike) -> Fraction:
         """Exact value of the interval [x, y], which :class:`Interval` checks
@@ -473,10 +463,10 @@ class PiecewiseConstantValuation(Record):
     def cut_point(self, x: RationalLike, r: RationalLike) -> Fraction:
         """Leftmost y >= x with value_between(x, y) == r.
 
-        Walks segments exactly in ints on the integer image, with r's
-        denominator folded into the running value; cut_point(x, 0) == x by
-        the leftmost convention.  Raises InfeasibleCutError if r exceeds the
-        value of [x, 1].
+        One :meth:`_inverse` from x's prefix mass, in ints on the integer
+        image, with r's denominator folded into the target; cut_point(x, 0)
+        == x by the leftmost convention.  Raises InfeasibleCutError if r
+        exceeds the value of [x, 1].
         """
         x, r = frac(x), frac(r)
         q = x.denominator
@@ -484,13 +474,14 @@ class PiecewiseConstantValuation(Record):
             raise ValueError("need 0 <= x <= 1 and r >= 0")
         if r.numerator == 0:
             return x
-        unit, overlaps = self._overlaps(x.numerator, q, q)
-        m = self.integer_image[1]
-        cut = self._cut(overlaps, unit, r.denominator, r.numerator * unit * m)
-        if cut is None:
-            remaining = Fraction(sum(mass for _, _, mass in overlaps), unit * m)
+        lcm_b, lcm_d = self.integer_image[:2]
+        whole, s = lcm_b * q * lcm_d, r.denominator
+        start = self._mass(x.numerator, q)
+        target = s * start + r.numerator * whole                # over s * whole
+        if target > s * whole:
+            remaining = Fraction(whole - start, whole)
             raise InfeasibleCutError(f"requested value {r} exceeds remaining {remaining}")
-        return Fraction(*cut)
+        return Fraction(*self._inverse(target, s, q))
 
     def _share_cut(self, aq: int, bq: int, q: int, num: int, s: int
                    ) -> tuple[int, int] | None:
@@ -499,26 +490,23 @@ class PiecewiseConstantValuation(Record):
         None when that share of the node's value is zero and the cut is a;
         the caller has checked 0 <= aq <= bq <= q and 0 <= num <= s.
 
-        One walk keeps each positive-density overlap with its mass, in ints
-        on the integer image, and the cut is found among those overlaps, so
-        the segments are not walked from the start again.  The halving
-        recursion's node step calls it with each node's ends over one q.
+        The node's value is P(b) - P(a) and the cut one :meth:`_inverse`
+        from P(a), in ints on the integer image.  The halving recursion's
+        node step calls it with each node's ends over one q.
         """
-        unit, overlaps = self._overlaps(aq, bq, q)
-        rest = num * sum(mass for _, _, mass in overlaps)   # over s * unit * M
-        return self._cut(overlaps, unit, s, rest) if rest else None
+        start = self._mass(aq, q)
+        rest = num * (self._mass(bq, q) - start)                # over s * L * q * M
+        return self._inverse(s * start + rest, s, q) if rest else None
 
     def _spans_value(self, spans: Sequence[tuple[tuple[int, int], tuple[int, int]]]
                      ) -> Fraction:
         """Exact value of the spans ``((x_num, x_den), (y_num, y_den))``, 0 <=
         x <= y <= 1, as one ``Fraction``: the ends go over q, the lcm of their
-        denominators, and the overlaps' masses are summed in ints."""
+        denominators, and each span's P(y) - P(x) is summed in ints."""
         q = math.lcm(*(den for span in spans for _, den in span))
-        total = 0
-        for (xn, xd), (yn, yd) in spans:
-            _, overlaps = self._overlaps(xn * (q // xd), yn * (q // yd), q)
-            total += sum(mass for _, _, mass in overlaps)
-        lcm_b, lcm_d, _, _ = self.integer_image
+        total = sum(self._mass(yn * (q // yd), q) - self._mass(xn * (q // xd), q)
+                    for (xn, xd), (yn, yd) in spans)
+        lcm_b, lcm_d = self.integer_image[:2]
         return Fraction(total, lcm_b * q * lcm_d)
 
 

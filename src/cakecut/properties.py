@@ -82,7 +82,7 @@ def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
     desired = [False] * len(widths)
     served = 0                      # desired width whose lowest holder desires it
     for i, (v, agent) in enumerate(zip(profile, segments)):
-        _, denominator, _, weights = v.integer_image
+        _, denominator, _, weights, _ = v.integer_image
         values = [0] * (n + 1)      # of each part (index n: discarded), in 1/(denominator*scale)
         for (lo, hi, _), weight in zip(agent, weights):
             if weight:
@@ -346,7 +346,7 @@ def _node_candidates(a: Point, b: Point, others: Cuts, rank: int, agent: int,
     """
     lo = others[rank - 1][:2] if rank else a
     hi = others[rank][:2]
-    lcm_b, _, bounds, _ = own.integer_image
+    lcm_b, _, bounds, _, _ = own.integer_image
     scale = lcm(lo[1], hi[1], own_cut[1], lcm_b) * 128
     lo_key, hi_key, own_key = (num * (scale // den) for num, den in (lo, hi, own_cut))
     step = scale // lcm_b

@@ -77,7 +77,7 @@ class PiecewiseConstantValuation:
     densities: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        # every check runs on the integer image, which is kept for the walks
+        # every check runs on the integer image, which is kept for eval and cut
         try:
             lcm_b = math.lcm(*(b.denominator for b in self.bounds))
             lcm_d = math.lcm(*(d.denominator for d in self.densities))
@@ -98,11 +98,14 @@ class PiecewiseConstantValuation:
         for d, e in zip(densities, densities[1:]):
             if d == e:
                 raise ValueError("adjacent equal densities; construct via of()")
-        total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities))
-        if total != lcm_b * lcm_d:
-            raise ValueError(f"valuation has total mass {Fraction(total, lcm_b * lcm_d)}, "
+        prefix = [0]
+        for a, b, d in zip(bounds, bounds[1:], densities):
+            prefix.append(prefix[-1] + d * (b - a))
+        if prefix[-1] != lcm_b * lcm_d:
+            raise ValueError(f"valuation has total mass {Fraction(prefix[-1], lcm_b * lcm_d)}, "
                              "expected exactly 1")
-        object.__setattr__(self, "integer_image", (lcm_b, lcm_d, bounds, densities))
+        object.__setattr__(self, "integer_image",
+                           (lcm_b, lcm_d, bounds, densities, tuple(prefix)))
 
 
 @dataclass(frozen=True)
@@ -335,6 +338,34 @@ def node_cut(v, a, b, share):
                 return lo + rest / d
             rest -= mass
     return a
+
+
+def share_cut(v, aq, bq, q, num, s):
+    """``PiecewiseConstantValuation._share_cut`` as the segment walk on the
+    first four entries of ``v.integer_image`` spelled it before prefix
+    masses: the node [aq/q, bq/q] and the cut as the same unreduced
+    ``(numerator, denominator)`` pair, or None when the share is zero."""
+    lcm_b, _, bounds, densities = v.integer_image[:4]
+    x, y, unit = aq * lcm_b, bq * lcm_b, lcm_b * q
+    overlaps = []       # (lo over unit, density over M, mass over unit * M)
+    for lo, hi, d in zip(bounds, bounds[1:], densities):
+        hi *= q
+        if hi <= x:
+            continue
+        lo *= q
+        if lo >= y:
+            break
+        if d:
+            lo = x if lo < x else lo
+            overlaps.append((lo, d, d * ((y if hi > y else hi) - lo)))
+    rest = num * sum(mass for _, _, mass in overlaps)   # over s * unit * M
+    if rest:
+        for lo, d, mass in overlaps:
+            mass *= s
+            if mass >= rest:
+                return lo * s * d + rest, s * unit * d
+            rest -= mass
+    return None
 
 
 # Reference Even-Paz and modified Even-Paz, written from the paper's

@@ -238,9 +238,11 @@ class TestValuationConstruction:
             return
         lcm_b = math.lcm(*(F(b).denominator for b in bounds))
         lcm_d = math.lcm(*(F(d).denominator for d in densities))
-        assert PCV(bounds, densities).integer_image == (
-            lcm_b, lcm_d, tuple((b * lcm_b).numerator for b in map(F, bounds)),
-            tuple((d * lcm_d).numerator for d in map(F, densities)))
+        keys = tuple((b * lcm_b).numerator for b in map(F, bounds))
+        weights = tuple((d * lcm_d).numerator for d in map(F, densities))
+        prefix = tuple(sum(d * (b - a) for a, b, d in zip(keys[:j], keys[1:j], weights))
+                       for j in range(1, len(keys) + 1))
+        assert PCV(bounds, densities).integer_image == (lcm_b, lcm_d, keys, weights, prefix)
 
     def test_decimal_string_exact(self):
         assert frac("0.8") == F(4, 5)
@@ -442,7 +444,7 @@ class TestIntegerWalks:
         assert (repr(v), hash(v), io.canonical_dumps(io.valuation_to_json(v))) == before
         assert (repr(twin), hash(twin)) == before[:2]
         assert v.integer_image == twin.integer_image == chunks.integer_image \
-            == (91, 21, (0, 13, 42, 91), (49, 0, 26))
+            == (91, 21, (0, 13, 42, 91), (49, 0, 26), (0, 637, 637, 1911))
 
 
 class TestValidateAllocation:

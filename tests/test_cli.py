@@ -814,20 +814,31 @@ class TestUnreadableInput:
 
 
 class TestGainAtScale:
-    def test_ten_thousand_breakpoints(self, tmp_path):
-        # a search indexes about 6.7e9 misreports and builds only the sampled ones
-        m = 10_000
+    @staticmethod
+    def gain(tmp_path, m, *flags):
+        """`gain` for agent 0 of m alternating-density breakpoints against a
+        uniform agent, under the subprocess timeout."""
         wide = cake.normalized([Fraction(j, m + 1) for j in range(1, m + 1)],
                                [1 + j % 2 for j in range(m + 1)])
         path = tmp_path / "wide.json"
         path.write_text(canonical_dumps(io.profile_to_json(
             cake.Profile.of([wide, cake.PiecewiseConstantValuation.uniform()]))))
         child = subprocess.run(
-            [sys.executable, "-m", "cakecut.cli", "gain", "--mechanism", "even-paz",
-             "--agent", "0", "--profile", str(path)],
+            [sys.executable, "-m", "cakecut.cli", "gain", *flags, "--agent", "0",
+             "--profile", str(path)],
             capture_output=True, env=_child_env(), timeout=120)
         assert child.returncode == 0, child.stderr
         assert Fraction(json.loads(child.stdout)["output"]["certificate"]["gain"]) >= 0
+
+    def test_ten_thousand_breakpoints(self, tmp_path):
+        # a search indexes about 6.7e9 misreports and builds only the sampled ones
+        self.gain(tmp_path, 10_000, "--mechanism", "even-paz")
+
+    @pytest.mark.parametrize("mechanism", ["even-paz", "modified-ep"])
+    def test_ep_exact_at_the_breakpoint_cap(self, tmp_path, mechanism):
+        # the planner values one leaf per candidate cut, each in O(log m)
+        self.gain(tmp_path, MAX_BREAKPOINTS, "--mechanism", mechanism,
+                  "--engine", "ep-exact")
 
 
 class TestJsonRoundTrip:

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect
 from fractions import Fraction
@@ -10,6 +11,7 @@ from cakecut.cake import (
     Piece,
     PiecewiseConstantValuation as PCV,
     Profile,
+    normalized,
     validate_allocation,
 )
 from cakecut.mechanisms import (
@@ -432,6 +434,32 @@ class TestNodeCutMemo:
                               for i in agents)
         for cut, i in cuts:
             assert cut == profile[i].cut_point(a, share * profile[i].value_between(a, b))
+
+    @settings(max_examples=400, deadline=None)
+    @given(points=st.lists(st.integers(1, 23), unique=True, max_size=6).map(sorted),
+           data=st.data())
+    def test_share_cut_is_the_walks_pair(self, points, data):
+        # the unreduced pair fixes _node_candidates' scale, so the node cut must
+        # spell it as the segment walk did, not only reach the same Fraction;
+        # zero-density heads, a == b and num == 0 all occur
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=len(points) + 1,
+                                     max_size=len(points) + 1).filter(any))
+        v = normalized([F(p, 24) for p in points], weights)
+        g = data.draw(st.sampled_from([24, 7, 10]))
+        point = st.sampled_from(v.bounds) | st.integers(0, g).map(lambda i: F(i, g))
+        a, b = sorted(data.draw(st.tuples(point, point | st.just(F(0)))))
+        q = math.lcm(a.denominator, b.denominator) * data.draw(st.integers(1, 3))
+        s = data.draw(st.integers(1, 9))
+        num = data.draw(st.sampled_from([0, s]) | st.integers(0, s))
+        args = (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q,
+                num, s)
+        cut = v._share_cut(*args)
+        assert cut == reference.share_cut(v, *args)
+        if cut is not None:
+            assert all(type(i) is int for i in cut)
+            assert F(*cut) == reference.node_cut(v, a, b, F(num, s))
+        else:
+            assert num * v.value_between(a, b) == 0
 
     @pytest.mark.parametrize("a, b, share, cut", [
         ("1/3", "1/3", "1/2", "1/3"),     # a == b
