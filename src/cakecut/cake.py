@@ -8,14 +8,15 @@ counterexample chains downstream is an exact decision.  The cell sweep
 common denominator, the lcm of the endpoints' denominators, so it sorts,
 indexes and measures cells with plain ints and still decides exactly; eval
 and cut do the same on a valuation's ``integer_image``, one bisection each
-on its prefix masses, and build one ``Fraction`` per result; the
-step-function builders key their bounds, and check their order, by one rule
-each.  The public queries are the Robertson-Webb eval (``value_between``)
-and cut (``cut_point``), which read their arguments through :func:`frac`,
-and ``value``, eval over a piece; eval, ``value`` and a gain search's score
-of a halving walk are one integer sum of P(y) - P(x) over spans, P the
-prefix mass.  The halving recursion's node cuts are int pairs from the same
-bisections, and :func:`cells` alone decides who wants a cell.
+on its prefix masses, and build one ``Fraction`` per result; every
+step-function builder ends in :func:`_merged`, on ints, and the checks are
+stated once, in :func:`_image`.  The public queries are the Robertson-Webb
+eval (``value_between``) and cut (``cut_point``), which read their arguments
+through :func:`frac`, and ``value``, eval over a piece; eval, ``value`` and
+a gain search's score of a halving walk are one integer sum of P(y) - P(x)
+over spans, P the prefix mass.  The halving recursion's node cuts are int
+pairs from the same bisections, and :func:`cells` alone decides who wants a
+cell.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
@@ -50,6 +51,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate, chain, combinations
+from operator import eq, lt, mul, sub
 
 RationalLike = Fraction | int | str
 
@@ -287,9 +289,62 @@ def _keys(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 def _increasing(keys: Sequence[int]) -> None:
     """Raise ValueError unless the bound keys strictly increase."""
-    for a, b in zip(keys, keys[1:]):
-        if not a < b:
-            raise ValueError("bounds must be strictly increasing")
+    if not all(map(lt, keys, keys[1:])):
+        raise ValueError("bounds must be strictly increasing")
+
+
+def _image(lcm_b: int, keys: tuple[int, ...], lcm_d: int, weights: tuple[int, ...]) -> tuple:
+    """The integer image of bounds `keys` over `lcm_b` and densities
+    `weights` over `lcm_d`, with its prefix masses, after every validity
+    check of a valuation: the constructor and :func:`_merged` both end here."""
+    if len(keys) < 2 or keys[0] != 0 or keys[-1] != lcm_b:
+        raise ValueError("bounds must run from 0 to 1")
+    if len(weights) != len(keys) - 1:
+        raise ValueError("need one density per segment")
+    _increasing(keys)
+    if min(weights) < 0:
+        raise ValueError("densities must be non-negative")
+    # canonical form: no adjacent segments with the same density
+    if any(map(eq, weights, weights[1:])):
+        raise ValueError("adjacent equal densities; construct via of()")
+    prefix = tuple(accumulate(map(mul, weights, map(sub, keys[1:], keys)), initial=0))
+    if prefix[-1] != lcm_b * lcm_d:
+        raise ValueError(f"valuation has total mass {Fraction(prefix[-1], lcm_b * lcm_d)}, "
+                         "expected exactly 1")
+    return lcm_b, lcm_d, keys, weights, prefix
+
+
+def _merged(scale: int, keys: Sequence[int], masses: Sequence[int], d: int
+            ) -> tuple[tuple, list[int]]:
+    """The one step-function builder, on ints: the checked integer image of
+    bounds `keys` over `scale` (0 first, `scale` last) and segment masses
+    `masses` over `d`, equal neighbours merged, and the indices of the keys
+    kept.  Order is checked before merging, which would hide a repeated
+    bound.  A segment joins the run before it when their masses and widths
+    cross-multiply equally; a run's density is its first segment's, ``m *
+    scale / (d * width)`` in lowest terms, and L is ``scale // gcd(scale,
+    *kept keys)``, so the image is the one the constructor computes."""
+    _increasing(keys)
+    kept = [0]
+    nums: list[int] = []            # each run's density, in lowest terms
+    dens: list[int] = []
+    before = 0, 0                   # the previous segment's (mass, width)
+    for j, m in enumerate(masses, 1):
+        w = keys[j] - keys[j - 1]
+        if j > 1 and m * before[1] == before[0] * w:
+            kept[-1] = j
+        else:
+            kept.append(j)
+            num, den = m * scale, d * w
+            g = math.gcd(num, den)
+            nums.append(num // g)
+            dens.append(den // g)
+        before = m, w
+    bounds = [keys[k] for k in kept]
+    step = math.gcd(scale, *bounds)
+    lcm_d = math.lcm(*dens)
+    return _image(scale // step, tuple([k // step for k in bounds]), lcm_d,
+                  tuple([num * (lcm_d // den) for num, den in zip(nums, dens)])), kept
 
 
 class PiecewiseConstantValuation(Record):
@@ -314,68 +369,52 @@ class PiecewiseConstantValuation(Record):
                  ) -> None:
         self.__dict__.update(bounds=bounds, densities=densities)
         # every check runs on the integer image, which is kept for eval and cut
-        try:        # both sides are keyed before either name is rebound
-            (lcm_b, bounds), (lcm_d, densities) = _keys(bounds), _keys(densities)
+        try:
+            (lcm_b, keys), (lcm_d, weights) = _keys(bounds), _keys(densities)
         except AttributeError:
             raise _inexact(chain(bounds, densities)) from None
-        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != lcm_b:
-            raise ValueError("bounds must run from 0 to 1")
-        if len(densities) != len(bounds) - 1:
-            raise ValueError("need one density per segment")
-        _increasing(bounds)
-        if any(d < 0 for d in densities):
-            raise ValueError("densities must be non-negative")
-        # canonical form: no adjacent segments with the same density
-        for d, e in zip(densities, densities[1:]):
-            if d == e:
-                raise ValueError("adjacent equal densities; construct via of()")
-        prefix = tuple(accumulate(
-            (d * (b - a) for a, b, d in zip(bounds, bounds[1:], densities)), initial=0))
-        if prefix[-1] != lcm_b * lcm_d:
-            raise ValueError(f"valuation has total mass {Fraction(prefix[-1], lcm_b * lcm_d)}, "
-                             "expected exactly 1")
-        self.__dict__["integer_image"] = (lcm_b, lcm_d, bounds, densities, prefix)
+        self.__dict__["integer_image"] = _image(lcm_b, keys, lcm_d, weights)
+
+    @staticmethod
+    def _checked(bounds: Sequence[Fraction], densities: Sequence[Fraction], image: tuple
+                 ) -> "PiecewiseConstantValuation":
+        """The valuation with these fields and the integer image that
+        :func:`_merged` built and checked for them."""
+        v = object.__new__(PiecewiseConstantValuation)
+        v.__dict__.update(bounds=tuple(bounds), densities=tuple(densities),
+                          integer_image=image)
+        return v
 
     @staticmethod
     def of(breakpoints: Sequence[RationalLike], densities: Sequence[RationalLike]
            ) -> "PiecewiseConstantValuation":
         """Build from interior breakpoints and per-segment densities, merging
-        neighbouring segments of equal density.  This is the one builder of a
-        step function; the others hand their densities to it.  Bound order is
-        checked on the bounds' integer keys, before merging, which would hide
-        a repeated or out-of-order breakpoint between equal densities."""
+        neighbouring segments of equal density: both are keyed once, and
+        :func:`_merged` takes each segment's density times its width."""
         bounds = [ZERO, *map(frac, breakpoints), ONE]
         dens = [frac(d) for d in densities]
         if len(dens) != len(bounds) - 1:
             raise ValueError("need one density per segment")
-        _increasing(_keys(bounds)[1])
-        merged_b = [bounds[0]]
-        merged_d: list[Fraction] = []
-        for b, d in zip(bounds[1:], dens):
-            if merged_d and d == merged_d[-1]:
-                merged_b[-1] = b
-            else:
-                merged_b.append(b)
-                merged_d.append(d)
-        return PiecewiseConstantValuation(tuple(merged_b), tuple(merged_d))
+        (scale, keys), (lcm_d, weights) = _keys(bounds), _keys(dens)
+        image, kept = _merged(scale, keys, [
+            w * (b - a) for a, b, w in zip(keys, keys[1:], weights)], lcm_d * scale)
+        return PiecewiseConstantValuation._checked(
+            [bounds[k] for k in kept], [dens[k] for k in kept[:-1]], image)
 
     @staticmethod
     def from_masses(points: Sequence[RationalLike], masses: Sequence[RationalLike]
                     ) -> "PiecewiseConstantValuation":
         """Build from interior breakpoints and per-segment total masses, one
-        mass per segment.  With the bounds' integer keys over L, the lcm of
-        their denominators, a segment's density is its mass times L over its
-        key width, built as one ``Fraction`` of ints; :meth:`of` then merges
-        equal neighbours."""
+        mass per segment: both are keyed once for :func:`_merged`, and each
+        density is one ``Fraction`` read off the integer image."""
         bounds = [ZERO, *map(frac, points), ONE]
         masses = [frac(m) for m in masses]
         if len(masses) != len(bounds) - 1:
             raise ValueError("need one mass per segment")
-        scale, keys = _keys(bounds)
-        _increasing(keys)
-        return PiecewiseConstantValuation.of(bounds[1:-1], [
-            Fraction(m.numerator * scale, m.denominator * (b - a))
-            for a, b, m in zip(keys, keys[1:], masses)])
+        (scale, keys), (d, numerators) = _keys(bounds), _keys(masses)
+        image, kept = _merged(scale, keys, numerators, d)
+        return PiecewiseConstantValuation._checked(
+            [bounds[k] for k in kept], [Fraction(w, image[1]) for w in image[3]], image)
 
     @staticmethod
     def from_chunks(chunks: Iterable[tuple[Fraction, Fraction, Fraction]]

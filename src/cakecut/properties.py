@@ -4,20 +4,22 @@ The checkers compute proportionality deficit, envy, wasted measure, and
 contiguity as exact rationals.  The gain engines search for profitable
 misreports and return self-verifying certificates.  Halving-family
 candidates are scored by walking the manipulator's path through the
-recursion, but every certificate's values come from re-running the
-mechanism on the truthful and the deviated profile, so a certificate can
+recursion, but every certificate's values come from full runs of the
+mechanism on the deviated and, once per grid search, the truthful profile
+(the cut-point engine reuses the grid certificate's), so a certificate can
 never overstate a gain.
 
 Both engines produce LOWER bounds on the true supremum gain.  The grid
 engine numbers the misreports of a breakpoint/mass grid and builds only a
-seeded sample of them, so its cost follows the budget.  The cut-point
-engine, specific to the recursive-halving mechanisms, enumerates where the
-manipulator's report can sit relative to the other agents' (fixed) cuts at
-every recursion node, building candidate cuts only inside the rank window
-where its cut splits the node, takes the best path by dynamic programming
-on the recursion's int-pair node ends, and builds ``Fraction``s only to
-realize that path as an actual misreport.  Both engines collect candidate
-points on integer keys, so neither hashes a ``Fraction``.
+seeded sample of them, on integer keys, so its cost follows the budget.
+The cut-point engine, specific to the recursive-halving mechanisms,
+enumerates where the manipulator's report can sit relative to the other
+agents' (fixed) cuts at every recursion node, building candidate cuts only
+inside the rank window where its cut splits the node, takes the best path
+by dynamic programming on the recursion's int-pair node ends, and builds
+``Fraction``s only to realize that path as an actual misreport.  Both
+engines collect candidate points on integer keys, so neither hashes a
+``Fraction``.
 Candidate evaluation is embarrassingly parallel in principle; selection is a
 pure reduction (max gain, ties broken by the lexicographically smallest
 misreport encoding).
@@ -34,10 +36,12 @@ from random import Random
 
 from cakecut.cake import (
     Allocation,
+    ONE,
     PiecewiseConstantValuation,
     Profile,
     Record,
     ZERO,
+    _merged,
     cell_grid,
 )
 from cakecut.mechanisms import (
@@ -151,12 +155,17 @@ class PropertyCertificate(Certificate):
         self.__dict__.update(mechanism=mechanism, profile=profile, report=report)
 
 
+def _reported_value(mechanism: Mechanism, profile: Profile, agent: int,
+                    report: PiecewiseConstantValuation) -> Fraction:
+    """The agent's true value of its piece when it reports `report`."""
+    return profile[agent].value(mechanism.run(profile.replace(agent, report)).pieces[agent])
+
+
 def evaluate_misreport(mechanism: Mechanism, profile: Profile, agent: int,
                        misreport: PiecewiseConstantValuation) -> GainCertificate:
     """Score one fixed misreport by running the mechanism on both profiles."""
-    true_v = profile[agent]
-    truthful = true_v.value(mechanism.run(profile).pieces[agent])
-    deviated = true_v.value(mechanism.run(profile.replace(agent, misreport)).pieces[agent])
+    truthful = profile[agent].value(mechanism.run(profile).pieces[agent])
+    deviated = _reported_value(mechanism, profile, agent, misreport)
     return GainCertificate(mechanism.name, profile, agent, misreport,
                            truthful, deviated, deviated - truthful)
 
@@ -208,11 +217,11 @@ class SearchConfig(Record):
 
 
 def _candidate_points(profile: Profile, truthful: Allocation,
-                      cfg: SearchConfig) -> list[Fraction]:
-    """The grid pool, in increasing order: see :class:`SearchConfig`.  The
-    points are integer keys over the lcm of their denominators times
-    2**(6 + offset_rounds), on which every offset is an exact int, and a
-    ``Fraction`` is built only for the sorted pool."""
+                      cfg: SearchConfig) -> tuple[int, list[int]]:
+    """``(scale, keys)``: the grid pool, in increasing order: see
+    :class:`SearchConfig`.  The points are integer keys over the lcm of
+    their denominators times 2**(6 + offset_rounds), on which every offset
+    is an exact int."""
     ends = [x for v in profile for x in v.breakpoints]
     ends.extend(x for piece in truthful.pieces for x in piece.boundaries())
     scale = lcm(*(x.denominator for x in ends)) << (6 + cfg.offset_rounds)
@@ -225,7 +234,7 @@ def _candidate_points(profile: Profile, truthful: Allocation,
         for p in base:
             points.update((p - gamma, p + gamma))
         gamma //= 2
-    return [Fraction(key, scale) for key in sorted(points)]
+    return scale, sorted(points)
 
 
 def _unrank(n: int, size: int, rank: int) -> list[int]:
@@ -241,10 +250,10 @@ def _unrank(n: int, size: int, rank: int) -> list[int]:
     return out
 
 
-def _descriptors(pool: list[Fraction], cfg: SearchConfig
-                 ) -> Iterator[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
-    """The ``(points, masses)`` misreports a grid search tries.  They are
-    numbered by size, then by points as ``combinations(pool, size)``, then
+def _descriptors(pool: list[int], cfg: SearchConfig
+                 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``(keys, masses)`` misreports a grid search tries.  They are
+    numbered by size, then by keys as ``combinations(pool, size)``, then
     by the compositions of d into size + 1 masses in lexicographic order,
     which are the bar positions ``combinations(range(d + size), size)``.
     Past ``max_candidates`` only the numbers ``Random(seed).sample`` draws
@@ -280,7 +289,9 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
 
     Indexes candidate misreports (breakpoint subsets x mass simplex),
     deterministically samples indices to the configured budget, builds only
-    the sampled misreports (:func:`_descriptors`), scores each by the
+    the sampled misreports (:func:`_descriptors`) on the pool's keys, drops
+    repeats by their integer image before building a ``Fraction``, builds
+    one ``Fraction`` per pool point and per density, scores each by the
     manipulator's value (by the path walk for the ``SHARES_MIDDLE`` family,
     whose walks share one table of the other agents' cuts, else by running
     the mechanism), and re-derives the winner by one full run; a walk that
@@ -291,20 +302,27 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
     true_v = profile[agent]
     truthful_alloc = mechanism.run(profile)
     truthful_value = true_v.value(truthful_alloc.pieces[agent])
-    pool = _candidate_points(profile, truthful_alloc, cfg)
+    scale, pool = _candidate_points(profile, truthful_alloc, cfg)
     d = cfg.mass_denominator
+    points = {0: ZERO, scale: ONE}      # each bound's Fraction, built once
     seen: set[tuple] = set()
     candidates = [profile[agent]]
-    for points, masses in _descriptors(pool, cfg):
-        cand = PiecewiseConstantValuation.from_masses(points, [Fraction(m, d) for m in masses])
-        if cand.integer_image not in seen:     # equal images, equal valuations
-            seen.add(cand.integer_image)
-            candidates.append(cand)
+    for keys, masses in _descriptors(pool, cfg):
+        keys = (0, *keys, scale)
+        image, kept = _merged(scale, keys, masses, d)
+        if image not in seen:           # equal images, equal valuations
+            seen.add(image)
+            bounds = [keys[k] for k in kept]
+            for key in bounds:
+                if key not in points:
+                    points[key] = Fraction(key, scale)
+            candidates.append(PiecewiseConstantValuation._checked(
+                [points[key] for key in bounds], [Fraction(w, image[1]) for w in image[3]], image))
     middle = SHARES_MIDDLE.get(mechanism.name)
     others: NodeCuts = {}      # the other agents' cuts, shared by this search's walks
 
     def full_run(cand: PiecewiseConstantValuation) -> Fraction:
-        return true_v.value(mechanism.run(profile.replace(agent, cand)).pieces[agent])
+        return _reported_value(mechanism, profile, agent, cand)
 
     def path_walk(cand: PiecewiseConstantValuation) -> Fraction:
         walk = _halving(profile.replace(agent, cand), middle, follow=agent, others=others)
@@ -417,14 +435,17 @@ def _realize_path(steps: list[tuple[Fraction, Point, Point]], leaf: tuple[Point,
     child's right edge) and spreads the remainder on [rest_lo, hi], beyond
     the recursion boundary; right steps leave the child mass alone.
     """
+    # No span is empty.  A plan is realized only when its value, the leaf's,
+    # beats the truthful value >= 0, so lo < hi; every node on the path holds
+    # the leaf, so a < b there.  A left step's rest_lo is the node's d_hi:
+    # the manipulator's candidate cut, never b (see _node_candidates), or in
+    # a shared middle another agent's cut, which is a if that agent values
+    # the node at 0 and else the leftmost point worth floor(k/2)/k < 1 of
+    # the node's value, before b.
     lo, hi = (Fraction(*end) for end in leaf)
-    if not lo < hi:
-        raise ValueError("cannot realize a path ending in a null piece")
     chunks: list[tuple[Fraction, Fraction, Fraction]] = [(lo, hi, Fraction(1))]
     for share, rest_lo, hi in reversed(steps):
         rest_lo, hi = Fraction(*rest_lo), Fraction(*hi)
-        if not rest_lo < hi:
-            raise AssertionError("left step has nowhere to park the rest mass")
         chunks = [(lo, top, m * share) for lo, top, m in chunks]
         chunks.append((rest_lo, hi, 1 - share))
     return PiecewiseConstantValuation.from_chunks(
@@ -457,11 +478,13 @@ def ep_cutpoint_best_response(mechanism: Mechanism, profile: Profile, agent: int
     certificates = [grid_certificate]
     planned, steps, leaf = _dp_best_path(
         profile, agent, (0, 1), (1, 1), list(range(profile.n)), middles)
-    if planned > grid_certificate.truthful_value:
-        cert = evaluate_misreport(mechanism, profile, agent, _realize_path(steps, leaf))
-        if cert.deviated_value < planned:
-            raise AssertionError(
-                f"realized value {cert.deviated_value} below planned {planned}")
-        certificates.append(cert)
+    truthful = grid_certificate.truthful_value
+    if planned > truthful:
+        misreport = _realize_path(steps, leaf)
+        deviated = _reported_value(mechanism, profile, agent, misreport)
+        if deviated < planned:
+            raise AssertionError(f"realized value {deviated} below planned {planned}")
+        certificates.append(grid_certificate._replace(
+            misreport=misreport, deviated_value=deviated, gain=deviated - truthful))
     best = max(c.gain for c in certificates)
     return min((c for c in certificates if c.gain == best), key=lambda c: _encoding(c.misreport))

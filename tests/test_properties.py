@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cakecut import cake, io, properties
 from cakecut.cake import (
@@ -210,6 +210,15 @@ def compositions(total, parts):
             yield (head, *rest)
 
 
+def grid_candidate(scale, keys, masses, d):
+    """The valuation a grid search builds from one descriptor on its pool's
+    keys over `scale`."""
+    keys = (0, *keys, scale)
+    image, kept = cake._merged(scale, keys, masses, d)
+    return PCV._checked([F(keys[k], scale) for k in kept],
+                        [F(w, image[1]) for w in image[3]], image)
+
+
 def wide_profile(m):
     """One agent with m breakpoints and one uniform agent."""
     wide = normalized([F(j, m + 1) for j in range(1, m + 1)], [1 + j % 2 for j in range(m + 1)])
@@ -221,15 +230,15 @@ class TestGridSampling:
 
     @staticmethod
     def built(monkeypatch):
-        """The (points, masses) of every candidate valuation a search builds."""
+        """The (bound keys, masses) of every candidate valuation a search builds."""
         calls = []
-        real = PCV.from_masses
+        real = properties._merged
 
-        def counted(points, masses):
-            calls.append((tuple(points), tuple(masses)))
-            return real(points, masses)
+        def counted(scale, keys, masses, d):
+            calls.append((tuple(keys), tuple(masses)))
+            return real(scale, keys, masses, d)
 
-        monkeypatch.setattr(PCV, "from_masses", staticmethod(counted))
+        monkeypatch.setattr(properties, "_merged", counted)
         return calls
 
     @settings(max_examples=80, deadline=None)
@@ -252,13 +261,32 @@ class TestGridSampling:
         # composition of d, so every drawn misreport is a valid valuation
         profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
         cfg = SearchConfig(d, max_size, rounds, budget, seed)
-        pool = properties._candidate_points(profile, MECHANISMS[name].run(profile), cfg)
-        assert all(0 < p < 1 for p in pool)
+        scale, pool = properties._candidate_points(profile, MECHANISMS[name].run(profile), cfg)
+        assert all(0 < p < scale for p in pool)
         assert all(p < q for p, q in zip(pool, pool[1:]))
-        for points, masses in properties._descriptors(pool, cfg):
-            assert len(masses) == len(points) + 1 and sum(masses) == d
-            v = PCV.from_masses(points, [F(m, d) for m in masses])
+        for keys, masses in properties._descriptors(pool, cfg):
+            assert len(masses) == len(keys) + 1 and sum(masses) == d
+            v = grid_candidate(scale, keys, masses, d)
             assert v.value_between(0, 1) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(scale=st.sampled_from([2, 4, 12, 96, 154]),
+           drawn=st.sets(st.integers(1, 153), max_size=6), d=st.integers(1, 5),
+           max_size=st.integers(0, 3), budget=st.sampled_from([None, 24]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(scale=4, drawn={1, 2, 3}, d=4, max_size=3, budget=None, seed=0)
+    def test_int_builder_is_from_masses(self, scale, drawn, d, max_size, budget, seed):
+        # zero masses and equal densities merge (the example's (1, 1, 1, 1)
+        # over quarters is uniform); the search's dedupe hashes the image
+        pool = sorted(k for k in drawn if k < scale)
+        cfg = SearchConfig(d, max_size, 0, budget, seed)
+        for keys, masses in properties._descriptors(pool, cfg):
+            points, fractions = [F(k, scale) for k in keys], [F(m, d) for m in masses]
+            v = grid_candidate(scale, keys, masses, d)
+            assert v == PCV.from_masses(points, fractions) == reference.from_masses(
+                points, fractions)
+            assert v.integer_image == PCV.from_masses(points, fractions).integer_image
+            assert v.integer_image == PCV(v.bounds, v.densities).integer_image
 
     def test_wide_search_builds_at_most_max_candidates(self, monkeypatch):
         built = self.built(monkeypatch)
@@ -397,6 +425,18 @@ class TestSharedNodeCuts:
         assert reused == ep_cutpoint_best_response(EVEN_PAZ, profile, 0)
         assert reused.truthful_value == grid.truthful_value
 
+    def test_truthful_profile_not_run_again(self):
+        # the planned value beats the truthful one, so the plan is realized,
+        # and only its deviated profile is run: the truthful value is the
+        # grid certificate's
+        profile = Profile.of([SPIKE, U])
+        grid = best_response_gain(EVEN_PAZ, profile, 0)
+        runs = []
+        counted = Mechanism(EVEN_PAZ.name, lambda p: runs.append(p) or EVEN_PAZ.run(p))
+        cert = ep_cutpoint_best_response(counted, profile, 0, grid_certificate=grid)
+        assert cert.gain >= grid.gain and cert.verify(EVEN_PAZ)
+        assert len(runs) == 1 and runs[0] != profile
+
     @pytest.mark.parametrize("mechanism, agent, profile", [
         (MODIFIED_EVEN_PAZ, 0, Profile.of([SPIKE, U, D2])),
         (EVEN_PAZ, 1, Profile.of([SPIKE, U, D2])),
@@ -534,9 +574,10 @@ class TestIntegerSearch:
         profile = random_profile(random.Random(seed), n, max_breakpoints=3, denom=denom)
         truthful = MECHANISMS[name].run(profile)
         cfg = SearchConfig(offset_rounds=rounds)
-        pool = properties._candidate_points(profile, truthful, cfg)
-        assert pool == reference.candidate_points(profile, truthful, rounds)
-        assert all(type(p) is Fraction for p in pool)
+        scale, pool = properties._candidate_points(profile, truthful, cfg)
+        assert [F(key, scale) for key in pool] == reference.candidate_points(
+            profile, truthful, rounds)
+        assert all(type(key) is int for key in pool)
 
     def test_gain_search_hashes_no_fraction(self, monkeypatch):
         def unhashable(self):
