@@ -15,15 +15,17 @@ eval (``value_between``) and cut (``cut_point``), which read their arguments
 through :func:`frac`, and ``value``, eval over a piece; eval, ``value`` and
 a gain search's score of a halving walk are one integer sum of P(y) - P(x)
 over spans, P the prefix mass.  The halving recursion's node cuts are int
-pairs from the same bisections, and :func:`cells` alone decides who wants a
-cell.
+pairs from the same bisections.  The cell sweep's consumers (:func:`cells`,
+:func:`validate_allocation`) work on the grid's int keys too, and
+:func:`_wanting` alone decides who wants a cell.
 Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
 Pieces are built in two ways: :meth:`Piece.of` sorts intervals given in any
 order, and :meth:`Piece.ordered` takes ``(lo, hi)`` spans already in
 increasing order (as the mechanisms and the cell sweep produce them), merges
-touching neighbours without sorting, and refuses input that is not.
+touching neighbours without sorting, and refuses input that is not; its
+spans may be int keys instead, read through a :class:`KeyedPoints` table.
 
 Every value class of the package is a :class:`Record`: an immutable
 record whose fields are the parameters of its ``__init__``.  Records of one
@@ -152,6 +154,13 @@ class Interval(Record):
         if not within:
             raise ValueError(f"interval [{lo}, {hi}] not within [0, 1]")
 
+    @staticmethod
+    def _checked(lo: Fraction, hi: Fraction) -> "Interval":
+        """The interval [lo, hi], which the caller has checked."""
+        iv = object.__new__(Interval)
+        iv.__dict__.update(lo=lo, hi=hi)
+        return iv
+
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.lo, self.hi) < (other.lo, other.hi)
@@ -167,6 +176,29 @@ class Interval(Record):
 
 def ival(lo: RationalLike, hi: RationalLike) -> Interval:
     return Interval(frac(lo), frac(hi))
+
+
+class KeyedPoints(dict):
+    """Points of the cake by int key over ``scale``: a key given at
+    construction reads as the ``Fraction`` given with it, any other key as
+    one new ``Fraction`` of key / scale, built when first read."""
+
+    def __init__(self, scale: int, items: Iterable[tuple[int, Fraction]]) -> None:
+        super().__init__(items)
+        self.scale = scale
+
+    def __missing__(self, key: int) -> Fraction:
+        self[key] = point = Fraction(key, self.scale)
+        return point
+
+    def over(self, c: int) -> "KeyedPoints":
+        """The same points with their keys over ``scale * c``."""
+        return KeyedPoints(self.scale * c, [(key * c, x) for key, x in self.items()])
+
+
+def _shown(x: Fraction | int, points: KeyedPoints | None) -> Fraction:
+    """An end of a span as a message shows it: a key as its point."""
+    return x if points is None else points[x]
 
 
 class Piece(Record):
@@ -194,25 +226,33 @@ class Piece(Record):
         return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
 
     @staticmethod
-    def ordered(spans: Iterable[tuple[Fraction, Fraction]]) -> "Piece":
-        """Build from exact ``(lo, hi)`` spans already in increasing order.
+    def ordered(spans: Iterable[tuple], points: KeyedPoints | None = None) -> "Piece":
+        """Build from ``(lo, hi)`` spans already in increasing order.
 
         Only touching neighbours are merged and nothing is sorted, so this is
         linear in the spans.  Raises ValueError on an empty span or on one
         that starts before the previous one ends: the result is always
-        canonical.
+        canonical.  Ends are ``Fraction``s, or int keys over ``points.scale``
+        that are merged and checked as ints (first end >= 0, last <= scale)
+        and read as ``points[key]`` when kept; messages show ``Fraction``s.
         """
-        merged: list[list[Fraction]] = []
+        merged: list[list] = []
         for lo, hi in spans:
             if not lo < hi:
-                raise ValueError(f"empty span [{lo}, {hi}]")
+                raise ValueError(f"empty span [{_shown(lo, points)}, {_shown(hi, points)}]")
             if merged and lo == merged[-1][1]:
                 merged[-1][1] = hi
             elif merged and lo < merged[-1][1]:
-                raise ValueError(f"span [{lo}, {hi}] starts before {merged[-1][1]}")
+                raise ValueError(f"span [{_shown(lo, points)}, {_shown(hi, points)}] "
+                                 f"starts before {_shown(merged[-1][1], points)}")
             else:
                 merged.append([lo, hi])
-        return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
+        if points is None:
+            return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
+        if merged and not (0 <= merged[0][0] and merged[-1][1] <= points.scale):
+            lo, hi = merged[0] if merged[0][0] < 0 else merged[-1]
+            raise ValueError(f"interval [{points[lo]}, {points[hi]}] not within [0, 1]")
+        return Piece(tuple([Interval._checked(points[lo], points[hi]) for lo, hi in merged]))
 
     @staticmethod
     def interval(lo: RationalLike, hi: RationalLike) -> "Piece":
@@ -636,11 +676,12 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
     spans = [(i, iv) for i, part in enumerate(parts) for iv in part.intervals]
     ends = [x for v in profile for x in v.bounds]
     ends.extend(x for _, iv in spans for x in (iv.lo, iv.hi))
-    factor = dict.fromkeys({x.denominator for x in ends})
+    ratios = [x.as_integer_ratio() for x in ends]
+    factor = dict.fromkeys({q for _, q in ratios})
     scale = math.lcm(*factor)
     for q in factor:
         factor[q] = scale // q
-    keyed = [x.numerator * factor[x.denominator] for x in ends]
+    keyed = [p * factor[q] for p, q in ratios]
     point = dict(zip(keyed, ends))
     keys = sorted(point)
     index = {key: k for k, key in enumerate(keys)}
@@ -659,57 +700,86 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
     return [point[key] for key in keys], keys, scale, owners, segments
 
 
-def cells(profile: Profile, allocation: Allocation | None = None) -> Iterator[tuple]:
-    """Sweep the merged grid of every agent's bounds and, given an allocation,
-    its piece and discarded endpoints once, yielding for each cell
-    ``(lo, hi, holders, discarded, wanting)``: the agents whose piece covers
-    it in ascending order (several only where pieces overlap), whether the
-    discarded piece covers it, and the agents who want it (positive density
-    there) in ascending order.  The cells come from :func:`cell_grid`, which
-    sorts and matches the endpoints as exact integer numerators over the lcm
-    of their denominators, so no float enters and no ``Fraction`` is
-    compared or hashed; ``lo`` and ``hi`` are the original ``Fraction``
-    endpoints.  The sweep is linear in the cells covered.
-    """
-    points, _, _, owners, segments = cell_grid(profile, allocation)
-    discard = allocation.n if allocation is not None else -1
-    wanting: list[list[int]] = [[] for _ in owners]
+def _wanting(segments: list[list[tuple[int, int, Fraction]]], ks: Sequence[int]
+             ) -> list[list[int]]:
+    """For each of the increasing cell indices `ks` of :func:`cell_grid`'s
+    `segments`, the agents who want the cell, ascending: the one statement
+    of that rule, positive density there."""
+    wanting: list[list[int]] = [[] for _ in ks]
     for i, agent in enumerate(segments):
-        for lo, hi, d in agent:
+        j = 0
+        for _, hi, d in agent:          # an agent's segments tile the cells in order
+            start, j = j, bisect_left(ks, hi, j)
             if d:                       # densities are non-negative
-                for k in range(lo, hi):
-                    wanting[k].append(i)
-    for lo, hi, held, want in zip(points, points[1:], owners, wanting):
+                for want in wanting[start:j]:
+                    want.append(i)
+    return wanting
+
+
+def cells(profile: Profile, allocation: Allocation | None = None
+          ) -> tuple[KeyedPoints, list[tuple]]:
+    """Sweep the merged grid of every agent's bounds and, given an allocation,
+    its piece and discarded endpoints once: ``(points, rows)``, a row ``(lo,
+    hi, holders, discarded, wanting)`` per cell in order, with its ends as
+    int keys over :func:`cell_grid`'s scale, the agents whose piece covers
+    it (several only where pieces overlap), whether the discarded piece
+    covers it and the agents who want it (:func:`_wanting`), agents in
+    ascending order.  ``points`` reads a grid key as the grid's own
+    ``Fraction``.  The sweep is linear in the cells covered.
+    """
+    grid, keys, scale, owners, segments = cell_grid(profile, allocation)
+    discard = allocation.n if allocation is not None else -1
+    rows = []
+    for lo, hi, held, want in zip(keys, keys[1:], owners,
+                                  _wanting(segments, range(len(owners)))):
         discarded = bool(held) and held[-1] == discard
-        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, tuple(want)
+        rows.append((lo, hi, held[:-1] if discarded else held, discarded, want))
+    return KeyedPoints(scale, zip(keys, grid)), rows
 
 
 def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     """Check allocation invariants against a profile; [] means valid.
 
-    Verifies pairwise interior-disjointness, coverage of the whole cake by
-    agent pieces plus the discarded remainder, and the free-disposal rule:
-    discarded cake must have zero density under every agent's valuation.
+    Verifies that the agents' pieces are interior-disjoint, from each other
+    and from the discarded piece, that they and the discarded remainder
+    cover the cake, and free disposal: discarded cake must have zero density
+    under every agent's valuation.  Who wants a cell is asked only of the
+    discarded cells.
     """
-    if allocation.n != profile.n:
-        raise ValueError(f"allocation has {allocation.n} pieces for {profile.n} agents")
+    n = profile.n
+    if allocation.n != n:
+        raise ValueError(f"allocation has {allocation.n} pieces for {n} agents")
+    grid, keys, scale, owners, segments = cell_grid(profile, allocation)
     # cells arrive in order, so each reported set of cells is already a
-    # sorted span list; only the cells reported become intervals
-    overlaps: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
-    missing: list[tuple[Fraction, Fraction]] = []
-    wanted: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
-    for lo, hi, holders, discarded, wanting in cells(profile, allocation):
-        for pair in combinations(holders, 2):
-            overlaps.setdefault(pair, []).append((lo, hi))
-        if discarded:
-            for i in wanting:
-                wanted[i].append((lo, hi))
-        elif not holders:
-            missing.append((lo, hi))
-    problems = [f"overlap between agents {i} and {j} on {Piece.ordered(overlaps[i, j])}"
-                for i, j in sorted(overlaps)]
+    # sorted list of key spans; only the cells reported become intervals
+    overlaps: dict[tuple[int, int], list[tuple[int, int]]] = {}    # part n: discarded
+    missing: list[tuple[int, int]] = []
+    dropped: list[int] = []             # the discarded cells
+    for k, held in enumerate(owners):
+        if len(held) == 1 and held[0] < n:
+            continue
+        span = keys[k], keys[k + 1]
+        if not held:
+            missing.append(span)
+            continue
+        if held[-1] == n:
+            dropped.append(k)
+        for pair in combinations(held, 2):
+            overlaps.setdefault(pair, []).append(span)
+    wanted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, want in zip(dropped, _wanting(segments, dropped)):
+        for i in want:
+            wanted[i].append((keys[k], keys[k + 1]))
+    if not (overlaps or missing or any(wanted)):
+        return []
+    points = KeyedPoints(scale, zip(keys, grid))
+    pairs = sorted(overlaps)
+    problems = [f"overlap between agents {i} and {j} on {Piece.ordered(overlaps[i, j], points)}"
+                for i, j in pairs if j < n]
+    problems.extend(f"overlap between agent {i} and the discarded piece on "
+                    f"{Piece.ordered(overlaps[i, j], points)}" for i, j in pairs if j == n)
     if missing:
-        problems.append(f"uncovered cake {Piece.ordered(missing)}")
-    problems.extend(f"free-disposal violation: agent {i} values discarded {Piece.ordered(w)}"
-                    for i, w in enumerate(wanted) if w)
+        problems.append(f"uncovered cake {Piece.ordered(missing, points)}")
+    problems.extend(f"free-disposal violation: agent {i} values discarded "
+                    f"{Piece.ordered(w, points)}" for i, w in enumerate(wanted) if w)
     return problems

@@ -28,6 +28,8 @@ increasing order (the recursion's left-middle-right leaves, the cell sweep
 of :func:`cakecut.cake.cells`), through :meth:`cakecut.cake.Piece.ordered`,
 which merges touching neighbours and never sorts; the discarded piece is
 collected the same way instead of being inferred by a complement.
+Equal-split and the exchange wrappers keep the sweep's int keys, so only
+split points inside a cell become new ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -207,9 +209,10 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
     """
 
     def run(profile: Profile) -> Allocation:
-        held: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
-        free: list[tuple[Fraction, Fraction]] = []
-        for lo, hi, holders, _, wanting in cells(profile, mechanism.run(profile)):
+        points, rows = cells(profile, mechanism.run(profile))
+        held: list[list[tuple[int, int]]] = [[] for _ in range(profile.n)]
+        free: list[tuple[int, int]] = []
+        for lo, hi, holders, _, wanting in rows:
             if not holders:
                 free.append((lo, hi))
                 continue
@@ -217,7 +220,8 @@ def with_zero_piece_exchange(mechanism: Mechanism) -> Mechanism:
                 holders = (wanting[0], *holders[1:])
             for i in holders:
                 held[i].append((lo, hi))
-        return Allocation(tuple(Piece.ordered(p) for p in held), Piece.ordered(free))
+        return Allocation(tuple(Piece.ordered(p, points) for p in held),
+                          Piece.ordered(free, points))
 
     return Mechanism(f"{mechanism.name}-exchange", run)
 
@@ -227,21 +231,27 @@ def equal_split_nonwasteful(profile: Profile) -> Allocation:
     among the agents reporting positive density on it (left to right in
     agent-index order).  Cells desired by nobody are discarded, so the
     output is non-wasteful by construction.
+
+    It splits on the grid's int keys times c, the lcm of the cells' desirer
+    counts, so every split point is an exact int.
     """
-    held: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(profile.n)]
-    free: list[tuple[Fraction, Fraction]] = []
-    for lo, hi, _, _, desirers in cells(profile):
+    points, rows = cells(profile)
+    c = math.lcm(*{len(desirers) for *_, desirers in rows if desirers})
+    held: list[list[tuple[int, int]]] = [[] for _ in range(profile.n)]
+    free: list[tuple[int, int]] = []
+    for lo, hi, _, _, desirers in rows:
+        start, hi = lo * c, hi * c
         if not desirers:
-            free.append((lo, hi))
+            free.append((start, hi))
             continue
-        width = (hi - lo) / len(desirers)
-        start = lo
+        width = (hi - start) // len(desirers)
         for i in desirers[:-1]:
-            end = start + width
-            held[i].append((start, end))
-            start = end
+            held[i].append((start, start + width))
+            start += width
         held[desirers[-1]].append((start, hi))
-    return Allocation(tuple(Piece.ordered(p) for p in held), Piece.ordered(free))
+    points = points.over(c)
+    return Allocation(tuple(Piece.ordered(p, points) for p in held),
+                      Piece.ordered(free, points))
 
 
 EQUAL_SPLIT = Mechanism("equal-split", equal_split_nonwasteful)

@@ -5,7 +5,7 @@ from bisect import bisect
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import ClassVar, Optional
 
 from cakecut import cake
@@ -445,3 +445,84 @@ def node_candidates(a, b, others, rank, agent, own, own_cut):
     cands.discard(b)
     pairs = [(Fraction(num, den), i) for num, den, i in others]
     return [c for c in sorted(cands) if bisect(pairs, (c, agent)) == rank]
+
+
+# Reference cell-sweep consumers on Fraction arithmetic: the earlier bodies
+# of cake.cells, mechanisms.equal_split_nonwasteful, the exchange wrapper's
+# run (on the base mechanism's allocation) and cake.validate_allocation.
+# The package now runs them on the cell grid's int keys; they must agree,
+# except that validate_allocation now also reports an agent's piece that
+# overlaps the discarded piece, which these let pass.
+
+
+def cells(profile, allocation=None):
+    """Each cell's ``(lo, hi, holders, discarded, wanting)``, its ends the
+    grid's ``Fraction`` points."""
+    points, _, _, owners, segments = cake.cell_grid(profile, allocation)
+    discard = allocation.n if allocation is not None else -1
+    wanting = [[] for _ in owners]
+    for i, agent in enumerate(segments):
+        for lo, hi, d in agent:
+            if d:                       # densities are non-negative
+                for k in range(lo, hi):
+                    wanting[k].append(i)
+    for lo, hi, held, want in zip(points, points[1:], owners, wanting):
+        discarded = bool(held) and held[-1] == discard
+        yield lo, hi, tuple(held[:-1] if discarded else held), discarded, tuple(want)
+
+
+def exchange(base, profile):
+    """The zero-piece exchange of the allocation `base` under `profile`."""
+    held = [[] for _ in range(profile.n)]
+    free = []
+    for lo, hi, holders, _, wanting in cells(profile, base):
+        if not holders:
+            free.append((lo, hi))
+            continue
+        if wanting and holders[0] not in wanting:
+            holders = (wanting[0], *holders[1:])
+        for i in holders:
+            held[i].append((lo, hi))
+    return cake.Allocation(tuple(cake.Piece.ordered(p) for p in held), cake.Piece.ordered(free))
+
+
+def equal_split_nonwasteful(profile):
+    """Each cell split equally, by length, among the agents who want it."""
+    held = [[] for _ in range(profile.n)]
+    free = []
+    for lo, hi, _, _, desirers in cells(profile):
+        if not desirers:
+            free.append((lo, hi))
+            continue
+        width = (hi - lo) / len(desirers)
+        start = lo
+        for i in desirers[:-1]:
+            end = start + width
+            held[i].append((start, end))
+            start = end
+        held[desirers[-1]].append((start, hi))
+    return cake.Allocation(tuple(cake.Piece.ordered(p) for p in held), cake.Piece.ordered(free))
+
+
+def validate_allocation(allocation, profile):
+    """The allocation's problems, [] when it is valid."""
+    if allocation.n != profile.n:
+        raise ValueError(f"allocation has {allocation.n} pieces for {profile.n} agents")
+    overlaps = {}
+    missing = []
+    wanted = [[] for _ in range(profile.n)]
+    for lo, hi, holders, discarded, wanting in cells(profile, allocation):
+        for pair in combinations(holders, 2):
+            overlaps.setdefault(pair, []).append((lo, hi))
+        if discarded:
+            for i in wanting:
+                wanted[i].append((lo, hi))
+        elif not holders:
+            missing.append((lo, hi))
+    problems = [f"overlap between agents {i} and {j} on {cake.Piece.ordered(overlaps[i, j])}"
+                for i, j in sorted(overlaps)]
+    if missing:
+        problems.append(f"uncovered cake {cake.Piece.ordered(missing)}")
+    problems.extend(f"free-disposal violation: agent {i} values discarded "
+                    f"{cake.Piece.ordered(w)}" for i, w in enumerate(wanted) if w)
+    return problems

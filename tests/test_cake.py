@@ -12,6 +12,7 @@ from cakecut.cake import (
     Allocation,
     InfeasibleCutError,
     Interval,
+    KeyedPoints,
     Piece,
     PiecewiseConstantValuation as PCV,
     Profile,
@@ -142,6 +143,41 @@ class TestPieceOrdered:
         points = sorted(F(e, 24) for e in ends)
         spans = [(lo, hi) for (lo, hi), k in zip(zip(points, points[1:]), keep) if k]
         assert Piece.ordered(spans) == Piece.of(Interval(lo, hi) for lo, hi in spans)
+
+
+class TestPieceOrderedOnKeys:
+    """Spans of int keys over a scale, read through :class:`KeyedPoints`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scale=st.integers(1, 60), data=st.data())
+    def test_matches_fraction_spans(self, scale, data):
+        ends = sorted(data.draw(st.sets(st.integers(0, scale), max_size=12)))
+        keep = data.draw(st.lists(st.booleans(), min_size=12, max_size=12))
+        known = data.draw(st.sets(st.sampled_from(ends))) if ends else set()
+        points = KeyedPoints(scale, [(key, F(key, scale)) for key in known])
+        own = dict(points)
+        spans = [(lo, hi) for (lo, hi), k in zip(zip(ends, ends[1:]), keep) if k]
+        piece = Piece.ordered(spans, points)
+        assert piece == Piece.ordered([(F(lo, scale), F(hi, scale)) for lo, hi in spans])
+        for iv in piece.intervals:
+            assert type(iv.lo) is type(iv.hi) is F
+        # a key given at construction reads as the object given with it
+        for key, x in own.items():
+            assert points[key] is x
+
+    @pytest.mark.parametrize("spans, message", [
+        ([(8, 8)], r"empty span \[1/3, 1/3\]"),
+        ([(12, 8)], r"empty span \[1/2, 1/3\]"),
+        ([(0, 12), (6, 18)], r"span \[1/4, 3/4\] starts before 1/2"),
+        ([(12, 24), (0, 6)], r"span \[0, 1/4\] starts before 1$"),
+        ([(-6, 12)], r"interval \[-1/4, 1/2\] not within \[0, 1\]"),
+        ([(0, 6), (12, 36)], r"interval \[1/2, 3/2\] not within \[0, 1\]"),
+    ], ids=["zero-length", "reversed", "overlapping", "out-of-order", "below-0", "past-1"])
+    def test_rejects_what_fraction_spans_reject(self, spans, message):
+        with pytest.raises(ValueError, match=message):
+            Piece.ordered(spans, KeyedPoints(24, []))
+        with pytest.raises(ValueError, match=message):
+            Piece.ordered([(F(lo, 24), F(hi, 24)) for lo, hi in spans])
 
 
 @st.composite
@@ -469,6 +505,21 @@ class TestValidateAllocation:
         profile = Profile.of([UNIFORM, UNIFORM])
         with pytest.raises(ValueError, match="pieces for"):
             validate_allocation(Allocation.of([Piece.whole()]), profile)
+
+    def test_discarded_overlap_reported(self):
+        left = PCV.of(["1/2"], [2, 0])
+        alloc = Allocation((Piece.interval(0, "1/2"), Piece.interval("1/2", 1)),
+                           Piece.interval("3/4", 1))
+        assert validate_allocation(alloc, Profile.of([left, left])) == [
+            "overlap between agent 1 and the discarded piece on [3/4, 1]"]
+
+    def test_discarded_overlap_comes_before_free_disposal(self):
+        alloc = Allocation((Piece.interval(0, "1/2"), Piece.interval("1/2", 1)),
+                           Piece.interval("3/4", 1))
+        assert validate_allocation(alloc, Profile.of([UNIFORM, UNIFORM])) == [
+            "overlap between agent 1 and the discarded piece on [3/4, 1]",
+            "free-disposal violation: agent 0 values discarded [3/4, 1]",
+            "free-disposal violation: agent 1 values discarded [3/4, 1]"]
 
     def test_discard_of_undesired_cake_ok(self):
         left = PCV.of(["1/2"], [2, 0])

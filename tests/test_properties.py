@@ -608,6 +608,10 @@ def reference_validate(allocation, profile):
             overlap = allocation.pieces[i].intersect(allocation.pieces[j])
             if overlap.measure > 0:
                 problems.append(f"overlap between agents {i} and {j} on {overlap}")
+    for i, piece in enumerate(allocation.pieces):
+        overlap = piece.intersect(allocation.discarded)
+        if overlap.measure > 0:
+            problems.append(f"overlap between agent {i} and the discarded piece on {overlap}")
     covered = Piece.of(
         iv for p in (*allocation.pieces, allocation.discarded) for iv in p.intervals)
     missing = Piece.whole().subtract(covered)
@@ -829,3 +833,54 @@ class TestGridOnMixedDenominators:
         assert report_for(profile, split).wasted_measure == 0
         assert report_for(profile, rotated).envy > 0
         assert report_for(profile, rotated).wasted_measure > 0
+
+
+WIDE_DENOM = 96
+
+
+@st.composite
+def fragmented_profiles(draw):
+    """Profiles shaped like the wide benchmark's: up to 12 agents with up to
+    12 breakpoints each on a 1/96 grid, no breakpoint shared by two agents,
+    and segments of zero density."""
+    n = draw(st.integers(2, 12))
+    pool = draw(st.permutations(range(1, WIDE_DENOM)))
+    valuations = []
+    for _ in range(n):
+        count = draw(st.integers(0, min(12, len(pool))))
+        points, pool = sorted(pool[:count]), pool[count:]
+        weights = draw(st.lists(st.integers(0, 3), min_size=count + 1, max_size=count + 1)
+                       .filter(any))
+        valuations.append(normalized([F(p, WIDE_DENOM) for p in points], weights))
+    return Profile.of(valuations)
+
+
+def random_profiles():
+    return st.builds(lambda seed, n: random_profile(random.Random(seed), n, max_breakpoints=4,
+                                                    denom=DENOM),
+                     st.integers(0, 2**32 - 1), st.integers(2, 12))
+
+
+class TestKeyedCellSweep:
+    """The cell sweep's consumers on the grid's int keys against their
+    ``Fraction`` bodies in support.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_profiles(), fragmented_profiles()))
+    def test_mechanisms_match_fraction_reference(self, profile):
+        assert EQUAL_SPLIT.run(profile) == reference.equal_split_nonwasteful(profile)
+        for wrapped, base in ((EVEN_PAZ_EXCHANGE, EVEN_PAZ),
+                              (MODIFIED_EP_EXCHANGE, MODIFIED_EVEN_PAZ)):
+            assert wrapped.run(profile) == reference.exchange(base.run(profile), profile)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(profiles_with_allocations(), mixed_profiles_with_allocations()))
+    def test_validate_matches_fraction_reference(self, case):
+        # the same lines in the same order, with the discarded-overlap lines
+        # put right after the overlaps between agents
+        profile, allocation = case
+        problems = validate_allocation(allocation, profile)
+        old = reference.validate_allocation(allocation, profile)
+        pairs = [p for p in old if p.startswith("overlap between agents ")]
+        discard = [p for p in problems if " and the discarded piece on " in p]
+        assert problems == pairs + discard + old[len(pairs):]
