@@ -22,10 +22,10 @@ Strings are parsed exactly too; a decimal exponent beyond
 ``MAX_DECIMAL_EXPONENT`` is refused before ``Fraction`` can expand it.
 
 Pieces are built in two ways: :meth:`Piece.of` sorts intervals given in any
-order, and :meth:`Piece.ordered` takes ``(lo, hi)`` spans already in
-increasing order (as the mechanisms and the cell sweep produce them), merges
-touching neighbours without sorting, and refuses input that is not; its
-spans may be int keys instead, read through a :class:`KeyedPoints` table.
+order, and :meth:`Piece.ordered` takes ``(lo, hi)`` int-key spans already
+in increasing order (as the mechanisms and the cell sweep produce them),
+merges touching neighbours without sorting, refuses input that is not and
+reads kept keys through :class:`KeyedPoints`, the one key-to-point table.
 
 Every value class of the package is a :class:`Record`: an immutable
 record whose fields are the parameters of its ``__init__``.  Records of one
@@ -196,11 +196,6 @@ class KeyedPoints(dict):
         return KeyedPoints(self.scale * c, [(key * c, x) for key, x in self.items()])
 
 
-def _shown(x: Fraction | int, points: KeyedPoints | None) -> Fraction:
-    """An end of a span as a message shows it: a key as its point."""
-    return x if points is None else points[x]
-
-
 class Piece(Record):
     """A finite union of intervals, kept in canonical form.
 
@@ -226,29 +221,27 @@ class Piece(Record):
         return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
 
     @staticmethod
-    def ordered(spans: Iterable[tuple], points: KeyedPoints | None = None) -> "Piece":
-        """Build from ``(lo, hi)`` spans already in increasing order.
+    def ordered(spans: Iterable[tuple[int, int]], points: KeyedPoints) -> "Piece":
+        """Build from ``(lo, hi)`` spans of int keys over ``points.scale``,
+        already in increasing order.
 
         Only touching neighbours are merged and nothing is sorted, so this is
-        linear in the spans.  Raises ValueError on an empty span or on one
-        that starts before the previous one ends: the result is always
-        canonical.  Ends are ``Fraction``s, or int keys over ``points.scale``
-        that are merged and checked as ints (first end >= 0, last <= scale)
-        and read as ``points[key]`` when kept; messages show ``Fraction``s.
+        linear in the spans.  Raises ValueError on an empty span, one that
+        starts before the previous one ends or ends outside [0, scale]: the
+        result is always canonical.  A kept key reads as ``points[key]``,
+        and messages show those ``Fraction``s.
         """
-        merged: list[list] = []
+        merged: list[list[int]] = []
         for lo, hi in spans:
             if not lo < hi:
-                raise ValueError(f"empty span [{_shown(lo, points)}, {_shown(hi, points)}]")
+                raise ValueError(f"empty span [{points[lo]}, {points[hi]}]")
             if merged and lo == merged[-1][1]:
                 merged[-1][1] = hi
             elif merged and lo < merged[-1][1]:
-                raise ValueError(f"span [{_shown(lo, points)}, {_shown(hi, points)}] "
-                                 f"starts before {_shown(merged[-1][1], points)}")
+                raise ValueError(f"span [{points[lo]}, {points[hi]}] "
+                                 f"starts before {points[merged[-1][1]]}")
             else:
                 merged.append([lo, hi])
-        if points is None:
-            return Piece(tuple(Interval(lo, hi) for lo, hi in merged))
         if merged and not (0 <= merged[0][0] and merged[-1][1] <= points.scale):
             lo, hi = merged[0] if merged[0][0] < 0 else merged[-1]
             raise ValueError(f"interval [{points[lo]}, {points[hi]}] not within [0, 1]")
@@ -653,24 +646,24 @@ class Allocation(Record):
         return all(p.is_contiguous for p in self.pieces)
 
 
-CellGrid = tuple[list[Fraction], list[int], int, list[list[int]],
+CellGrid = tuple[KeyedPoints, list[int], list[list[int]],
                  list[list[tuple[int, int, Fraction]]]]
 
 
 def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGrid:
     """The merged breakpoint grid of a profile and, optionally, an allocation,
-    as ``(points, keys, scale, owners, segments)``.
+    as ``(points, keys, owners, segments)``.
 
-    ``points`` are the distinct endpoints of every agent's segments and of
-    every allocated and discarded interval, in increasing order; cell k is
-    [points[k], points[k+1]].  ``keys[k] == points[k] * scale`` is the exact
-    integer numerator of points[k] over ``scale``, the lcm of every
-    endpoint's denominator, so endpoints are sorted, deduplicated and
-    matched as ints, and cell k is ``keys[k+1] - keys[k]`` wide in units of
-    1/scale.  ``owners[k]`` lists the parts covering cell k in ascending
-    order, where parts are the allocation's pieces followed by its discarded
-    piece; ``segments[i]`` lists agent i's segments as ``(first cell, end
-    cell, density)``.
+    ``keys`` are the distinct endpoints of every agent's segments and of
+    every allocated and discarded interval, in increasing order, each as
+    the exact integer numerator of the endpoint over ``points.scale``, the
+    lcm of every endpoint's denominator; cell k is [keys[k], keys[k+1]], so
+    endpoints are sorted, deduplicated and matched as ints, and cell k is
+    ``keys[k+1] - keys[k]`` wide in units of 1/scale.  ``points`` reads
+    each key as the endpoint's own ``Fraction``.  ``owners[k]`` lists the
+    parts covering cell k in ascending order, where parts are the
+    allocation's pieces followed by its discarded piece; ``segments[i]``
+    lists agent i's segments as ``(first cell, end cell, density)``.
     """
     parts = (*allocation.pieces, allocation.discarded) if allocation is not None else ()
     spans = [(i, iv) for i, part in enumerate(parts) for iv in part.intervals]
@@ -682,8 +675,8 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
     for q in factor:
         factor[q] = scale // q
     keyed = [p * factor[q] for p, q in ratios]
-    point = dict(zip(keyed, ends))
-    keys = sorted(point)
+    points = KeyedPoints(scale, zip(keyed, ends))
+    keys = sorted(points)
     index = {key: k for k, key in enumerate(keys)}
     at = [index[key] for key in keyed]
     segments = []
@@ -697,7 +690,7 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
         for k in range(lo, hi):
             if not owners[k] or owners[k][-1] != i:
                 owners[k].append(i)
-    return [point[key] for key in keys], keys, scale, owners, segments
+    return points, keys, owners, segments
 
 
 def _wanting(segments: list[list[tuple[int, int, Fraction]]], ks: Sequence[int]
@@ -719,22 +712,20 @@ def _wanting(segments: list[list[tuple[int, int, Fraction]]], ks: Sequence[int]
 def cells(profile: Profile, allocation: Allocation | None = None
           ) -> tuple[KeyedPoints, list[tuple]]:
     """Sweep the merged grid of every agent's bounds and, given an allocation,
-    its piece and discarded endpoints once: ``(points, rows)``, a row ``(lo,
-    hi, holders, discarded, wanting)`` per cell in order, with its ends as
-    int keys over :func:`cell_grid`'s scale, the agents whose piece covers
-    it (several only where pieces overlap), whether the discarded piece
-    covers it and the agents who want it (:func:`_wanting`), agents in
-    ascending order.  ``points`` reads a grid key as the grid's own
-    ``Fraction``.  The sweep is linear in the cells covered.
+    its piece and discarded endpoints once: :func:`cell_grid`'s ``points``
+    and a row ``(lo, hi, holders, wanting)`` per cell in order, with its ends
+    as the grid's int keys, the agents whose piece covers it (several only
+    where pieces overlap; the discarded piece is not one) and the agents who
+    want it (:func:`_wanting`), agents in ascending order.  The sweep is
+    linear in the cells covered.
     """
-    grid, keys, scale, owners, segments = cell_grid(profile, allocation)
+    points, keys, owners, segments = cell_grid(profile, allocation)
     discard = allocation.n if allocation is not None else -1
     rows = []
     for lo, hi, held, want in zip(keys, keys[1:], owners,
                                   _wanting(segments, range(len(owners)))):
-        discarded = bool(held) and held[-1] == discard
-        rows.append((lo, hi, held[:-1] if discarded else held, discarded, want))
-    return KeyedPoints(scale, zip(keys, grid)), rows
+        rows.append((lo, hi, held[:-1] if held and held[-1] == discard else held, want))
+    return points, rows
 
 
 def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
@@ -749,7 +740,7 @@ def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     n = profile.n
     if allocation.n != n:
         raise ValueError(f"allocation has {allocation.n} pieces for {n} agents")
-    grid, keys, scale, owners, segments = cell_grid(profile, allocation)
+    points, keys, owners, segments = cell_grid(profile, allocation)
     # cells arrive in order, so each reported set of cells is already a
     # sorted list of key spans; only the cells reported become intervals
     overlaps: dict[tuple[int, int], list[tuple[int, int]]] = {}    # part n: discarded
@@ -772,7 +763,6 @@ def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
             wanted[i].append((keys[k], keys[k + 1]))
     if not (overlaps or missing or any(wanted)):
         return []
-    points = KeyedPoints(scale, zip(keys, grid))
     pairs = sorted(overlaps)
     problems = [f"overlap between agents {i} and {j} on {Piece.ordered(overlaps[i, j], points)}"
                 for i, j in pairs if j < n]

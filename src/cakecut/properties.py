@@ -36,6 +36,7 @@ from random import Random
 
 from cakecut.cake import (
     Allocation,
+    KeyedPoints,
     ONE,
     PiecewiseConstantValuation,
     Profile,
@@ -79,7 +80,8 @@ def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
     n = profile.n
     if allocation.n != n:
         raise ValueError(f"allocation has {allocation.n} pieces for {n} agents")
-    _, keys, scale, owners, segments = cell_grid(profile, allocation)
+    points, keys, owners, segments = cell_grid(profile, allocation)
+    scale = points.scale
     widths = [b - a for a, b in zip(keys, keys[1:])]
     share = Fraction(1, n)
     deficit = envy = ZERO
@@ -259,8 +261,9 @@ def _descriptors(pool: list[int], cfg: SearchConfig
     Past ``max_candidates`` only the numbers ``Random(seed).sample`` draws
     are unranked, so nothing grows with the number of misreports."""
     d = cfg.mass_denominator
+    # (misreports, mass splits) per size; no misreport has more keys than the pool
     blocks = [(comb(len(pool), size) * comb(d + size, size), comb(d + size, size))
-              for size in range(cfg.max_breakpoints + 1)]   # (misreports, mass splits)
+              for size in range(min(cfg.max_breakpoints, len(pool)) + 1)]
     total = sum(count for count, _ in blocks)
     indices: Iterable[int] = range(total)
     if cfg.max_candidates is not None and total > cfg.max_candidates:
@@ -304,7 +307,7 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
     truthful_value = true_v.value(truthful_alloc.pieces[agent])
     scale, pool = _candidate_points(profile, truthful_alloc, cfg)
     d = cfg.mass_denominator
-    points = {0: ZERO, scale: ONE}      # each bound's Fraction, built once
+    points = KeyedPoints(scale, [(0, ZERO), (scale, ONE)])   # each bound's Fraction, built once
     seen: set[tuple] = set()
     candidates = [profile[agent]]
     for keys, masses in _descriptors(pool, cfg):
@@ -312,12 +315,8 @@ def best_response_gain(mechanism: Mechanism, profile: Profile, agent: int,
         image, kept = _merged(scale, keys, masses, d)
         if image not in seen:           # equal images, equal valuations
             seen.add(image)
-            bounds = [keys[k] for k in kept]
-            for key in bounds:
-                if key not in points:
-                    points[key] = Fraction(key, scale)
             candidates.append(PiecewiseConstantValuation._checked(
-                [points[key] for key in bounds], [Fraction(w, image[1]) for w in image[3]], image))
+                [points[keys[k]] for k in kept], [Fraction(w, image[1]) for w in image[3]], image))
     middle = SHARES_MIDDLE.get(mechanism.name)
     others: NodeCuts = {}      # the other agents' cuts, shared by this search's walks
 
@@ -395,8 +394,9 @@ def _dp_best_path(profile: Profile, agent: int, a: Point, b: Point, agents: list
     branches take the split from :func:`_split` on the other agents' cuts
     with the manipulator's placed among them.  With `middles` (the
     middle-sharing mechanism) the manipulator's plan places no mass on
-    middle pieces, so middle shares contribute nothing to the planned value,
-    and the right branch requires another agent between it and the middle.
+    middle pieces, so middle shares contribute nothing to the planned value;
+    at k = 2 its right branch leaves it [b, b], worth 0, and ``max`` keeps
+    the left plan found before it.
     """
     true_v = profile[agent]
     if len(agents) == 1:
@@ -417,12 +417,8 @@ def _dp_best_path(profile: Profile, agent: int, a: Point, b: Point, agents: list
 
     # single right branch: the manipulator sits beyond the split however it
     # reports (its cut placed last), so only the resulting child matters
-    if not middles or k - k // 2 >= 2:
-        _, d_hi, _, right = _split(others + [(*b, agent)], middles)
-        plans.append(_dp_best_path(profile, agent, d_hi, b, right, middles))
-
-    if not plans:
-        raise AssertionError(f"no plan for agent {agent} at node [{a}, {b}]")
+    _, d_hi, _, right = _split(others + [(*b, agent)], middles)
+    plans.append(_dp_best_path(profile, agent, d_hi, b, right, middles))
     return max(plans, key=lambda plan: plan[0])
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import ClassVar, Optional
 
-from cakecut import cake
+from cakecut import cake, mechanisms
 from cakecut.cake import ONE, ZERO, InfeasibleCutError, _inexact, frac
 
 
@@ -447,6 +447,39 @@ def node_candidates(a, b, others, rank, agent, own, own_cut):
     return [c for c in sorted(cands) if bisect(pairs, (c, agent)) == rank]
 
 
+# Reference piece builders on Fraction spans: the earlier body of
+# cake.Piece.ordered, which also took ``(lo, hi)`` spans of ``Fraction``s,
+# and of mechanisms._halving_allocation, which built the halving leaves'
+# pieces through it.  The package now builds every piece from int-key spans
+# read through one cake.KeyedPoints table; they must agree.
+
+
+def ordered(spans):
+    """The piece of the ``Fraction`` spans, already in increasing order:
+    touching neighbours merged, an empty or out-of-order span refused."""
+    merged = []
+    for lo, hi in spans:
+        if not lo < hi:
+            raise ValueError(f"empty span [{lo}, {hi}]")
+        if merged and lo == merged[-1][1]:
+            merged[-1][1] = hi
+        elif merged and lo < merged[-1][1]:
+            raise ValueError(f"span [{lo}, {hi}] starts before {merged[-1][1]}")
+        else:
+            merged.append([lo, hi])
+    return cake.Piece(tuple(cake.Interval(lo, hi) for lo, hi in merged))
+
+
+def halving_allocation(profile, share_middle):
+    """A full halving run's allocation, one ``Fraction`` per distinct leaf
+    end, nothing discarded."""
+    spans = mechanisms._halving(profile, share_middle)
+    ends = {end for agent in spans for span in agent for end in span}
+    point = {end: Fraction(*end) for end in ends}
+    return cake.Allocation(tuple(ordered([(point[lo], point[hi]) for lo, hi in agent])
+                                 for agent in spans), cake.Piece.empty())
+
+
 # Reference cell-sweep consumers on Fraction arithmetic: the earlier bodies
 # of cake.cells, mechanisms.equal_split_nonwasteful, the exchange wrapper's
 # run (on the base mechanism's allocation) and cake.validate_allocation.
@@ -458,7 +491,8 @@ def node_candidates(a, b, others, rank, agent, own, own_cut):
 def cells(profile, allocation=None):
     """Each cell's ``(lo, hi, holders, discarded, wanting)``, its ends the
     grid's ``Fraction`` points."""
-    points, _, _, owners, segments = cake.cell_grid(profile, allocation)
+    grid, keys, owners, segments = cake.cell_grid(profile, allocation)
+    points = [grid[key] for key in keys]
     discard = allocation.n if allocation is not None else -1
     wanting = [[] for _ in owners]
     for i, agent in enumerate(segments):
@@ -483,7 +517,7 @@ def exchange(base, profile):
             holders = (wanting[0], *holders[1:])
         for i in holders:
             held[i].append((lo, hi))
-    return cake.Allocation(tuple(cake.Piece.ordered(p) for p in held), cake.Piece.ordered(free))
+    return cake.Allocation(tuple(ordered(p) for p in held), ordered(free))
 
 
 def equal_split_nonwasteful(profile):
@@ -501,7 +535,7 @@ def equal_split_nonwasteful(profile):
             held[i].append((start, end))
             start = end
         held[desirers[-1]].append((start, hi))
-    return cake.Allocation(tuple(cake.Piece.ordered(p) for p in held), cake.Piece.ordered(free))
+    return cake.Allocation(tuple(ordered(p) for p in held), ordered(free))
 
 
 def validate_allocation(allocation, profile):
@@ -519,10 +553,10 @@ def validate_allocation(allocation, profile):
                 wanted[i].append((lo, hi))
         elif not holders:
             missing.append((lo, hi))
-    problems = [f"overlap between agents {i} and {j} on {cake.Piece.ordered(overlaps[i, j])}"
+    problems = [f"overlap between agents {i} and {j} on {ordered(overlaps[i, j])}"
                 for i, j in sorted(overlaps)]
     if missing:
-        problems.append(f"uncovered cake {cake.Piece.ordered(missing)}")
+        problems.append(f"uncovered cake {ordered(missing)}")
     problems.extend(f"free-disposal violation: agent {i} values discarded "
-                    f"{cake.Piece.ordered(w)}" for i, w in enumerate(wanted) if w)
+                    f"{ordered(w)}" for i, w in enumerate(wanted) if w)
     return problems

@@ -112,41 +112,43 @@ class TestPieceAlgebra:
 
 
 class TestPieceOrdered:
+    """Spans of int keys over a scale, read through :class:`KeyedPoints`."""
+
     def test_merges_touching_spans(self):
-        p = Piece.ordered([(F(0), F(1, 4)), (F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)),
-                           (F(7, 8), F(1))])
+        p = Piece.ordered([(0, 2), (2, 4), (6, 7), (7, 8)], KeyedPoints(8, []))
         assert p.intervals == (ival(0, "1/2"), ival("3/4", 1))
 
     def test_no_spans_is_empty(self):
-        assert Piece.ordered([]) == Piece.empty()
+        assert Piece.ordered([], KeyedPoints(1, [])) == Piece.empty()
 
     @pytest.mark.parametrize("spans, message", [
-        ([(F(1, 3), F(1, 3))], "empty span"),
-        ([(F(1, 2), F(1, 3))], "empty span"),
-        ([(F(0), F(1, 2)), (F(1, 4), F(3, 4))], "starts before 1/2"),
-        ([(F(1, 2), F(1)), (F(0), F(1, 4))], "starts before 1"),
+        ([(4, 4)], "empty span"),
+        ([(6, 4)], "empty span"),
+        ([(0, 6), (3, 9)], "starts before 1/2"),
+        ([(6, 12), (0, 3)], "starts before 1"),
     ], ids=["zero-length", "reversed", "overlapping", "out-of-order"])
     def test_rejects_non_canonical_input(self, spans, message):
         with pytest.raises(ValueError, match=message):
-            Piece.ordered(spans)
+            Piece.ordered(spans, KeyedPoints(12, []))
 
     def test_rejects_span_outside_the_cake(self):
         with pytest.raises(ValueError, match="not within"):
-            Piece.ordered([(F(1, 2), F(3, 2))])
+            Piece.ordered([(6, 18)], KeyedPoints(12, []))
 
     @settings(max_examples=200, deadline=None)
     @given(ends=st.lists(st.integers(0, 24), unique=True, max_size=12),
            keep=st.lists(st.booleans(), min_size=12, max_size=12))
     def test_matches_sorting_constructor(self, ends, keep):
-        # consecutive grid points; dropping some spans leaves gaps, keeping
+        # consecutive grid keys; dropping some spans leaves gaps, keeping
         # neighbours leaves touching spans to merge
-        points = sorted(F(e, 24) for e in ends)
-        spans = [(lo, hi) for (lo, hi), k in zip(zip(points, points[1:]), keep) if k]
-        assert Piece.ordered(spans) == Piece.of(Interval(lo, hi) for lo, hi in spans)
+        keys = sorted(ends)
+        spans = [(lo, hi) for (lo, hi), k in zip(zip(keys, keys[1:]), keep) if k]
+        assert Piece.ordered(spans, KeyedPoints(24, [])) == Piece.of(
+            Interval(F(lo, 24), F(hi, 24)) for lo, hi in spans)
 
 
 class TestPieceOrderedOnKeys:
-    """Spans of int keys over a scale, read through :class:`KeyedPoints`."""
+    """Against the earlier body on ``Fraction`` spans, kept in support.py."""
 
     @settings(max_examples=200, deadline=None)
     @given(scale=st.integers(1, 60), data=st.data())
@@ -158,7 +160,7 @@ class TestPieceOrderedOnKeys:
         own = dict(points)
         spans = [(lo, hi) for (lo, hi), k in zip(zip(ends, ends[1:]), keep) if k]
         piece = Piece.ordered(spans, points)
-        assert piece == Piece.ordered([(F(lo, scale), F(hi, scale)) for lo, hi in spans])
+        assert piece == reference.ordered([(F(lo, scale), F(hi, scale)) for lo, hi in spans])
         for iv in piece.intervals:
             assert type(iv.lo) is type(iv.hi) is F
         # a key given at construction reads as the object given with it
@@ -177,7 +179,7 @@ class TestPieceOrderedOnKeys:
         with pytest.raises(ValueError, match=message):
             Piece.ordered(spans, KeyedPoints(24, []))
         with pytest.raises(ValueError, match=message):
-            Piece.ordered([(F(lo, 24), F(hi, 24)) for lo, hi in spans])
+            reference.ordered([(F(lo, 24), F(hi, 24)) for lo, hi in spans])
 
 
 @st.composite

@@ -254,7 +254,7 @@ class TestPathWalk:
         full = MECHANISMS[name].run(profile)
         for i in range(n):
             walk = _halving(profile, SHARES_MIDDLE[name], follow=i)
-            assert Piece.ordered(fraction_spans(walk[i])) == full.pieces[i]
+            assert reference.ordered(fraction_spans(walk[i])) == full.pieces[i]
             assert not any(walk[j] for j in range(n) if j != i)
 
     @settings(max_examples=60, deadline=None)
@@ -272,7 +272,7 @@ class TestPathWalk:
         for lie in lies:
             deviated = profile.replace(agent, lie)
             walk = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)
-            assert (Piece.ordered(fraction_spans(walk[agent]))
+            assert (reference.ordered(fraction_spans(walk[agent]))
                     == MECHANISMS[name].run(deviated).pieces[agent])
         # keyed on the ends' numerators and denominators and the agents' bitmask
         assert (0, 1, 1, 1, 2 ** n - 1) in others
@@ -301,7 +301,7 @@ class TestPathWalk:
             spans = _halving(deviated, SHARES_MIDDLE[name], follow=agent, others=others)[agent]
             score = true_v._spans_value(spans)
             assert type(score) is Fraction
-            assert score == true_v.value(Piece.ordered(fraction_spans(spans)))
+            assert score == true_v.value(reference.ordered(fraction_spans(spans)))
             assert score == true_v.value(MECHANISMS[name].run(deviated).pieces[agent])
 
 
@@ -324,7 +324,7 @@ class TestPaperReference:
         full = _halving(profile, share_middle)
         assert list(map(fraction_spans, full)) == expected
         assert all(reduced_pair(x) for spans in full for span in spans for x in span)
-        assert MECHANISMS[name].run(profile).pieces == tuple(map(Piece.ordered, expected))
+        assert MECHANISMS[name].run(profile).pieces == tuple(map(reference.ordered, expected))
         for i in range(n):
             assert fraction_spans(_halving(profile, share_middle, follow=i)[i]) == expected[i]
         # misreports of one agent walk through one table, as in a gain search

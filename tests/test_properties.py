@@ -306,6 +306,22 @@ class TestGridSampling:
         assert best_response_gain(EVEN_PAZ, profile, 0, cfg) == expected
         assert built == sampled and len(built) == cfg.max_candidates
 
+    def test_sizes_stop_at_the_pool(self, monkeypatch):
+        # no misreport has more breakpoints than the pool has points, so a
+        # search allowed far more numbers, draws and builds the same
+        # misreports and asks comb no more than one allowed the pool's size
+        profile = Profile.of([SPIKE, D2])
+        _, pool = properties._candidate_points(profile, EVEN_PAZ.run(profile), SearchConfig())
+        calls = []
+        real = properties.comb
+        monkeypatch.setattr(properties, "comb", lambda n, k: calls.append((n, k)) or real(n, k))
+        found = []
+        for most in (len(pool), 10**5):
+            del calls[:]
+            cert = best_response_gain(EVEN_PAZ, profile, 0, SearchConfig(max_breakpoints=most))
+            found.append((cert, calls.copy()))
+        assert found[0] == found[1]
+
     def test_search_past_maxsize(self, monkeypatch):
         # C(pool, 16) * C(20, 16) misreports overflow len(range(...))
         built = self.built(monkeypatch)
@@ -807,8 +823,9 @@ class TestGridOnMixedDenominators:
     @given(mixed_profiles_with_allocations())
     def test_checkers(self, case):
         profile, allocation = case
-        points, keys, scale, _, _ = cake.cell_grid(profile, allocation)
-        assert [F(key, scale) for key in keys] == points
+        points, keys, _, _ = cake.cell_grid(profile, allocation)
+        assert keys == sorted(points)
+        assert [F(key, points.scale) for key in keys] == [points[key] for key in keys]
         assert validate_allocation(allocation, profile) == reference_validate(
             allocation, profile)
         report = report_for(profile, allocation)
@@ -818,7 +835,7 @@ class TestGridOnMixedDenominators:
     def test_equal_split_sixteen_agents(self):
         profile = mixed_profile(random.Random(16), 16, max_breakpoints=6)
         split = EQUAL_SPLIT.run(profile)
-        assert cake.cell_grid(profile, split)[2] % (7 * 11 * 13 * 24) == 0
+        assert cake.cell_grid(profile, split)[0].scale % (7 * 11 * 13 * 24) == 0
         assert validate_allocation(split, profile) == []
         # the split itself, and its pieces handed one agent on, which envies
         rotated = Allocation(split.pieces[1:] + split.pieces[:1], split.discarded)
@@ -859,6 +876,19 @@ def random_profiles():
     return st.builds(lambda seed, n: random_profile(random.Random(seed), n, max_breakpoints=4,
                                                     denom=DENOM),
                      st.integers(0, 2**32 - 1), st.integers(2, 12))
+
+
+class TestKeyedHalvingAllocation:
+    """Full halving runs build their pieces from the leaves' int pairs as
+    keys; the earlier build on ``Fraction`` spans is kept in support.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_profiles(), fragmented_profiles()))
+    def test_matches_fraction_spans(self, profile):
+        for name, share_middle in SHARES_MIDDLE.items():
+            allocation = MECHANISMS[name].run(profile)
+            assert allocation == reference.halving_allocation(profile, share_middle)
+            assert all(type(x) is F for piece in allocation.pieces for x in piece.boundaries())
 
 
 class TestKeyedCellSweep:
