@@ -587,14 +587,22 @@ def normalized(breakpoints: Sequence[RationalLike], densities: Sequence[Rational
     """Rescale raw densities to unit total mass (fixture helper).
 
     Construction through PiecewiseConstantValuation.of rejects non-normalized
-    input on purpose; this helper is the explicit opt-in.
+    input on purpose; this helper is the explicit opt-in.  Both are keyed
+    once, each segment's mass is its density key times its width key, and
+    :func:`_merged` takes the masses over their int total.
     """
-    bounds = [ZERO] + [frac(b) for b in breakpoints] + [ONE]
+    bounds = [ZERO, *map(frac, breakpoints), ONE]
     dens = [frac(d) for d in densities]
-    total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], dens))
+    (scale, keys), (_, weights) = _keys(bounds), _keys(dens)
+    masses = [w * (b - a) for a, b, w in zip(keys, keys[1:], weights)]
+    total = sum(masses)
     if total <= 0:
         raise ValueError("cannot normalize a zero valuation")
-    return PiecewiseConstantValuation.of(bounds[1:-1], [d / total for d in dens])
+    if len(dens) != len(bounds) - 1:
+        raise ValueError("need one density per segment")
+    image, kept = _merged(scale, keys, masses, total)
+    return PiecewiseConstantValuation._checked(
+        [bounds[k] for k in kept], [Fraction(w, image[1]) for w in image[3]], image)
 
 
 class Profile(Record):

@@ -1,13 +1,15 @@
 """Exact fairness/efficiency checkers and manipulation-gain search.
 
 The checkers compute proportionality deficit, envy, wasted measure, and
-contiguity as exact rationals.  The gain engines search for profitable
-misreports and return self-verifying certificates.  Halving-family
-candidates are scored by walking the manipulator's path through the
-recursion, but every certificate's values come from full runs of the
-mechanism on the deviated and, once per grid search, the truthful profile
-(the cut-point engine reuses the grid certificate's), so a certificate can
-never overstate a gain.
+contiguity as exact rationals, in one sweep over the allocation's cell grid
+that copies per-part running totals only where an agent's segment ends.
+The gain engines search for profitable misreports and return
+self-verifying certificates.  Halving-family candidates are scored by
+walking the manipulator's path through the recursion, but every
+certificate's values come from full runs of the mechanism on the deviated
+and, once per grid search, the truthful profile (the cut-point engine
+reuses the grid certificate's), so a certificate can never overstate a
+gain.
 
 Both engines produce LOWER bounds on the true supremum gain.  The grid
 engine numbers the misreports of a breakpoint/mass grid and builds only a
@@ -31,7 +33,9 @@ import sys
 from bisect import bisect
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import compress
 from math import comb, lcm
+from operator import add, sub
 from random import Random
 
 from cakecut.cake import (
@@ -58,8 +62,9 @@ class PropertyReport(Record):
     """Exact slack of an allocation against the standard properties.
 
     deficit == 0 iff proportional; envy == 0 iff envy-free; wasted_measure
-    is the measure of cake desired by someone yet held by an agent with zero
-    density there (or discarded).
+    is the measure of cake that some agent desires (positive density there)
+    but whose lowest-index holder does not desire, or that no agent holds
+    (unallocated or only discarded).
     """
 
     def __init__(self, proportionality_deficit: Fraction, envy: Fraction,
@@ -69,41 +74,63 @@ class PropertyReport(Record):
 
 
 def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
-    """Measure an allocation exactly in one pass over its :func:`cell_grid`.
+    """Measure an allocation exactly in one sweep over its :func:`cell_grid`.
 
     Cell widths are integer key differences over the grid's scale and each
-    agent's densities the integer numerators of its ``integer_image``, so
-    agent i values every piece at an integer over one denominator: the sums
-    run on ints, and envy and deficit take one ``Fraction`` per agent, waste
-    one in all.
+    agent's densities the integer numerators of its ``integer_image``.  One
+    pass over the cells keeps two running totals per part (the pieces, then
+    the discarded piece): the width it covers and the width it holds as the
+    lowest holder, copied only at the cells where an agent's segment ends.
+    Agent i values every part at its weights times differences of those
+    copies, an integer over one denominator; the desired width it is served
+    is the same difference of the lowest-holder totals.  So the work is
+    linear in the cells plus n + 1 per agent segment, deficit and envy are
+    compared as integer cross-products, and the report makes three
+    ``Fraction``s.
     """
     n = profile.n
     if allocation.n != n:
         raise ValueError(f"allocation has {allocation.n} pieces for {n} agents")
     points, keys, owners, segments = cell_grid(profile, allocation)
-    scale = points.scale
-    widths = [b - a for a, b in zip(keys, keys[1:])]
-    share = Fraction(1, n)
-    deficit = envy = ZERO
-    desired = [False] * len(widths)
+    widths = list(map(sub, keys[1:], keys))
+    ends = bytearray(len(keys))
+    for agent in segments:
+        for _, hi, _ in agent:
+            ends[hi] = 1
+    covered = [0] * (n + 1)         # width each part covers left of the cell
+    lowest = [0] * (n + 1)          # of that, the width it holds as lowest holder
+    totals = {0: (covered[:], lowest[:])}
+    for k, (held, width) in enumerate(zip(owners, widths), 1):
+        if held:
+            lowest[held[0]] += width
+            for j in held:
+                covered[j] += width
+        if ends[k]:
+            totals[k] = covered[:], lowest[:]
+    desired = bytearray(len(widths))
+    every = b"\1" * len(widths)
     served = 0                      # desired width whose lowest holder desires it
+    deficit = envy = (0, 1)         # the largest so far, as (numerator, denominator)
     for i, (v, agent) in enumerate(zip(profile, segments)):
         _, denominator, _, weights, _ = v.integer_image
-        values = [0] * (n + 1)      # of each part (index n: discarded), in 1/(denominator*scale)
+        values = [0] * (n + 1)      # of each part, in 1/(denominator*scale)
         for (lo, hi, _), weight in zip(agent, weights):
             if weight:
-                for k in range(lo, hi):
-                    desired[k] = True
-                    for j in owners[k]:
-                        values[j] += weight * widths[k]
-                    if owners[k] and owners[k][0] == i:
-                        served += widths[k]
-        unit = denominator * scale
+                (left, below), (right, upto) = totals[lo], totals[hi]
+                values = list(map(add, values, map(weight.__mul__, map(sub, right, left))))
+                served += upto[i] - below[i]
+                desired[lo:hi] = every[lo:hi]
+        unit = denominator * points.scale
         own = values[i]
-        deficit = max(deficit, share - Fraction(own, unit))
-        envy = max(envy, Fraction(max(values[:i] + values[i + 1:n]) - own, unit))
-    wasted = sum(width for width, wanted in zip(widths, desired) if wanted) - served
-    return PropertyReport(deficit, envy, Fraction(wasted, scale), allocation.is_contiguous)
+        short = unit - n * own      # 1/n - own/unit, over n*unit
+        if short * deficit[1] > deficit[0] * unit:
+            deficit = short, unit
+        ahead = max(values[:i] + values[i + 1:n]) - own
+        if ahead * envy[1] > envy[0] * unit:
+            envy = ahead, unit
+    wasted = sum(compress(widths, desired)) - served
+    return PropertyReport(Fraction(deficit[0], n * deficit[1]), Fraction(*envy),
+                          Fraction(wasted, points.scale), allocation.is_contiguous)
 
 
 def check_properties(mechanism: Mechanism, profile: Profile) -> PropertyReport:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import ClassVar, Optional
 
-from cakecut import cake, mechanisms
+from cakecut import cake, mechanisms, properties
 from cakecut.cake import ONE, ZERO, InfeasibleCutError, _inexact, frac
 
 
@@ -244,10 +244,10 @@ def check_valuation(bounds, densities):
 
 
 # Reference step-function builders on Fraction arithmetic: the earlier bodies
-# of PiecewiseConstantValuation.of and from_masses.  The builders on integer
-# keys must agree with them, except that from_masses now refuses a mass past
-# the last segment, which zip dropped, and a segment of zero width, which
-# divided by zero.
+# of PiecewiseConstantValuation.of and from_masses, and of cake.normalized.
+# The builders on integer keys must agree with them, except that from_masses
+# now refuses a mass past the last segment, which zip dropped, and a segment
+# of zero width, which divided by zero.
 
 
 def of(breakpoints, densities):
@@ -275,6 +275,16 @@ def from_masses(points, masses):
     dens = [frac(m) / (b - a) for a, b, m in zip(bounds, bounds[1:], masses)]
     return of(bounds[1:-1], dens)
 
+
+
+def normalized(breakpoints, densities):
+    """Rescale raw densities to unit total mass."""
+    bounds = [ZERO] + [frac(b) for b in breakpoints] + [ONE]
+    dens = [frac(d) for d in densities]
+    total = sum(d * (b - a) for a, b, d in zip(bounds, bounds[1:], dens))
+    if total <= 0:
+        raise ValueError("cannot normalize a zero valuation")
+    return cake.PiecewiseConstantValuation.of(bounds[1:-1], [d / total for d in dens])
 
 # Reference segment walks on Fraction arithmetic: the earlier bodies of
 # PiecewiseConstantValuation.value_between and cut_point, with ``self`` as
@@ -560,3 +570,40 @@ def validate_allocation(allocation, profile):
     problems.extend(f"free-disposal violation: agent {i} values discarded "
                     f"{ordered(w)}" for i, w in enumerate(wanted) if w)
     return problems
+
+
+# Reference checker on the cell grid, one step per (agent, desired cell,
+# holder): the earlier body of properties.report_for.  The package now sums
+# per-part totals copied at the agents' segment ends; they must agree.
+
+
+def report_for(profile, allocation):
+    """The allocation's exact ``PropertyReport``."""
+    n = profile.n
+    if allocation.n != n:
+        raise ValueError(f"allocation has {allocation.n} pieces for {n} agents")
+    points, keys, owners, segments = cake.cell_grid(profile, allocation)
+    scale = points.scale
+    widths = [b - a for a, b in zip(keys, keys[1:])]
+    share = Fraction(1, n)
+    deficit = envy = ZERO
+    desired = [False] * len(widths)
+    served = 0                      # desired width whose lowest holder desires it
+    for i, (v, agent) in enumerate(zip(profile, segments)):
+        _, denominator, _, weights, _ = v.integer_image
+        values = [0] * (n + 1)      # of each part (index n: discarded), in 1/(denominator*scale)
+        for (lo, hi, _), weight in zip(agent, weights):
+            if weight:
+                for k in range(lo, hi):
+                    desired[k] = True
+                    for j in owners[k]:
+                        values[j] += weight * widths[k]
+                    if owners[k] and owners[k][0] == i:
+                        served += widths[k]
+        unit = denominator * scale
+        own = values[i]
+        deficit = max(deficit, share - Fraction(own, unit))
+        envy = max(envy, Fraction(max(values[:i] + values[i + 1:n]) - own, unit))
+    wasted = sum(width for width, wanted in zip(widths, desired) if wanted) - served
+    return properties.PropertyReport(deficit, envy, Fraction(wasted, scale),
+                                     allocation.is_contiguous)

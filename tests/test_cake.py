@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import support as reference
 from cakecut import cake, io
@@ -331,9 +331,32 @@ def built(builder, *args):
         return type(exc)
 
 
+@st.composite
+def normalize_inputs(draw):
+    """:func:`step_inputs` for ``of``, sometimes with one value negated or
+    spelled as a float."""
+    points, values = draw(step_inputs(masses=False))
+    if values and draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, len(values) - 1))
+        values[j] = draw(st.sampled_from([-1 - F(values[j]), float(F(values[j]))]))
+    return points, values
+
+
+def built_or_raised(builder, *args):
+    """The valuation `builder` returns with its integer image, or the type
+    and message of its error."""
+    try:
+        v = builder(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return v, v.integer_image
+
+
 class TestStepBuilders:
-    """``of`` and ``from_masses`` on integer keys against their earlier
-    ``Fraction`` bodies: an equal valuation or the same error class."""
+    """``of``, ``from_masses`` and ``normalized`` on integer keys against
+    their earlier ``Fraction`` bodies: an equal valuation or the same error
+    class (for ``normalized``, the same integer image or the same error
+    type and message)."""
 
     @settings(max_examples=400, deadline=None)
     @given(args=step_inputs(masses=False))
@@ -348,6 +371,17 @@ class TestStepBuilders:
         if expected is ZeroDivisionError or len(masses) > len(points) + 1:
             expected = ValueError           # refused now, see the tests below
         assert built(PCV.from_masses, points, masses) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=normalize_inputs())
+    @example(args=(["1/2"], [0]))                   # wrong length, zero total
+    @example(args=(["1/2"], [0, 0, 1]))             # the extra density not summed
+    @example(args=(["1/2"], [1, 1, 1]))             # one density too many
+    @example(args=(["1/2", "1/4"], [1, 0, 3]))      # out of order, positive total
+    @example(args=(["1/2", "1/4"], [0, 3, 0]))      # out of order, negative total
+    @example(args=(["1/2"], [1, -1]))
+    def test_normalized_matches_fraction_reference(self, args):
+        assert built_or_raised(normalized, *args) == built_or_raised(reference.normalized, *args)
 
     def test_from_masses_refuses_a_mass_past_the_last_segment(self):
         with pytest.raises(ValueError, match="^need one mass per segment$"):

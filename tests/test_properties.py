@@ -93,6 +93,11 @@ class TestCheckProperties:
         assert report.wasted_measure == F(1, 2)
         assert report.proportionality_deficit == F(1, 4)
 
+    def test_unheld_desired_cake_is_wasted(self):
+        # agent 0 holds [0, 1/2]; nobody holds [1/2, 1], which both desire
+        allocation = Allocation((Piece.interval(0, "1/2"), Piece.empty()), Piece.empty())
+        assert report_for(Profile.of([U, U]), allocation).wasted_measure == F(1, 2)
+
     def test_envy_detected(self):
         alloc = Allocation.of([Piece.interval(0, "1/4"), Piece.interval("1/4", 1)])
         report = report_for(Profile.of([U, U]), alloc)
@@ -876,6 +881,49 @@ def random_profiles():
     return st.builds(lambda seed, n: random_profile(random.Random(seed), n, max_breakpoints=4,
                                                     denom=DENOM),
                      st.integers(0, 2**32 - 1), st.integers(2, 12))
+
+
+def with_rotation(allocation):
+    """The allocation and its pieces handed one agent on, which envies."""
+    return allocation, Allocation(allocation.pieces[1:] + allocation.pieces[:1],
+                                  allocation.discarded)
+
+
+class TestReportSweep:
+    """report_for sums per-part totals copied at the agents' segment ends;
+    its per-cell body is kept in support.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(profiles_with_allocations(), mixed_profiles_with_allocations()))
+    def test_allocations_match_cell_reference(self, case):
+        profile, allocation = case
+        for rotated in with_rotation(allocation):
+            assert report_for(profile, rotated) == reference.report_for(profile, rotated)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fragmented_profiles())
+    def test_mechanisms_match_cell_reference(self, profile):
+        for mechanism in (EQUAL_SPLIT, EVEN_PAZ_EXCHANGE, MODIFIED_EP_EXCHANGE):
+            for allocation in with_rotation(mechanism.run(profile)):
+                assert report_for(profile, allocation) == reference.report_for(profile, allocation)
+
+    def test_equal_split_sixty_four_fragmented_agents(self):
+        # the shape where the two bodies differ most: thousands of cells
+        rng = random.Random(64)
+        pool = rng.sample(range(1, 960), 64 * 6)
+        valuations = []
+        for j in range(64):
+            points = sorted(pool[6 * j:6 * j + rng.randrange(7)])
+            weights = [rng.randrange(4) for _ in range(len(points) + 1)]
+            weights[rng.randrange(len(weights))] += 1
+            valuations.append(normalized([F(p, 960) for p in points], weights))
+        profile = Profile.of(valuations)
+        split, rotated = with_rotation(EQUAL_SPLIT.run(profile))
+        assert len(cake.cell_grid(profile, split)[1]) > 4000
+        assert report_for(profile, split) == reference.report_for(profile, split)
+        report = report_for(profile, rotated)
+        assert report == reference.report_for(profile, rotated)
+        assert report.envy > 0 and report.wasted_measure > 0
 
 
 class TestKeyedHalvingAllocation:
