@@ -40,8 +40,10 @@ Values are immutable after construction and all operations are pure.  A
 valuation computes its integer image once, at construction, runs every
 validity check on those ints and keeps it; the image is a pure function of
 the fields and stays out of equality, hashing, ``repr`` and JSON, so values
-may be shared between threads.  Intervals and valuations refuse a float
-with :func:`frac`'s ``TypeError``.
+may be shared between threads.  An allocation keeps its last
+:func:`cell_grid` the same way, with the profile object it was built for,
+so the two checkers of one allocation build one grid.  Intervals and
+valuations refuse a float with :func:`frac`'s ``TypeError``.
 """
 
 from __future__ import annotations
@@ -672,7 +674,20 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
     parts covering cell k in ascending order, where parts are the
     allocation's pieces followed by its discarded piece; ``segments[i]``
     lists agent i's segments as ``(first cell, end cell, density)``.
+
+    The allocation keeps the grid it gets, with the profile it was built
+    for, as an attribute that is not a field, so it stays out of equality,
+    hashing, ``repr`` and JSON: a second call with the same allocation and
+    the same profile object (``is``, not ``==``) returns the same grid, and
+    :func:`validate_allocation` and ``properties.report_for`` share one
+    build.  The grid is shared, so its ``keys``, ``owners`` and
+    ``segments`` lists are read-only; ``points`` only adds the keys it is
+    asked for.  A grid with no allocation is not kept.
     """
+    if allocation is not None:
+        kept = allocation.__dict__.get("_cell_grid")
+        if kept is not None and kept[0] is profile:
+            return kept[1]
     parts = (*allocation.pieces, allocation.discarded) if allocation is not None else ()
     spans = [(i, iv) for i, part in enumerate(parts) for iv in part.intervals]
     ends = [x for v in profile for x in v.bounds]
@@ -698,7 +713,10 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
         for k in range(lo, hi):
             if not owners[k] or owners[k][-1] != i:
                 owners[k].append(i)
-    return points, keys, owners, segments
+    grid = points, keys, owners, segments
+    if allocation is not None:
+        allocation.__dict__["_cell_grid"] = profile, grid
+    return grid
 
 
 def _wanting(segments: list[list[tuple[int, int, Fraction]]], ks: Sequence[int]
@@ -743,7 +761,8 @@ def validate_allocation(allocation: Allocation, profile: Profile) -> list[str]:
     and from the discarded piece, that they and the discarded remainder
     cover the cake, and free disposal: discarded cake must have zero density
     under every agent's valuation.  Who wants a cell is asked only of the
-    discarded cells.
+    discarded cells.  The sweep reads the :func:`cell_grid` the allocation
+    keeps for this profile object, which ``properties.report_for`` shares.
     """
     n = profile.n
     if allocation.n != n:

@@ -86,7 +86,9 @@ def report_for(profile: Profile, allocation: Allocation) -> PropertyReport:
     is the same difference of the lowest-holder totals.  So the work is
     linear in the cells plus n + 1 per agent segment, deficit and envy are
     compared as integer cross-products, and the report makes three
-    ``Fraction``s.
+    ``Fraction``s.  The grid is the one the allocation keeps for this
+    profile object, so after :func:`cakecut.cake.validate_allocation` it is
+    not built again.
     """
     n = profile.n
     if allocation.n != n:

@@ -962,3 +962,53 @@ class TestKeyedCellSweep:
         pairs = [p for p in old if p.startswith("overlap between agents ")]
         discard = [p for p in problems if " and the discarded piece on " in p]
         assert problems == pairs + discard + old[len(pairs):]
+
+
+class TestSharedGrid:
+    """An allocation keeps the cell grid built for it and one profile
+    object, so validate_allocation and report_for share one build."""
+
+    def test_kept_for_the_profile_object(self):
+        profile = random_profile(random.Random(3), 4, max_breakpoints=3, denom=DENOM)
+        allocation = EQUAL_SPLIT.run(profile)
+        grid = cake.cell_grid(profile, allocation)
+        assert cake.cell_grid(profile, allocation) is grid
+        fresh = cake.cell_grid(profile, Allocation(allocation.pieces, allocation.discarded))
+        assert fresh is not grid and fresh == grid
+        regrid = cake.cell_grid(Profile(profile.valuations), allocation)
+        assert regrid is not grid and regrid == grid
+        assert cake.cell_grid(profile) is not cake.cell_grid(profile)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(profiles_with_allocations(), mixed_profiles_with_allocations()))
+    def test_either_order_matches_fresh_copies(self, case):
+        profile, allocation = case
+
+        def fresh():
+            return Allocation(allocation.pieces, allocation.discarded)
+
+        problems, report = validate_allocation(fresh(), profile), report_for(profile, fresh())
+        assert problems == reference_validate(fresh(), profile)
+        assert report == reference.report_for(profile, fresh())
+        first, second = fresh(), fresh()
+        grid = cake.cell_grid(profile, first)
+        assert validate_allocation(first, profile) == problems
+        assert report_for(profile, first) == report
+        assert report_for(profile, second) == report
+        assert validate_allocation(second, profile) == problems
+        # the checkers read the kept grid and leave it as built
+        assert cake.cell_grid(profile, first) is grid
+        _, keys, owners, segments = cake.cell_grid(profile, fresh())
+        assert grid[1:] == (keys, owners, segments)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(profiles_with_allocations(), mixed_profiles_with_allocations()))
+    def test_checked_allocation_reads_as_unchecked(self, case):
+        profile, checked = case
+        copy = Allocation(checked.pieces, checked.discarded)
+        validate_allocation(checked, profile)
+        report_for(profile, checked)
+        assert checked == copy and hash(checked) == hash(copy)
+        assert repr(checked) == repr(copy)
+        assert (io.canonical_dumps(io.allocation_to_json(checked, profile))
+                == io.canonical_dumps(io.allocation_to_json(copy, profile)))
