@@ -41,9 +41,9 @@ valuation computes its integer image once, at construction, runs every
 validity check on those ints and keeps it; the image is a pure function of
 the fields and stays out of equality, hashing, ``repr`` and JSON, so values
 may be shared between threads.  An allocation keeps its last
-:func:`cell_grid` the same way, with the profile object it was built for,
-so the two checkers of one allocation build one grid.  Intervals and
-valuations refuse a float with :func:`frac`'s ``TypeError``.
+:func:`cell_grid` the same way, with a weak reference to its profile, and a
+profile its halving allocations, so one profile's work is not redone.
+Intervals and valuations refuse a float with :func:`frac`'s ``TypeError``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ from bisect import bisect, bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import total_ordering
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from operator import eq, lt, mul, sub
+from weakref import ref
 
 RationalLike = Fraction | int | str
 
@@ -535,27 +536,34 @@ class PiecewiseConstantValuation(Record):
                                   for iv in piece.intervals])
 
     def cut_point(self, x: RationalLike, r: RationalLike) -> Fraction:
-        """Leftmost y >= x with value_between(x, y) == r.
-
-        One :meth:`_inverse` from x's prefix mass, in ints on the integer
-        image, with r's denominator folded into the target; cut_point(x, 0)
-        == x by the leftmost convention.  Raises InfeasibleCutError if r
-        exceeds the value of [x, 1].
+        """Leftmost y >= x with value_between(x, y) == r: the first answer
+        of :meth:`_cuts`.  cut_point(x, 0) == x by the leftmost convention.
+        Raises InfeasibleCutError if r exceeds the value of [x, 1].
         """
-        x, r = frac(x), frac(r)
+        return next(self._cuts(frac(x), frac(r), 1))
+
+    def _cuts(self, x: Fraction, r: Fraction, count: int) -> Iterator[Fraction]:
+        """`count` chained cuts, yielded in turn: y_1 = cut_point(x, r) and
+        y_j = cut_point(y_(j-1), r).  Under the leftmost convention P(y_j) =
+        P(x) + j·r exactly, P the prefix mass, so the chain is one
+        :meth:`_mass` and one :meth:`_inverse` per answer, in ints, with r's
+        denominator folded into the targets; an infeasible cut raises
+        InfeasibleCutError when it is reached."""
         q = x.denominator
         if r.numerator < 0 or not 0 <= x.numerator <= q:
             raise ValueError("need 0 <= x <= 1 and r >= 0")
         if r.numerator == 0:
-            return x
+            yield from repeat(x, count)
+            return
         lcm_b, lcm_d = self.integer_image[:2]
         whole, s = lcm_b * q * lcm_d, r.denominator
-        start = self._mass(x.numerator, q)
-        target = s * start + r.numerator * whole                # over s * whole
-        if target > s * whole:
-            remaining = Fraction(whole - start, whole)
-            raise InfeasibleCutError(f"requested value {r} exceeds remaining {remaining}")
-        return Fraction(*self._inverse(target, s, q))
+        target, step = s * self._mass(x.numerator, q), r.numerator * whole   # over s * whole
+        for _ in range(count):
+            if target + step > s * whole:
+                remaining = Fraction(s * whole - target, s * whole)
+                raise InfeasibleCutError(f"requested value {r} exceeds remaining {remaining}")
+            target += step
+            yield Fraction(*self._inverse(target, s, q))
 
     def _share_cut(self, aq: int, bq: int, q: int, num: int, s: int
                    ) -> tuple[int, int] | None:
@@ -675,18 +683,20 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
     allocation's pieces followed by its discarded piece; ``segments[i]``
     lists agent i's segments as ``(first cell, end cell, density)``.
 
-    The allocation keeps the grid it gets, with the profile it was built
-    for, as an attribute that is not a field, so it stays out of equality,
-    hashing, ``repr`` and JSON: a second call with the same allocation and
-    the same profile object (``is``, not ``==``) returns the same grid, and
-    :func:`validate_allocation` and ``properties.report_for`` share one
-    build.  The grid is shared, so its ``keys``, ``owners`` and
-    ``segments`` lists are read-only; ``points`` only adds the keys it is
-    asked for.  A grid with no allocation is not kept.
+    The allocation keeps the grid it gets, with a weak reference to the
+    profile it was built for, as an attribute that is not a field, so it
+    stays out of equality, hashing, ``repr`` and JSON: a second call with
+    the same allocation and the same profile object (``is``, not ``==``)
+    returns the same grid, and :func:`validate_allocation` and
+    ``properties.report_for`` share one build.  A profile keeps its halving
+    allocations, so a strong reference would make a cycle.  The grid is
+    shared, so its ``keys``, ``owners`` and ``segments`` lists are
+    read-only; ``points`` only adds the keys it is asked for.  A grid with
+    no allocation is not kept.
     """
     if allocation is not None:
         kept = allocation.__dict__.get("_cell_grid")
-        if kept is not None and kept[0] is profile:
+        if kept is not None and kept[0]() is profile:
             return kept[1]
     parts = (*allocation.pieces, allocation.discarded) if allocation is not None else ()
     spans = [(i, iv) for i, part in enumerate(parts) for iv in part.intervals]
@@ -715,7 +725,7 @@ def cell_grid(profile: Profile, allocation: Allocation | None = None) -> CellGri
                 owners[k].append(i)
     grid = points, keys, owners, segments
     if allocation is not None:
-        allocation.__dict__["_cell_grid"] = profile, grid
+        allocation.__dict__["_cell_grid"] = ref(profile), grid
     return grid
 
 

@@ -139,7 +139,9 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
     if others is None:
         others = {}
 
-    def solve(a: Point, b: Point, agents: list[int], share_middle: bool) -> None:
+    # profile is passed, not closed over: what solve's self-referring closure
+    # holds waits for the cyclic collector, and a profile keeps allocations
+    def solve(profile: Profile, a: Point, b: Point, agents: list[int], share_middle: bool) -> None:
         if not agents:
             raise AssertionError("recursed on an empty agent set")
         k = len(agents)
@@ -159,26 +161,37 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
             cuts.insert(_rank(cuts, num, den, follow), own)
         d_lo, d_hi, left, right = _split(cuts, share_middle)
         if follow not in right:
-            solve(a, d_lo, left, share_middle)
+            solve(profile, a, d_lo, left, share_middle)
         if d_hi is not d_lo:    # a shared middle of positive length
-            solve(d_lo, d_hi, agents, False)
+            solve(profile, d_lo, d_hi, agents, False)
         if follow not in left:
-            solve(d_hi, b, right, share_middle)
+            solve(profile, d_hi, b, right, share_middle)
 
-    solve((0, 1), (1, 1), list(range(profile.n)), share_middle)
+    solve(profile, (0, 1), (1, 1), list(range(profile.n)), share_middle)
     return pieces
+
+
+# The names under which a profile keeps its halving allocations, by share_middle.
+_KEPT = ("_halving_allocation", "_halving_allocation_shared")
 
 
 def _halving_allocation(profile: Profile, share_middle: bool) -> Allocation:
     """The full run's allocation: leaf ends as int keys over the lcm of their
     denominators, for :meth:`Piece.ordered`; the leaves cover the cake, so
-    nothing is discarded."""
-    spans = _halving(profile, share_middle)
-    scale = math.lcm(*{den for agent in spans for span in agent for _, den in span})
-    points = KeyedPoints(scale, ())
-    return Allocation(tuple(Piece.ordered([(lo * (scale // p), hi * (scale // q))
-                                           for (lo, p), (hi, q) in agent], points)
-                            for agent in spans), Piece.empty())
+    nothing is discarded.  The profile keeps it, like a valuation's
+    ``integer_image`` out of ``==``, ``hash``, ``repr`` and JSON, so a second
+    run on the same profile object (an exchange wrapper's base run) returns
+    it with the :func:`cakecut.cake.cell_grid` kept on it."""
+    allocation = profile.__dict__.get(_KEPT[share_middle])
+    if allocation is None:
+        spans = _halving(profile, share_middle)
+        scale = math.lcm(*{den for agent in spans for span in agent for _, den in span})
+        points = KeyedPoints(scale, ())
+        allocation = profile.__dict__[_KEPT[share_middle]] = Allocation(
+            tuple(Piece.ordered([(lo * (scale // p), hi * (scale // q))
+                                 for (lo, p), (hi, q) in agent], points)
+                  for agent in spans), Piece.empty())
+    return allocation
 
 
 def even_paz(profile: Profile) -> Allocation:

@@ -12,9 +12,11 @@ one value in any spelling is one query, and no ``Fraction`` is hashed.  The
 log keeps the arguments and answers as ``Fraction``s.
 
 On top of the oracle sits the valuation learner: with ``floor(2k/eps)`` cut
-queries it builds a unit-mass step function w whose value differs from the
-hidden valuation's by at most eps/2 on every piece of cake (k must bound the
-hidden interior breakpoint count).  Feeding learned valuations to a direct-
+queries, each from the last answer, it builds a unit-mass step function w
+whose value differs from the hidden valuation's by at most eps/2 on every
+piece of cake (k, an int, must bound the hidden interior breakpoint count).
+The oracle answers such a chain in one pass, one prefix-mass bisection per
+answer, and counts each answer as its own query.  Feeding learned valuations to a direct-
 revelation mechanism lifts it into the query model with at most
 ``n * floor(2k/eps)`` queries in total.
 """
@@ -54,31 +56,38 @@ class RWOracle:
     def query_count(self) -> int:
         return len(self.log)
 
-    def _ask(self, kind: str, x: Fraction, y: Fraction) -> Fraction:
-        # a Fraction is in lowest terms, so equal values give equal int keys
-        key = (kind, x.numerator, x.denominator, y.numerator, y.denominator)
-        answer = self._memo.get(key)
-        if answer is None:
-            if kind == "eval":
-                answer = self.hidden.value_between(x, y)
-            else:
-                answer = self.hidden.cut_point(x, y)
-            self._memo[key] = answer
-            self.log.append((kind, (x, y), answer))
-        return answer
-
     def eval(self, x: RationalLike, y: RationalLike) -> Fraction:
         """Exact value of [x, y]; ValueError unless 0 <= x <= y <= 1."""
-        return self._ask("eval", frac(x), frac(y))
+        x, y = frac(x), frac(y)
+        # a Fraction is in lowest terms, so equal values give equal int keys
+        key = ("eval", x.numerator, x.denominator, y.numerator, y.denominator)
+        answer = self._memo.get(key)
+        if answer is None:
+            answer = self._memo[key] = self.hidden.value_between(x, y)
+            self.log.append(("eval", (x, y), answer))
+        return answer
 
     def cut(self, x: RationalLike, r: RationalLike) -> Fraction:
         """Leftmost y with value of [x, y] equal to r; cut(x, 0) == x.
 
         Raises InfeasibleCutError when r exceeds the value of [x, 1]; callers
-        must only issue feasible cuts.
+        must only issue feasible cuts.  The count-1 case of :meth:`_cuts`.
         """
-        x, r = frac(x), frac(r)
-        return self._ask("cut", x, r)
+        return self._cuts(frac(x), frac(r), 1)[0]
+
+    def _cuts(self, x: Fraction, r: Fraction, count: int) -> list[Fraction]:
+        """`count` chained cuts, cut(x, r) and then cut(y, r) from each answer
+        y, in one pass of the hidden valuation's chain, each memoized and
+        logged as :meth:`cut` would; an infeasible one raises when reached."""
+        answers = []
+        for y in self.hidden._cuts(x, r, count):
+            key = ("cut", x.numerator, x.denominator, r.numerator, r.denominator)
+            if key not in self._memo:
+                self._memo[key] = y
+                self.log.append(("cut", (x, r), y))
+            answers.append(y)
+            x = y
+        return answers
 
 
 class LearnedValuation(Record):
@@ -98,12 +107,15 @@ def approximate_valuation(oracle: RWOracle, k: int,
                           epsilon: RationalLike) -> LearnedValuation:
     """Learn a step function w from cut queries alone.
 
-    Issues exactly floor(2k/eps) cuts, each advancing by an eps/(2k) slice of
-    value; each learned segment carries that slice as its mass, and whatever
-    lies right of the last cut carries the remainder.  The result has total
-    mass exactly 1 and approximates the hidden valuation within eps/2 on
-    every piece of cake.
+    Issues exactly floor(2k/eps) chained cuts, each advancing by an eps/(2k)
+    slice of value; each learned segment carries that slice as its mass,
+    and whatever lies right of the last cut carries the remainder.  The
+    result has total mass exactly 1 and approximates the hidden valuation
+    within eps/2 on every piece of cake.  A k that is not an int is refused
+    before any query.
     """
+    if type(k) is not int:
+        raise TypeError(f"k must be an int, not {k!r}")
     epsilon = frac(epsilon)
     if epsilon <= 0 or k < 1:
         raise ValueError("need epsilon > 0 and k >= 1")
@@ -113,15 +125,11 @@ def approximate_valuation(oracle: RWOracle, k: int,
     slice_mass = epsilon / (2 * k)
     n_queries = query_budget(k, epsilon)
     before = oracle.query_count
-    xs = [ZERO]
-    for _ in range(n_queries):
-        last = xs[-1]
-        x = oracle.cut(last, slice_mass)
+    points = oracle._cuts(ZERO, slice_mass, n_queries)
+    for last, x in zip([ZERO, *points], points):
         # compared as ints: denominators are positive
         if not x.numerator * last.denominator > last.numerator * x.denominator:
             raise AssertionError(f"cut did not advance past {last}")
-        xs.append(x)
-    points = xs[1:]
     masses = [slice_mass] * n_queries
     if not points or points[-1] != ONE:
         masses.append(1 - n_queries * slice_mass)

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -1012,3 +1014,75 @@ class TestSharedGrid:
         assert repr(checked) == repr(copy)
         assert (io.canonical_dumps(io.allocation_to_json(checked, profile))
                 == io.canonical_dumps(io.allocation_to_json(copy, profile)))
+
+
+class TestKeptHalvingAllocation:
+    """A profile keeps each halving allocation it gets, so an exchange
+    wrapper's base run reuses it and the cell grid kept on it; the grid
+    refers back to its profile only weakly, so a profile that keeps them is
+    freed by reference counting, without the cyclic collector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_profiles(), fragmented_profiles()))
+    def test_same_profile_object_same_allocation(self, profile):
+        for name in SHARES_MIDDLE:
+            allocation = MECHANISMS[name].run(profile)
+            assert MECHANISMS[name].run(profile) is allocation
+            fresh = MECHANISMS[name].run(Profile(profile.valuations))
+            assert fresh is not allocation and fresh == allocation
+        assert len(vars(profile).keys() - set(Profile._fields)) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_profiles(), fragmented_profiles()))
+    def test_kept_values_read_as_fresh_copies(self, profile):
+        for mechanism in MECHANISMS.values():
+            allocation = mechanism.run(profile)
+            validate_allocation(allocation, profile)
+            report_for(profile, allocation)
+        copy = Profile(profile.valuations)
+        assert vars(profile).keys() != vars(copy).keys()
+        assert profile == copy and hash(profile) == hash(copy) and repr(profile) == repr(copy)
+        assert (io.canonical_dumps(io.profile_to_json(profile))
+                == io.canonical_dumps(io.profile_to_json(copy)))
+        for name in SHARES_MIDDLE:
+            kept = MECHANISMS[name].run(profile)
+            fresh = Allocation(kept.pieces, kept.discarded)
+            assert "_cell_grid" in vars(kept) and "_cell_grid" not in vars(fresh)
+            assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+            assert (io.canonical_dumps(io.allocation_to_json(kept, profile))
+                    == io.canonical_dumps(io.allocation_to_json(fresh, copy)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_profiles(), fragmented_profiles()), st.booleans())
+    def test_exchange_wrappers_match_reference_on_fresh_base(self, profile, checked_first):
+        for wrapped, base in ((EVEN_PAZ_EXCHANGE, EVEN_PAZ),
+                              (MODIFIED_EP_EXCHANGE, MODIFIED_EVEN_PAZ)):
+            if checked_first:   # the base allocation then arrives with its grid kept
+                validate_allocation(base.run(profile), profile)
+            expected = reference.exchange(base.run(Profile(profile.valuations)), profile)
+            assert wrapped.run(profile) == expected
+            assert wrapped.run(profile) == expected
+
+    def test_kept_grid_holds_its_profile_weakly(self):
+        profile = random_profile(random.Random(5), 4, max_breakpoints=3, denom=DENOM)
+        for mechanism in MECHANISMS.values():
+            allocation = mechanism.run(profile)
+            validate_allocation(allocation, profile)
+            kept = vars(allocation)["_cell_grid"]
+            assert cake.cell_grid(profile, allocation) is kept[-1]
+            assert not any(referrer is kept or referrer is vars(allocation)
+                           for referrer in gc.get_referrers(profile))
+
+    def test_profile_with_kept_allocations_is_freed_without_the_collector(self):
+        profile = random_profile(random.Random(5), 4, max_breakpoints=3, denom=DENOM)
+        allocations = [mechanism.run(profile) for mechanism in MECHANISMS.values()]
+        for allocation in allocations:
+            validate_allocation(allocation, profile)
+            report_for(profile, allocation)
+        gone = weakref.ref(profile)
+        gc.disable()
+        try:
+            del profile, allocation, allocations
+            assert gone() is None
+        finally:
+            gc.enable()

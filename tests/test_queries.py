@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cakecut.cake import (
     InfeasibleCutError,
@@ -9,6 +10,7 @@ from cakecut.cake import (
     PiecewiseConstantValuation as PCV,
     Profile,
     ival,
+    normalized,
 )
 from cakecut.mechanisms import MODIFIED_EVEN_PAZ
 from cakecut.queries import (
@@ -19,6 +21,7 @@ from cakecut.queries import (
     query_budget,
 )
 from cakecut.sampling import random_profile, random_valuation
+import support as reference
 
 F = Fraction
 U = PCV.uniform()
@@ -138,6 +141,81 @@ class TestOracle:
         assert U.value_between(0, o.cut(0, "1/2")) == F(1, 4)
 
 
+@st.composite
+def cut_chains(draw):
+    """A valuation on a 1/12 grid with zero-density segments, a chain's
+    start x, slice r and count, and the chain positions (0 the first cut)
+    whose queries the oracle has answered before the chain runs."""
+    points = sorted(set(draw(st.lists(st.integers(1, 11), max_size=5))))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(points) + 1,
+                            max_size=len(points) + 1).filter(any))
+    v = normalized([F(p, 12) for p in points], weights)
+    x = F(draw(st.integers(0, 12)), 12)
+    r = F(draw(st.integers(0, 6)), draw(st.integers(1, 30)))
+    count = draw(st.integers(1, 25))
+    return v, x, r, count, draw(st.lists(st.integers(0, count - 1), max_size=4))
+
+
+def outcome(ask):
+    """ask()'s answers, or the type and message of what it raised."""
+    try:
+        return ask()
+    except InfeasibleCutError as error:
+        return type(error), str(error)
+
+
+class TestChainedCuts:
+    """The learner's chained cuts come from one pass of the hidden
+    valuation's prefix masses, and read as the same cut queries one at a
+    time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_chains())
+    def test_matches_repeated_cut_queries(self, case):
+        v, x, r, count, asked = case
+        chained, repeated = RWOracle(v), RWOracle(v)
+        starts = [x]        # the reference's chain, by the Fraction segment walk
+        for _ in range(count):
+            try:
+                starts.append(reference.cut_point(v, starts[-1], r))
+            except InfeasibleCutError:
+                break
+        for oracle in (chained, repeated):
+            oracle.eval(0, x)
+            for j in asked:
+                if j < len(starts) - 1:
+                    oracle.cut(starts[j], r)
+
+        def one_at_a_time():
+            answers, y = [], x
+            for _ in range(count):
+                y = repeated.cut(y, r)
+                answers.append(y)
+            return answers
+
+        expected = outcome(one_at_a_time)
+        assert outcome(lambda: chained._cuts(x, r, count)) == expected
+        assert chained.log == repeated.log
+        assert chained._memo == repeated._memo
+        assert chained.query_count == repeated.query_count
+        if len(starts) > count:
+            assert expected == starts[1:]
+        else:
+            assert expected == outcome(lambda: reference.cut_point(v, starts[-1], r))
+
+    def test_infeasible_chain_keeps_the_earlier_queries(self):
+        o = RWOracle(FRONT)
+        with pytest.raises(InfeasibleCutError,
+                           match="^requested value 1/3 exceeds remaining 0$"):
+            o._cuts(F(0), F(1, 3), 4)
+        assert o.log == [("cut", (F(0), F(1, 3)), F(1, 6)),
+                         ("cut", (F(1, 6), F(1, 3)), F(1, 3)),
+                         ("cut", (F(1, 3), F(1, 3)), F(1, 2))]
+        with pytest.raises(InfeasibleCutError, match="^requested value 1/3 exceeds remaining 0$"):
+            o.cut(F(1, 2), F(1, 3))
+        assert o.query_count == 3
+
+
 class TestLearner:
     def test_uniform_k1_eps1(self):
         o = RWOracle(U)
@@ -200,6 +278,17 @@ class TestLearner:
                 learned = approximate_valuation(RWOracle(v), 4, eps)
                 assert learned.valuation.value(Piece.whole()) == 1
                 assert learned.queries_used == query_budget(4, eps)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", F(2)])
+    def test_k_that_is_not_an_int_is_refused_before_any_query(self, k):
+        o = RWOracle(U)
+        with pytest.raises(TypeError, match=r"^k must be an int, not "):
+            approximate_valuation(o, k, "1/5")
+        lifted = lift_direct_to_rw(MODIFIED_EVEN_PAZ, k, "1/5")
+        oracles = [RWOracle(U), RWOracle(FRONT)]
+        with pytest.raises(TypeError, match=r"^k must be an int, not "):
+            lifted.run_on_oracles(oracles)
+        assert o.log == [] and all(oracle.log == [] for oracle in oracles)
 
     def test_k_below_breakpoints_rejected(self):
         v = PCV.of(["1/4", "1/2", "3/4"], [1, 2, 0, 1])
