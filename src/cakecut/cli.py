@@ -412,15 +412,13 @@ def emit_report(report: dict, fmt: str = "json", elapsed_ms: float = 0.0) -> str
     if fmt == "json":
         return canonical_dumps(report)
     lines: list[str] = []
-
-    def walk(prefix: str, value: object) -> None:
+    stack: list[tuple[str, object]] = [("", report)]    # the next entry on top
+    while stack:
+        prefix, value = stack.pop()
         if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}{key}.", value[key])
+            stack.extend((f"{prefix}{key}.", value[key]) for key in reversed(sorted(value)))
         else:
             lines.append(f"{prefix[:-1]} = {value}")
-
-    walk("", report)
     lines.append(f"elapsed_ms = {elapsed_ms:.1f}")
     return "\n".join(lines) + "\n"
 

@@ -4,11 +4,11 @@ All mechanisms map a profile of reported valuations to an allocation, are
 pure functions (identical inputs give structurally identical outputs), and
 produce allocations that pass :func:`cakecut.cake.validate_allocation`.
 
-Even-Paz and modified Even-Paz run one recursion, :func:`_halving`; the
-``SHARES_MIDDLE`` table names this recursive-halving family and whether each
-member shares the cake between a node's two median cuts among all of the
-node's agents.  The gain engines and the CLI read the table.  The recursion
-carries each node's ends as reduced ``(numerator, denominator)`` int pairs.
+Even-Paz and modified Even-Paz run one recursive halving, :func:`_halving`,
+a loop over a stack of nodes that makes no reference cycle; the gain engines
+and the CLI read the ``SHARES_MIDDLE`` table, which names this family and
+whether each member shares the cake between a node's two median cuts among
+all of the node's agents.  Node ends are reduced int pairs.
 One node step, :func:`_node_step`, puts a node's ends over one denominator,
 takes each agent's cut as an unreduced int pair from one walk over its
 segments and sorts the cuts on exact int keys; the recursion and the
@@ -77,8 +77,9 @@ def _node_step(profile: Profile, a: Point, b: Point, agents: list[int], k: int) 
     aq, bq = an * (q // ad), bn * (q // bd)
     half = k // 2
     cuts = [(*(profile[i]._share_cut(aq, bq, q, half, k) or (aq, q)), i) for i in agents]
-    # not an idle test: a path walk asks for its own agent's cut alone, and
-    # skipping the lcm and the sort there keeps `gain` 2-5% faster
+    # not an idle test: at a node of two agents a path walk or the planner
+    # asks for the other agent's cut alone, and skipping the lcm and the sort
+    # there keeps `gain` faster
     if len(cuts) > 1:
         lcm = math.lcm(*(den for _, den, _ in cuts))
         cuts.sort(key=lambda cut: (cut[0] * (lcm // cut[1]), cut[2]))
@@ -119,16 +120,17 @@ def _split(cuts: Cuts, share_middle: bool) -> tuple[Point, Point, list[int], lis
 
 def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
              others: NodeCuts | None = None) -> list[list[tuple[Point, Point]]]:
-    """Recursive halving; returns each agent's list of ``(lo, hi)`` spans.
-    Each node [a, b] is split by :func:`_split` and its children are solved
-    left, middle (where there is one), right.  The sorted cuts of a node's
-    agents but `follow` are read from, or computed into, `others` (a fresh
-    table if None).  With `follow` that agent's cut is placed among them by
-    :func:`_rank`, and only the children holding it are descended (a middle
-    holds them all), so only its list is filled.  The cuts depend only on
-    the node's ends, its agents and their valuations, so a search that
-    varies only the followed agent's report walks all its candidates through
-    one table; the table must not outlive that search.
+    """Recursive halving as one loop over a stack of nodes; returns each
+    agent's list of ``(lo, hi)`` spans.  Each node [a, b] is split by
+    :func:`_split` and its children are pushed right, middle (where there is
+    one), left, so they are solved left, middle, right.  The sorted cuts of
+    a node's agents but `follow` are read from, or computed into, `others`
+    (a fresh table if None).  With `follow` that agent's cut is placed
+    among them by :func:`_rank`, and only the children holding it are
+    descended (a middle holds them all), so only its list is filled.  The
+    cuts depend only on the node's ends, its agents and their valuations,
+    so a search that varies only the followed agent's report walks all its
+    candidates through one table; the table must not outlive that search.
 
     Node ends, and so the spans' ends, are reduced int pairs; no
     ``Fraction`` is built.  Children are visited left, middle, right and a
@@ -138,10 +140,10 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
     pieces: list[list[tuple[Point, Point]]] = [[] for _ in range(profile.n)]
     if others is None:
         others = {}
-
-    # profile is passed, not closed over: what solve's self-referring closure
-    # holds waits for the cyclic collector, and a profile keeps allocations
-    def solve(profile: Profile, a: Point, b: Point, agents: list[int], share_middle: bool) -> None:
+    bits = [1 << i for i in range(profile.n)]
+    stack = [((0, 1), (1, 1), list(range(profile.n)), share_middle)]
+    while stack:
+        a, b, agents, shared = stack.pop()
         if not agents:
             raise AssertionError("recursed on an empty agent set")
         k = len(agents)
@@ -149,25 +151,25 @@ def _halving(profile: Profile, share_middle: bool, follow: int | None = None,
         if k == 1:
             if an * bd < bn * ad:
                 pieces[agents[0]].append((a, b))
-            return
-        key = (an, ad, bn, bd, sum(1 << i for i in agents))
+            continue
+        key = (an, ad, bn, bd, sum(map(bits.__getitem__, agents)))
         cuts = others.get(key)
         if cuts is None:    # a new node; k >= 2, so it has an agent but `follow`
             cuts = others[key] = _node_step(
                 profile, a, b, [i for i in agents if i != follow], k)
         if follow is not None:
-            num, den, _ = own = _node_step(profile, a, b, [follow], k)[0]
+            q = math.lcm(ad, bd)
+            aq = an * (q // ad)
+            num, den = profile[follow]._share_cut(aq, bn * (q // bd), q, k // 2, k) or (aq, q)
             cuts = cuts.copy()
-            cuts.insert(_rank(cuts, num, den, follow), own)
-        d_lo, d_hi, left, right = _split(cuts, share_middle)
-        if follow not in right:
-            solve(profile, a, d_lo, left, share_middle)
-        if d_hi is not d_lo:    # a shared middle of positive length
-            solve(profile, d_lo, d_hi, agents, False)
+            cuts.insert(_rank(cuts, num, den, follow), (num, den, follow))
+        d_lo, d_hi, left, right = _split(cuts, shared)
         if follow not in left:
-            solve(profile, d_hi, b, right, share_middle)
-
-    solve(profile, (0, 1), (1, 1), list(range(profile.n)), share_middle)
+            stack.append((d_hi, b, right, shared))
+        if d_hi is not d_lo:    # a shared middle of positive length
+            stack.append((d_lo, d_hi, agents, False))
+        if follow not in right:
+            stack.append((a, d_lo, left, shared))
     return pieces
 
 

@@ -255,7 +255,9 @@ def _candidate_points(profile: Profile, truthful: Allocation,
     is an exact int."""
     ends = [x for v in profile for x in v.breakpoints]
     ends.extend(x for piece in truthful.pieces for x in piece.boundaries())
-    scale = lcm(*(x.denominator for x in ends)) << (6 + cfg.offset_rounds)
+    # a list: a generator's argument tuple is resized, so each search would add
+    # one tuple to the tuple free lists, which only a full collection empties
+    scale = lcm(*[x.denominator for x in ends]) << (6 + cfg.offset_rounds)
     base = {key for x in ends if 0 < (key := x.numerator * (scale // x.denominator)) < scale}
     anchored = sorted(base | {0, scale})
     gamma = min(q - p for p, q in zip(anchored, anchored[1:])) // 64
@@ -436,7 +438,10 @@ def _dp_best_path(profile: Profile, agent: int, a: Point, b: Point, agents: list
     others = _node_step(profile, a, b, [i for i in agents if i != agent], k)
 
     plans = []
-    own_cut = _node_step(profile, a, b, [agent], k)[0][:2]
+    (an, ad), (bn, bd) = a, b
+    q = lcm(ad, bd)
+    aq = an * (q // ad)
+    own_cut = true_v._share_cut(aq, bn * (q // bd), q, k // 2, k) or (aq, q)
     for c in _node_candidates(a, b, others, rank, agent, true_v, own_cut):
         placed = others.copy()
         placed.insert(rank, (*c, agent))

@@ -20,6 +20,7 @@ from cakecut.cake import (
     normalized,
     validate_allocation,
 )
+from cakecut.cli import emit_report
 from cakecut.mechanisms import (
     EQUAL_SPLIT,
     EVEN_PAZ,
@@ -29,6 +30,7 @@ from cakecut.mechanisms import (
     MODIFIED_EVEN_PAZ,
     SHARES_MIDDLE,
     Mechanism,
+    _halving,
     _node_step,
 )
 from cakecut.properties import (
@@ -1086,3 +1088,39 @@ class TestKeptHalvingAllocation:
             assert gone() is None
         finally:
             gc.enable()
+
+
+class TestNothingLeftForTheCollector:
+    """Halving runs, path walks, both gain engines and a text report build
+    no reference cycle, so all they allocate is freed by reference counting
+    and the cyclic collector finds nothing."""
+
+    def test_collector_finds_nothing(self):
+        rng = random.Random(3)
+        profile = random_profile(rng, 5, max_breakpoints=3, denom=4)
+        lies = [random_valuation(rng, max_breakpoints=3, denom=4) for _ in range(4)]
+        cfg = SearchConfig(mass_denominator=3, max_breakpoints=1, offset_rounds=0,
+                           max_candidates=24)
+        report = {"output": {"report": {"envy": "0", "contiguous": True}, "agent": 1},
+                  "command": "check"}
+        tables = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, share_middle in SHARES_MIDDLE.items():
+                MECHANISMS[name].run(Profile(profile.valuations))
+                others = tables[name] = {}
+                for lie in [profile[1], *lies]:
+                    _halving(profile.replace(1, lie), share_middle, follow=1, others=others)
+                grid = best_response_gain(MECHANISMS[name], profile, 1, cfg)
+                ep_cutpoint_best_response(MECHANISMS[name], profile, 1, cfg,
+                                          grid_certificate=grid)
+            text = emit_report(report, "text", 2.5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        # modified-ep's walks descended a middle of the root: a node of all
+        # five agents that does not start at 0
+        assert any(key[4] == 31 and key[:2] != (0, 1) for key in tables["modified-ep"])
+        assert text == ("command = check\noutput.agent = 1\noutput.report.contiguous = True\n"
+                        "output.report.envy = 0\nelapsed_ms = 2.5\n")
